@@ -16,31 +16,28 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fock import DensityMatrix, _permute_factors
+from .fock import DensityMatrix, _local_n, _permute_factors
 
-_PARITY = {2: np.array([0, 1]), 4: np.array([0, 1, 1, 0])}
-_NUMBER = {2: np.array([0, 1]), 4: np.array([0, 1, 1, 2])}
+
+def _labels(dim: int, kind: str) -> np.ndarray:
+    """Local parity ("P") or particle-number ("N") label of each basis state."""
+    n = _local_n(dim)
+    return n % 2 if kind == "P" else n
 
 
 def parity_projectors(dim: int):
     """Orthogonal projectors (P_plus, P_minus) on one local factor."""
-    labels = _local_labels(dim, _PARITY)
+    labels = _labels(dim, "P")
     return np.diag((labels == 0).astype(float)), np.diag((labels == 1).astype(float))
 
 
 def number_projectors(dim: int):
     """Complete orthogonal family P_n, n = 0..max occupation, on one factor."""
-    labels = _local_labels(dim, _NUMBER)
+    labels = _labels(dim, "N")
     return [np.diag((labels == n).astype(float)) for n in range(labels.max() + 1)]
 
 
-def _local_labels(dim, table):
-    if dim not in table:
-        raise ValueError(f"no occupation sector structure for local dimension {dim}")
-    return table[dim]
-
-
-def _pinch(rho: DensityMatrix, factors, table) -> DensityMatrix:
+def _pinch(rho: DensityMatrix, factors, kind: str) -> DensityMatrix:
     """Zero matrix elements between differing sector labels of ``factors``."""
     factors = range(len(rho.dims)) if factors is None else tuple(factors)
     for f in factors:
@@ -48,7 +45,7 @@ def _pinch(rho: DensityMatrix, factors, table) -> DensityMatrix:
             raise ValueError(f"factor index {f} out of range for dims {rho.dims}")
     key = np.zeros(1, dtype=np.int64)
     for i, d in enumerate(rho.dims):
-        local = _local_labels(d, table) if i in factors else np.zeros(d, dtype=np.int64)
+        local = _labels(d, kind) if i in factors else np.zeros(d, dtype=np.int64)
         key = key[:, None] * (local.max() + 1) + local[None, :]
         key = key.ravel()
     mat = rho.mat * np.equal.outer(key, key)
@@ -57,12 +54,12 @@ def _pinch(rho: DensityMatrix, factors, table) -> DensityMatrix:
 
 def gpi_local(rho: DensityMatrix, factors=None) -> DensityMatrix:
     """Parity pinching on the designated local factors (all by default)."""
-    return _pinch(rho, factors, _PARITY)
+    return _pinch(rho, factors, "P")
 
 
 def gn_local(rho: DensityMatrix, factors=None) -> DensityMatrix:
     """Particle-number pinching on the designated local factors (all by default)."""
-    return _pinch(rho, factors, _NUMBER)
+    return _pinch(rho, factors, "N")
 
 
 def swap_channel(rho: DensityMatrix, i: int = 0, j: int = 1) -> DensityMatrix:

@@ -3,9 +3,9 @@
 Single results are printed as JSON records with snake_case keys; parameter
 scans are written as CSV whose float fields use ``repr`` so the files parse
 back bit-exactly.  Exit codes: 0 on success, 2 on usage errors, 3 on
-numerical failure (an uncertified minimization).  Scans honor the
-ORBENT_THREADS environment variable; rows are always emitted in
-deterministic order.  Orbital indices on this interface are 0-based.
+numerical failure (an uncertified minimization).  Rows are evaluated one
+after another and emitted in deterministic order.  Orbital indices on this
+interface are 0-based.
 """
 
 from __future__ import annotations
@@ -13,9 +13,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -23,13 +21,6 @@ from . import channels, entanglement, fcidump, interacting, tightbinding
 from .fock import DensityMatrix, pure_state_dm
 
 USAGE_ERROR, NUMERICAL_ERROR = 2, 3
-
-
-def _threads() -> int:
-    try:
-        return max(1, int(os.environ.get("ORBENT_THREADS", "1")))
-    except ValueError:
-        return 1
 
 
 def _emit_json(record, out=None):
@@ -127,14 +118,9 @@ def cmd_tb_scan(args) -> int:
     table = [[row["eta"], row["d"], row["E_nssr"]] for row in rows]
     if args.pssr:
         header.append("E_pssr")
-        with ThreadPoolExecutor(max_workers=_threads()) as pool:
-            pssr = list(pool.map(
-                lambda row: tightbinding.pssr_point(row["eta"], row["d"],
-                                                    tol=args.ree_tol,
-                                                    max_iters=args.ree_max_iters),
-                rows))
-        for line, value in zip(table, pssr):
-            line.append(value)
+        for line, row in zip(table, rows):
+            line.append(tightbinding.pssr_point(row["eta"], row["d"], tol=args.ree_tol,
+                                                max_iters=args.ree_max_iters))
     _write_csv(args.out, header, table)
     return 0
 
@@ -249,16 +235,10 @@ def cmd_ed(args) -> int:
             return USAGE_ERROR
 
     ssr = args.ssr.upper()
-
-    def solve(pair):
-        l, lp = pair
-        kwargs = {"tol": args.ree_tol, "max_iters": args.ree_max_iters} \
-            if ssr == "P" else {}
-        return interacting.orbital_pair_entanglement(gs.state, l, lp, ssr=ssr,
-                                                     **kwargs)
+    kwargs = {"tol": args.ree_tol, "max_iters": args.ree_max_iters} if ssr == "P" else {}
     try:
-        with ThreadPoolExecutor(max_workers=_threads()) as pool:
-            results = list(pool.map(solve, pairs))
+        results = [interacting.orbital_pair_entanglement(gs.state, l, lp, ssr=ssr, **kwargs)
+                   for l, lp in pairs]
     except (ValueError, entanglement.SymmetryViolation) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
@@ -267,7 +247,7 @@ def cmd_ed(args) -> int:
     failed = False
     for (l, lp), res in zip(pairs, results):
         d = abs(l - lp)
-        if model["model"] == "hubbard" and params.periodic:
+        if model["model"] == "hubbard":
             d = min(d, params.n_sites - d)
         record = dict(model)
         record.update(n_elec=n_elec, ms2=ms2, energy=gs.energy,

@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .channels import gn_local, gpi_local
-from .fock import DensityMatrix, _factor_labels
+from .fock import _LOCAL_N, DensityMatrix, _factor_labels
 
 logger = logging.getLogger(__name__)
 
@@ -77,15 +77,13 @@ _PHI_PLUS[[4 * 0 + 3, 4 * 3 + 0]] = 1 / np.sqrt(2)
 _PHI_MINUS = np.zeros(16)
 _PHI_MINUS[4 * 0 + 3], _PHI_MINUS[4 * 3 + 0] = 1 / np.sqrt(2), -1 / np.sqrt(2)
 
-_LOCAL_N4 = np.array([0, 1, 1, 2])
-
 
 def reflection_operator() -> np.ndarray:
     """Fermionic exchange of the two orbitals, |a,b> -> (-1)^(N_a N_b) |b,a>."""
     r = np.zeros((16, 16))
     for a in range(4):
         for b in range(4):
-            sign = -1.0 if (_LOCAL_N4[a] * _LOCAL_N4[b]) % 2 else 1.0
+            sign = -1.0 if (_LOCAL_N[4][a] * _LOCAL_N[4][b]) % 2 else 1.0
             r[4 * b + a, 4 * a + b] = sign
     return r
 
@@ -163,7 +161,7 @@ def decompose_symmetric(rho: DensityMatrix, tol: float = 1e-8) -> SymmetricTwoOr
         raise SymmetryViolation(f"state breaks orbital exchange symmetry (deviation {dev:.2e})")
 
     weights = np.zeros((3, 3))
-    local_n = _LOCAL_N4
+    local_n = _LOCAL_N[4]
     diag = np.diag(mat).real
     for a in range(4):
         for b in range(4):

@@ -174,34 +174,35 @@ class DensityMatrix:
     """Hermitian, PSD, unit-trace operator over a declared factor structure.
 
     ``dims`` lists the local dimensions in kron order (first factor most
-    significant).  Eigenvalues slightly below zero but above the PSD floor
-    are clipped to zero and the state renormalized (logged at debug level);
-    anything below the floor is rejected.
+    significant).  The constructor always validates: eigenvalues slightly
+    below zero but above the PSD floor are clipped to zero and the state
+    renormalized (logged at debug level); anything below the floor is
+    rejected.  Partial traces and sector projections, exact maps of valid
+    states, build their results through ``_trusted`` without re-validating.
     """
 
-    def __init__(self, mat, dims, *, validate: bool = True):
+    def __init__(self, mat, dims):
         mat = np.asarray(mat, dtype=complex)
         dims = tuple(int(d) for d in dims)
         if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
             raise ValueError("density matrix must be square")
         if int(np.prod(dims)) != mat.shape[0]:
             raise ValueError(f"dims {dims} inconsistent with matrix size {mat.shape[0]}")
-        if validate:
-            herm = np.max(np.abs(mat - mat.conj().T))
-            if herm > HERMITICITY_TOL:
-                raise ValueError(f"matrix not Hermitian (deviation {herm:.2e})")
-            tr = np.trace(mat).real
-            if abs(tr - 1.0) > TRACE_TOL:
-                raise ValueError(f"trace must be 1, got {tr!r}")
-            evals = np.linalg.eigvalsh(mat)
-            if evals[0] < PSD_FLOOR:
-                raise ValueError(f"negative eigenvalue {evals[0]:.2e} below PSD floor")
-            if evals[0] < -5e-16:
-                logger.debug("clipping eigenvalues >= %.2e to zero and renormalizing", evals[0])
-                w, v = np.linalg.eigh(mat)
-                w = np.clip(w, 0.0, None)
-                mat = (v * w) @ v.conj().T
-                mat /= np.trace(mat).real
+        herm = np.max(np.abs(mat - mat.conj().T))
+        if herm > HERMITICITY_TOL:
+            raise ValueError(f"matrix not Hermitian (deviation {herm:.2e})")
+        tr = np.trace(mat).real
+        if abs(tr - 1.0) > TRACE_TOL:
+            raise ValueError(f"trace must be 1, got {tr!r}")
+        evals = np.linalg.eigvalsh(mat)
+        if evals[0] < PSD_FLOOR:
+            raise ValueError(f"negative eigenvalue {evals[0]:.2e} below PSD floor")
+        if evals[0] < -5e-16:
+            logger.debug("clipping eigenvalues >= %.2e to zero and renormalizing", evals[0])
+            w, v = np.linalg.eigh(mat)
+            w = np.clip(w, 0.0, None)
+            mat = (v * w) @ v.conj().T
+            mat /= np.trace(mat).real
         self.mat = mat
         self.dims = dims
 
@@ -229,10 +230,19 @@ class DensityMatrix:
             perm = tuple(np.argsort(keep))
             mat = _permute_factors(mat, kept_dims, perm)
             kept_dims = tuple(self.dims[i] for i in keep)
-        return DensityMatrix(mat, kept_dims)
+        return _trusted(mat, kept_dims)
 
     def __repr__(self):
         return f"DensityMatrix(dim={self.dim}, dims={self.dims})"
+
+
+def _trusted(mat: np.ndarray, dims) -> DensityMatrix:
+    """Wrap the exact image of a valid state under a partial trace or a sector
+    projection, skipping the eigen-validation of the constructor."""
+    rho = object.__new__(DensityMatrix)
+    rho.mat = mat
+    rho.dims = tuple(dims)
+    return rho
 
 
 def _permute_factors(mat: np.ndarray, dims, perm) -> np.ndarray:
@@ -283,12 +293,21 @@ def sector_project(obj, n: int, sz2=None, *, tol: float = 1e-14):
         weight = float(np.trace(mat).real)
         if weight <= tol:
             return None, 0.0
-        return DensityMatrix(mat / weight, obj.dims), weight
+        return _trusted(mat / weight, obj.dims), weight
     raise TypeError(f"cannot sector-project a {type(obj).__name__}")
 
 
+# the one table of local sector labels (N and 2*Sz of each basis state of a
+# 2- or 4-dim Fock factor); the parity label is N % 2
 _LOCAL_N = {2: np.array([0, 1]), 4: np.array([0, 1, 1, 2])}
 _LOCAL_SZ2 = {2: np.array([0, 0]), 4: np.array([0, 1, -1, 0])}
+
+
+def _local_n(d: int) -> np.ndarray:
+    """Occupation label of each basis state of one 2- or 4-dim Fock factor."""
+    if d not in _LOCAL_N:
+        raise ValueError(f"no occupation labels for local dimension {d}")
+    return _LOCAL_N[d]
 
 
 def _factor_labels(dims):
@@ -296,9 +315,7 @@ def _factor_labels(dims):
     n = np.zeros(1, dtype=np.int64)
     sz2 = np.zeros(1, dtype=np.int64)
     for d in dims:
-        if d not in _LOCAL_N:
-            raise ValueError(f"no occupation labels for local dimension {d}")
-        n = (n[:, None] + _LOCAL_N[d][None, :]).ravel()
+        n = (n[:, None] + _local_n(d)[None, :]).ravel()
         sz2 = (sz2[:, None] + _LOCAL_SZ2[d][None, :]).ravel()
     return n, sz2
 
@@ -356,4 +373,9 @@ def two_orbital_rdm(state: ManyBodyState, l: int, lp: int) -> DensityMatrix:
     parity = _factor_labels((4, 4))[0] % 2
     rho *= np.equal.outer(parity, parity)
     rho = 0.5 * (rho + rho.conj().T)
+    # a state within the accepted norm tolerance may still miss the trace
+    # check of the constructor; the reduced state of |psi>/|psi| is rho/Tr rho
+    tr = np.trace(rho).real
+    if abs(tr - 1.0) > TRACE_TOL:
+        rho /= tr
     return DensityMatrix(rho, (4, 4))

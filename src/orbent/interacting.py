@@ -26,6 +26,7 @@ import scipy.sparse.linalg as spsl
 from . import entanglement as ent
 from .fcidump import FcidumpData
 from .fock import FockSpace, ManyBodyState, popcount, two_orbital_rdm
+from .tightbinding import ring_one_body
 
 NORB_CAP = 8
 NNZ_CAP = 4_000_000
@@ -33,12 +34,11 @@ NNZ_CAP = 4_000_000
 
 @dataclass(frozen=True)
 class HubbardParams:
-    """Ring Hubbard model: hopping matches the tight-binding convention."""
+    """Periodic ring Hubbard model; its hopping is the tight-binding ring's."""
 
     n_sites: int
     u: float
     hopping: float = 0.5
-    periodic: bool = True
 
     def __post_init__(self):
         if self.n_sites < 2:
@@ -46,16 +46,11 @@ class HubbardParams:
 
     def integrals(self) -> FcidumpData:
         n = self.n_sites
-        h = np.zeros((n, n))
-        bonds = {(l, l + 1) for l in range(n - 1)}
-        if self.periodic and n > 2:
-            bonds.add((0, n - 1))
-        for a, b in bonds:
-            h[a, b] = h[b, a] = -self.hopping
         eri = np.zeros((n,) * 4)
         for a in range(n):
             eri[a, a, a, a] = self.u
-        return FcidumpData(norb=n, nelec=n, ms2=0, h=h, eri=eri)
+        return FcidumpData(norb=n, nelec=n, ms2=0, h=ring_one_body(n, self.hopping),
+                           eri=eri)
 
 
 def sector_basis(norb: int, n_elec: int, sz2: Optional[int] = None) -> np.ndarray:
@@ -179,9 +174,9 @@ def ground_state(op: ManyBodyOperator, *, dense_cutoff: int = 2000,
     """Lowest eigenpair of a sector Hamiltonian.
 
     Dense diagonalization below ``dense_cutoff``, implicitly restarted
-    Lanczos above it (residual pushed below ``residual_tol``).  A spectral
-    gap under 1e-9 flags a degenerate ground level; the returned state is
-    then just one ground vector.
+    Lanczos from a fixed-seed start vector above it (residual pushed below
+    ``residual_tol``).  A spectral gap under 1e-9 flags a degenerate ground
+    level; the returned state is then just one ground vector.
     """
     h = op.matrix
     if op.dim == 1:
@@ -194,7 +189,10 @@ def ground_state(op: ManyBodyOperator, *, dense_cutoff: int = 2000,
         gap = float(evals[1] - evals[0])
     else:
         k = min(4, op.dim - 1)
-        evals, evecs = spsl.eigsh(h, k=k, which="SA", tol=1e-12, maxiter=20000)
+        # a seeded start vector makes the result repeatable; a constant one
+        # could be orthogonal to a symmetric ground state
+        v0 = np.random.default_rng(0).standard_normal(op.dim)
+        evals, evecs = spsl.eigsh(h, k=k, which="SA", tol=1e-12, maxiter=20000, v0=v0)
         order = np.argsort(evals)
         energy, vec = float(evals[order[0]]), evecs[:, order[0]]
         gap = float(evals[order[1]] - evals[order[0]]) if k > 1 else np.inf

@@ -190,14 +190,11 @@ def dmin_asymptotic(eta: float) -> float:
 
 
 def scan_entanglement(d_list, eta_min: float = 1e-4, eta_max: float = 1.0 - 1e-4,
-                      points: int = 2001, scale: str = "linear",
-                      include_pssr: bool = False,
-                      pssr_kwargs: Optional[dict] = None):
+                      points: int = 2001, scale: str = "linear"):
     """Entanglement-vs-filling table: one row per (eta, d), eta outer, d inner.
 
-    Rows carry the closed-form number-superselected value and, on request,
-    the numerically minimized parity-superselected one (solved on the
-    Wick-constructed two-orbital state).
+    Rows carry the closed-form number-superselected value; ``pssr_point``
+    gives the parity-superselected one.
     """
     if scale == "linear":
         grid = np.linspace(eta_min, eta_max, points)
@@ -209,10 +206,7 @@ def scan_entanglement(d_list, eta_min: float = 1e-4, eta_max: float = 1.0 - 1e-4
     for eta in grid:
         for d in d_list:
             res = tb_entanglement(TbQuery(eta=float(eta), d=int(d)))
-            row = {"eta": float(eta), "d": int(d), "E_nssr": res.e_nssr}
-            if include_pssr:
-                row["E_pssr"] = pssr_point(float(eta), int(d), **(pssr_kwargs or {}))
-            rows.append(row)
+            rows.append({"eta": float(eta), "d": int(d), "E_nssr": res.e_nssr})
     return rows
 
 

@@ -79,14 +79,21 @@ def test_gn_fixes_psi_plus():
 @pytest.mark.parametrize("channel", [gpi_local, gn_local])
 def test_pinching_properties_on_random_states(channel):
     rng = np.random.default_rng(7)
-    for _ in range(100):
-        dm = random_dm((4, 4), rng)
-        out = channel(dm)
-        again = channel(out)
-        assert np.allclose(out.mat, again.mat, atol=1e-15)  # idempotent
-        assert np.trace(out.mat).real == pytest.approx(1.0, abs=1e-12)
-        assert np.linalg.eigvalsh(out.mat).min() > -1e-12
-        assert von_neumann_entropy(out) >= von_neumann_entropy(dm) - 1e-10
+    for dims in [(4, 4), (4, 2), (2, 2)]:
+        for _ in range(100):
+            dm = random_dm(dims, rng)
+            out = channel(dm)
+            again = channel(out)
+            assert np.allclose(out.mat, again.mat, atol=1e-15)  # idempotent
+            assert np.trace(out.mat).real == pytest.approx(1.0, abs=1e-12)
+            assert np.linalg.eigvalsh(out.mat).min() > -1e-12
+            assert von_neumann_entropy(out) >= von_neumann_entropy(dm) - 1e-10
+            # every image must pass the validating constructor unchanged
+            images = [out, out.partial_trace((0,)), out.partial_trace((1, 0))]
+            if dims[0] == dims[1]:
+                images += [swap_channel(out), superselected_swap(dm)]
+            for image in images:
+                assert np.array_equal(DensityMatrix(image.mat, image.dims).mat, image.mat)
 
 
 def test_number_refines_parity():

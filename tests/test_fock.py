@@ -171,6 +171,12 @@ class TestTwoOrbitalRdm:
         st = ManyBodyState(sp, np.ones(sp.dim))
         with pytest.raises(ValueError):
             two_orbital_rdm(st, 0, 1)
+        unit = np.ones(sp.dim) / np.sqrt(sp.dim)
+        # within the accepted norm tolerance: the reduced state has unit trace
+        rho = two_orbital_rdm(ManyBodyState(sp, unit * (1 + 1e-11)), 0, 1)
+        assert np.trace(rho.mat).real == pytest.approx(1.0, abs=1e-12)
+        with pytest.raises(ValueError, match="normalized"):
+            two_orbital_rdm(ManyBodyState(sp, unit * (1 + 1e-9)), 0, 1)
 
     @pytest.mark.parametrize("seed", range(10))
     def test_valid_density_matrix_on_random_states(self, seed):
@@ -237,3 +243,21 @@ class TestDensityMatrix:
         assert np.allclose(
             swapped.mat,
             fock._permute_factors(forward.mat, (2, 2), (1, 0)), atol=1e-14)
+
+    def test_exact_maps_do_not_revalidate(self, monkeypatch):
+        rng = np.random.default_rng(3)
+        m = rng.normal(size=(16, 16)) + 1j * rng.normal(size=(16, 16))
+        m = m @ m.conj().T
+        dm = DensityMatrix(m / np.trace(m).real, (4, 4))
+        calls = []
+        eigvalsh = np.linalg.eigvalsh
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return eigvalsh(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", counting)
+        dm.partial_trace((1, 0))
+        dm.partial_trace((0,))
+        sector_project(dm, 2)
+        assert calls == []

@@ -149,6 +149,13 @@ class TestGroundState:
         assert sparse.energy == pytest.approx(dense.energy, abs=1e-8)
         assert sparse.residual < 1e-9
 
+    def test_lanczos_path_repeats_bit_for_bit(self):
+        op = build_hamiltonian(HubbardParams(8, 4.0), 8, 0)
+        assert op.dim == 4900  # above the dense cutoff
+        first, second = ground_state(op), ground_state(op)
+        assert first.energy == second.energy
+        assert np.array_equal(first.state.amps, second.state.amps)
+
 
 class TestPairEntanglement:
     @pytest.mark.parametrize("n_sites,n_elec", [(4, 2), (4, 6), (6, 2), (6, 6)])
