@@ -9,7 +9,14 @@ The many-body Hamiltonian in chemist notation reads
       + 1/2 sum_{pqrs,ss'} (pq|rs) f+_ps f+_rs' f_ss' f_qs  + core,
 
 assembled on one (N, 2Sz) sector from the spin-summed one-body generators
-E_pq = sum_s f+_ps f_qs via  H2 = 1/2 [ (pq|rs) E_pq E_rs - delta_qr (pq|qs) E_ps ].
+E_pq = sum_s f+_ps f_qs, grouped by the left index pair:
+
+    H = sum_pq h'_pq E_pq + 1/2 sum_pq E_pq W_pq + core,
+    W_pq = sum_rs (pq|rs) E_rs,    h'_ps = h_ps - 1/2 sum_q (pq|qs).
+
+Each W_pq is one sparse matrix weighted from the concatenated generator
+triplets, so the two-body part costs one sparse product per pair pq with a
+nonzero integral (at most norb**2), not one per integral (norb**4).
 """
 
 from __future__ import annotations
@@ -20,6 +27,7 @@ from dataclasses import dataclass
 from typing import Optional, Union
 
 import numpy as np
+import scipy.linalg as sla
 import scipy.sparse as sps
 import scipy.sparse.linalg as spsl
 
@@ -92,9 +100,9 @@ class ManyBodyOperator:
         return ManyBodyState(self.space, amps)
 
 
-def _hop_matrix(basis: np.ndarray, lookup: np.ndarray, p: int, q: int,
-                norb: int) -> sps.csr_matrix:
-    """Spin-summed generator E_pq = sum_s f+_ps f_qs on the sector basis."""
+def _generator(basis: np.ndarray, lookup: np.ndarray, p: int, q: int):
+    """COO triplets (rows, cols, vals) of the spin-summed generator
+    E_pq = sum_s f+_ps f_qs on the sector basis."""
     rows, cols, vals = [], [], []
     for spin in (0, 1):
         mp, mq = 2 * p + spin, 2 * q + spin
@@ -114,10 +122,7 @@ def _hop_matrix(basis: np.ndarray, lookup: np.ndarray, p: int, q: int,
         rows.append(lookup[dst])
         cols.append(np.nonzero(movable)[0])
         vals.append(sign.astype(float))
-    dim = basis.size
-    return sps.csr_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(dim, dim))
+    return np.concatenate(rows), np.concatenate(cols), np.concatenate(vals)
 
 
 def build_hamiltonian(source: Union[FcidumpData, HubbardParams], n_elec: int,
@@ -133,30 +138,41 @@ def build_hamiltonian(source: Union[FcidumpData, HubbardParams], n_elec: int,
     space = FockSpace(norb)
     lookup = np.full(space.dim, -1, dtype=np.int64)
     lookup[basis] = np.arange(basis.size)
-
-    hops = {}
-
-    def hop(p, q):
-        if (p, q) not in hops:
-            hops[(p, q)] = _hop_matrix(basis, lookup, p, q, norb)
-        return hops[(p, q)]
-
     dim = basis.size
-    ham = sps.csr_matrix((dim, dim))
-    for p, q in zip(*np.nonzero(np.abs(data.h) > 1e-14)):
-        ham = ham + data.h[p, q] * hop(p, q)
 
-    exchange = np.einsum("pqqs->ps", data.eri)
-    for p, s in zip(*np.nonzero(np.abs(exchange) > 1e-14)):
-        ham = ham - 0.5 * exchange[p, s] * hop(p, s)
-    nz = np.nonzero(np.abs(data.eri) > 1e-14)
-    for p, q, r, s in zip(*nz):
-        ham = ham + (0.5 * data.eri[p, q, r, s]) * (hop(p, q) @ hop(r, s))
+    # flat pair index k = p*norb + q; row k of eri2 holds (pq|rs) over rs.
+    # Only the generators some integral touches are built.
+    one_body = (data.h - 0.5 * np.einsum("pqqs->ps", data.eri)).ravel()
+    eri2 = data.eri.reshape(norb * norb, norb * norb)
+    touched = np.abs(eri2) > 1e-14
+    keys = np.nonzero((np.abs(one_body) > 1e-14) | touched.any(axis=0)
+                      | touched.any(axis=1))[0]
+    gens = [_generator(basis, lookup, *divmod(int(k), norb)) for k in keys]
+    # the identity, last, carries the core energy
+    gens.append((np.arange(dim), np.arange(dim), np.ones(dim)))
+
+    # The concatenated triplets of all generators fix one sparsity pattern.
+    # Column j of ``scatter`` sums generator j onto its slots, so any weighted
+    # sum of generators is the CSR matrix with data ``scatter @ weights``.
+    rows, cols, vals = (np.concatenate(x) for x in zip(*gens))
+    slots, slot_of = np.unique(rows * dim + cols, return_inverse=True)
+    owner = np.repeat(np.arange(len(gens)), [g[0].size for g in gens])
+    scatter = sps.csr_matrix((vals, (slot_of, owner)), shape=(slots.size, len(gens)))
+    indices, indptr = slots % dim, np.searchsorted(slots // dim, np.arange(dim + 1))
+
+    def combine(weights):
+        return sps.csr_matrix((scatter @ weights, indices, indptr), shape=(dim, dim))
+
+    ham = combine(np.append(one_body[keys], data.core))
+    for j in np.nonzero(touched.any(axis=1)[keys])[0]:
+        r, c, v = gens[j]
+        half_e_pq = sps.csr_matrix((0.5 * v, (r, c)), shape=(dim, dim))
+        prod = half_e_pq @ combine(np.append(eri2[keys[j], keys], 0.0))
+        prod.sort_indices()  # canonical operands make the sum a linear merge
+        ham = ham + prod
         if ham.nnz > nnz_cap:
             raise ValueError(f"sector Hamiltonian exceeds the {nnz_cap} nonzero cap")
-
-    if data.core:
-        ham = ham + data.core * sps.identity(dim, format="csr")
+    ham.eliminate_zeros()
     return ManyBodyOperator(ham, basis, space, n_elec, sz2, core=data.core)
 
 
@@ -184,7 +200,7 @@ def ground_state(op: ManyBodyOperator, *, dense_cutoff: int = 2000,
         energy = float(h[0, 0].real)
         return GroundStateResult(energy, op.embed(vec), False, np.inf, 0.0)
     if op.dim <= dense_cutoff:
-        evals, evecs = np.linalg.eigh(h.toarray())
+        evals, evecs = sla.eigh(h.toarray(), subset_by_index=[0, 1])
         energy, vec = float(evals[0]), evecs[:, 0]
         gap = float(evals[1] - evals[0])
     else:

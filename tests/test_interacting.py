@@ -1,13 +1,19 @@
+from functools import lru_cache
+
 import numpy as np
 import pytest
 import scipy.sparse as sps
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 from scipy.stats import spearmanr
 
 from orbent.entanglement import SymmetryViolation
 from orbent.fcidump import FcidumpData, FcidumpError, parse_fcidump, serialize_fcidump
-from orbent.fock import FockSpace
+from orbent.fock import FockSpace, apply_operator_string, basis_state
 from orbent.freefermion import diagonalize_one_body
 from orbent.interacting import (
+    NNZ_CAP,
     GroundStateResult,
     HubbardParams,
     ManyBodyOperator,
@@ -81,7 +87,80 @@ class TestFcidump:
         assert (back.norb, back.nelec, back.ms2) == (n, 2, 0)
 
 
+def _eightfold(eri):
+    """Average over the 8-fold permutation symmetry of real-orbital integrals."""
+    eri = eri + eri.transpose(1, 0, 2, 3)
+    eri = eri + eri.transpose(0, 1, 3, 2)
+    return (eri + eri.transpose(2, 3, 0, 1)) / 8
+
+
+@lru_cache(maxsize=None)
+def _operator_strings(norb, n_elec, sz2):
+    """Sector matrices of sum_s f+_ps f_qs and of the normal-ordered
+    sum_{ss'} f+_ps f+_rs' f_ss' f_qs, entry by entry from operator strings
+    applied to each basis state of the full Fock space."""
+    space = FockSpace(norb)
+    basis = sector_basis(norb, n_elec, sz2)
+    kets = [basis_state(space, int(c)) for c in basis]
+    dim = basis.size
+    one = np.zeros((norb, norb, dim, dim))
+    two = np.zeros((norb,) * 4 + (dim, dim))
+    for p in range(norb):
+        for q in range(norb):
+            for s in (0, 1):
+                ops = [("+", space.mode(p, s)), ("-", space.mode(q, s))]
+                for j, ket in enumerate(kets):
+                    one[p, q, :, j] += apply_operator_string(ops, ket).amps[basis].real
+    for p, q, r, t in np.ndindex(*(norb,) * 4):
+        for s in (0, 1):
+            for s2 in (0, 1):
+                ops = [("+", space.mode(p, s)), ("+", space.mode(r, s2)),
+                       ("-", space.mode(t, s2)), ("-", space.mode(q, s))]
+                for j, ket in enumerate(kets):
+                    two[p, q, r, t, :, j] += apply_operator_string(ops, ket).amps[basis].real
+    return one, two
+
+
+# (norb, N, 2Sz): odd N, both spin signs, below and above half filling
+_SECTORS = [(3, 1, 1), (3, 2, 0), (3, 3, 1), (3, 3, -1), (3, 4, 2), (3, 5, 1),
+            (4, 3, 1), (4, 4, 0), (4, 5, -1)]
+
+
+@st.composite
+def _integrals(draw):
+    norb, n_elec, sz2 = draw(st.sampled_from(_SECTORS))
+    unit = st.floats(-1.0, 1.0, allow_nan=False)
+    h = draw(arrays(np.float64, (norb, norb), elements=unit))
+    eri = draw(arrays(np.float64, (norb,) * 4, elements=unit))
+    core = draw(st.one_of(st.floats(-5.0, -0.1), st.floats(0.1, 5.0)))
+    data = FcidumpData(norb=norb, nelec=n_elec, ms2=sz2, h=(h + h.T) / 2,
+                       eri=_eightfold(eri), core=core)
+    return data, n_elec, sz2
+
+
 class TestBuildHamiltonian:
+    @settings(max_examples=40, deadline=None)
+    @given(_integrals())
+    def test_matches_operator_strings(self, case):
+        data, n_elec, sz2 = case
+        one, two = _operator_strings(data.norb, n_elec, sz2)
+        ref = (np.einsum("pq,pqij->ij", data.h, one)
+               + 0.5 * np.einsum("pqrs,pqrsij->ij", data.eri, two)
+               + data.core * np.eye(one.shape[-1]))
+        built = build_hamiltonian(data, n_elec, sz2).matrix.toarray()
+        assert np.max(np.abs(built - ref)) < 1e-12
+
+    def test_nnz_cap(self):
+        with pytest.raises(ValueError, match="nonzero cap"):
+            build_hamiltonian(HubbardParams(6, 4.0), 6, 0, nnz_cap=100)
+        rng = np.random.default_rng(11)
+        h = rng.normal(size=(8, 8))
+        data = FcidumpData(norb=8, nelec=4, ms2=0, h=h + h.T,
+                           eri=_eightfold(rng.normal(size=(8,) * 4)))
+        op = build_hamiltonian(data, 4, 0)
+        assert op.dim == 784
+        assert 0 < op.matrix.nnz <= NNZ_CAP
+
     def test_two_site_free_spectrum(self):
         op = build_hamiltonian(HubbardParams(2, 0.0), 2, 0)
         evals = np.linalg.eigvalsh(op.matrix.toarray())
