@@ -116,12 +116,18 @@ def cmd_tb_scan(args) -> int:
         return USAGE_ERROR
     header = ["eta", "d", "E_nssr"]
     table = [[row["eta"], row["d"], row["E_nssr"]] for row in rows]
+    failed = False
     if args.pssr:
         header.append("E_pssr")
         for line, row in zip(table, rows):
-            line.append(tightbinding.pssr_point(row["eta"], row["d"], tol=args.ree_tol,
-                                                max_iters=args.ree_max_iters))
+            res = tightbinding.pssr_point(row["eta"], row["d"], tol=args.ree_tol,
+                                          max_iters=args.ree_max_iters)
+            line.append(res.value)
+            failed |= not res.converged
     _write_csv(args.out, header, table)
+    if failed:
+        print("error: minimization did not certify the requested gap", file=sys.stderr)
+        return NUMERICAL_ERROR
     return 0
 
 

@@ -9,10 +9,28 @@ dividing by ln 2.
 Numerical piece: a relative-entropy-of-entanglement solver that minimizes
 S(rho || sigma) over the separable set by Frank-Wolfe iteration.  sigma is
 maintained as a convex mixture of product states; each outer step asks a
-linear oracle (alternating principal-eigenvector updates between the two
-factors) for the product state most aligned with the current gradient, and
-mixture weights are re-optimized by a multiplicative fixed-point scheme.
-The Frank-Wolfe duality gap certifies the returned upper bound.
+linear oracle for the product state most aligned with the current gradient,
+and the mixture weights are re-optimized by sequential quadratic
+programming (SLSQP).
+
+The problem is solved on symmetry blocks.  Each basis state gets a key: the
+local sector labels of the pinch on each factor, plus total N and 2Sz where
+rho commutes with them.  Pinching by this key is an average over product
+unitaries, so it fixes rho and maps separable states to separable states;
+by data processing, the minimum over the pinched separable set equals the
+minimum over all separable states.  Every sigma, every atom and the
+gradient are then block diagonal, and the objective runs on one padded
+stack of blocks (no block is larger than 2 x 2 for the tight-binding P-SSR
+states).  For real rho the atoms are kept real: S(rho||conj sigma) =
+S(rho||sigma), so by joint convexity the real part of sigma, a separable
+state, is never worse.  The gradient is block diagonal in both local
+labels, so the oracle searches each pair of local sectors on its own,
+deterministically.
+
+The Frank-Wolfe duality gap bounds the distance of the returned upper bound
+to the optimum when the oracle finds the global product-state maximum.  The
+oracle is exact for 1-dim sectors and a grid-seeded local search otherwise,
+so the gap is a heuristic bound, not a proven one.
 """
 
 from __future__ import annotations
@@ -23,7 +41,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .channels import gn_local, gpi_local
+from .channels import _labels, gn_local, gpi_local
 from .fock import _LOCAL_N, DensityMatrix, _factor_labels
 
 logger = logging.getLogger(__name__)
@@ -224,39 +242,38 @@ class EntanglementResult:
         raise ValueError(f"unknown log base {base!r}")
 
 
-def _objective_and_grad(rho_mat, tr_rho_ln_rho, sigma):
-    """S(rho||sigma) and the Frechet derivative G of Tr[rho ln sigma].
+def _objective_and_grad(rho, tr_rho_ln_rho, sigma):
+    """S(rho||sigma) and the Frechet derivative G of Tr[rho ln sigma], blockwise.
 
-    G is expressed in the computational basis; directions orthogonal to the
-    support of sigma are masked (rho carries no genuine weight there while
-    the iterate stays interior).
+    ``rho`` and ``sigma`` are (k, s, s) stacks of the diagonal blocks of two
+    block-diagonal matrices, and G comes back as the same stack.  Padding
+    entries carry sigma = 1 and rho = 0, so they add nothing to the value or
+    to G.  Directions orthogonal to the support of sigma are masked (rho
+    carries no genuine weight there while the iterate stays interior).
     """
     s, v = np.linalg.eigh(sigma)
-    s = np.clip(s.real, 0.0, None)
-    rt = v.conj().T @ rho_mat @ v
+    vh = v.conj().transpose(0, 2, 1)
+    rt = vh @ rho @ v
     supp = s > 1e-250
     s_safe = np.where(supp, s, 1.0)
     ln_s = np.log(s_safe)
 
-    diff = s_safe[:, None] - s_safe[None, :]
-    near = np.abs(diff) <= 1e-14 * (s_safe[:, None] + s_safe[None, :])
-    with np.errstate(divide="ignore", invalid="ignore"):
-        g = np.where(near, 2.0 / (s_safe[:, None] + s_safe[None, :]),
-                     (ln_s[:, None] - ln_s[None, :]) / np.where(near, 1.0, diff))
-    mask = np.logical_and.outer(supp, supp)
-    g = np.where(mask, g, 0.0)
+    # divided differences of ln; 2/(s_i + s_j) where s_i and s_j (nearly) meet
+    diff = s_safe[:, :, None] - s_safe[:, None, :]
+    total = s_safe[:, :, None] + s_safe[:, None, :]
+    far = np.abs(diff) > 1e-14 * total
+    g = np.divide(ln_s[:, :, None] - ln_s[:, None, :], diff, out=2.0 / total, where=far)
+    g *= supp[:, :, None] & supp[:, None, :]
 
-    leak = float(np.sum(np.diag(rt).real[~supp]))
-    val = np.inf if leak > 1e-12 else \
-        tr_rho_ln_rho - float(np.sum(np.diag(rt).real[supp] * ln_s[supp]))
-    grad = v @ (rt * g) @ v.conj().T
-    grad = 0.5 * (grad + grad.conj().T)
+    weight = np.diagonal(rt, axis1=1, axis2=2).real
+    leak = 0.0 if supp.all() else float(np.sum(weight[~supp]))
+    val = np.inf if leak > 1e-12 else tr_rho_ln_rho - float(np.sum(weight * ln_s))
+    grad = v @ (rt * g) @ vh
     return val, grad
 
 
-def _best_product(g4, da, db, a0, b0, sweeps: int = 80, tol: float = 1e-14):
-    """Locally maximize <a,b|G|a,b> by alternating top-eigenvector updates."""
-    a, b = a0, b0
+def _best_product(g4, a, sweeps: int = 80, tol: float = 1e-14):
+    """Locally maximize <a,b|G|a,b> by alternating top-eigenvector updates from a."""
     value = -np.inf
     for _ in range(sweeps):
         mb = np.einsum("i,ikjl,j->kl", a.conj(), g4, a)
@@ -273,6 +290,82 @@ def _best_product(g4, da, db, a0, b0, sweeps: int = 80, tol: float = 1e-14):
     return value, a, b
 
 
+def _bloch_grid(n_theta: int = 12, n_phi: int = 24) -> np.ndarray:
+    """Qubit states (cos(theta/2), e^{i phi} sin(theta/2)) on a fixed grid."""
+    theta = np.linspace(0.0, np.pi, n_theta + 1)[:, None]
+    phase = np.exp(2j * np.pi * np.arange(n_phi) / n_phi)[None, :]
+    a0 = np.broadcast_to(np.cos(theta / 2), (n_theta + 1, n_phi))
+    return np.stack([a0, phase * np.sin(theta / 2)], axis=-1).reshape(-1, 2)
+
+
+_BLOCH_GRID = _bloch_grid()
+
+
+def _local_sectors(d: int, ssr_key: str):
+    """Basis indices of each local superselection sector of one factor."""
+    if ssr_key == "none":
+        return [np.arange(d)]
+    labels = _labels(d, ssr_key)
+    return [np.flatnonzero(labels == x) for x in np.unique(labels)]
+
+
+def _sector_oracle(g, sectors_a, sectors_b, previous=None):
+    """Product state maximizing <a,b|G|a,b> for G block diagonal in both local labels.
+
+    <ab|G|ab> is then a convex combination of the values of the normalized
+    sector components of a and b, so the maximum is attained with each
+    factor inside one local sector.  Per sector pair: a 1-dim factor leaves
+    the top eigenvector of the pair's block, which is exact; a 2-dim factor
+    is scanned over a fixed Bloch-sphere grid and the best point refined;
+    larger sectors are searched from the Schmidt factors of the top
+    eigenvector, the ``previous`` best product and the local basis states.
+    Returns the value, the factors as full-dimension vectors and the number
+    of local searches run.
+    """
+    da = sum(len(ia) for ia in sectors_a)
+    db = sum(len(ib) for ib in sectors_b)
+    best_val, best_ab, searches = -np.inf, None, 0
+    for ia in sectors_a:
+        for ib in sectors_b:
+            sa, sb = len(ia), len(ib)
+            flat = (ia[:, None] * db + ib[None, :]).ravel()
+            block = g[np.ix_(flat, flat)]
+            g4 = block.reshape(sa, sb, sa, sb)
+            if min(sa, sb) == 1:
+                w, vecs = np.linalg.eigh(block)
+                top = vecs[:, -1].reshape(sa, sb)
+                val = float(w[-1])
+                a, b = (top[:, 0], np.ones(1)) if sb == 1 else (np.ones(1), top[0])
+            elif 2 in (sa, sb):
+                swap = sa != 2  # scan the 2-dim factor
+                if swap:
+                    g4 = g4.transpose(1, 0, 3, 2)
+                scan = np.einsum("ni,ikjl,nj->nkl", _BLOCH_GRID.conj(), g4, _BLOCH_GRID)
+                n = int(np.argmax(np.linalg.eigvalsh(scan)[:, -1]))
+                val, a, b = _best_product(g4, _BLOCH_GRID[n])
+                searches += 1
+                if swap:
+                    a, b = b, a
+            else:
+                _, vecs = np.linalg.eigh(block)
+                u, _, _ = np.linalg.svd(vecs[:, -1].reshape(sa, sb))
+                starts = [u[:, 0], *np.eye(sa)]
+                if previous is not None and np.linalg.norm(previous[0][ia]) > 0:
+                    starts.insert(1, previous[0][ia] / np.linalg.norm(previous[0][ia]))
+                val = -np.inf
+                for a0 in starts:
+                    cand, ca, cb = _best_product(g4, a0)
+                    searches += 1
+                    if cand > val:
+                        val, a, b = cand, ca, cb
+            if val > best_val:
+                full_a = np.zeros(da, dtype=complex)
+                full_b = np.zeros(db, dtype=complex)
+                full_a[ia], full_b[ib] = a, b
+                best_val, best_ab = val, (full_a, full_b)
+    return best_val, best_ab, searches
+
+
 _SPIN_FLIP_4 = np.array([
     [1, 0, 0, 0],
     [0, 0, 1, 0],
@@ -284,6 +377,8 @@ _SPIN_FLIP_4 = np.array([
 def _detect_symmetries(mat, dims):
     """Which separability-preserving symmetrizations leave rho invariant."""
     sym = {}
+    if np.max(np.abs(mat.imag)) < 1e-12:
+        sym["real"] = True
     try:
         n_tot, sz2_tot = _factor_labels(dims)
     except ValueError:
@@ -301,13 +396,40 @@ def _detect_symmetries(mat, dims):
     return sym
 
 
-def _candidate_atoms(a, b, dims, sym):
+def _block_key(dims, ssr_key: str, sym) -> np.ndarray:
+    """One key row per basis state: local labels of the pinch, total N and 2Sz.
+
+    Total labels enter only where rho commutes with them (``sym``).  States
+    with equal rows form one block of the pinched problem.
+    """
+    da, db = dims
+    cols = [np.zeros(da * db, dtype=np.int64)]
+    if ssr_key != "none":
+        cols += [np.repeat(_labels(da, ssr_key), db), np.tile(_labels(db, ssr_key), da)]
+    cols += [sym[name] for name in ("n", "sz") if name in sym]
+    return np.stack(cols, axis=1)
+
+
+def _block_layout(key):
+    """Padded block index (k, s_max) of a key, and the mask of its real entries."""
+    _, block = np.unique(key, axis=0, return_inverse=True)
+    sizes = np.bincount(block.ravel())
+    valid = np.arange(sizes.max())[None, :] < sizes[:, None]
+    index = np.zeros(valid.shape, dtype=np.int64)
+    index[valid] = np.argsort(block.ravel(), kind="stable")
+    return index, valid
+
+
+def _candidate_atoms(a, b, dims, sym, compress):
     """Separable atoms derived from one product state via rho's symmetry group.
 
-    Products are group-averaged into the commutant of rho where possible:
-    averaging over the global U(1) phase groups is a pinch by total labels
-    and maps product states to separable mixtures without changing their
-    score against a commutant gradient.
+    Products are mapped by the symmetries of rho and then pinched by the
+    block key (``compress`` keeps only the block entries of |ab><ab|), which
+    is an average over product unitaries: it maps product states to
+    separable mixtures without changing their score against a gradient
+    that is block diagonal in the same key.  For real rho, ``compress`` also
+    keeps only the real part, the separable mixture of |ab><ab| and its
+    complex conjugate.
     """
     vecs = [(a, b)]
     if "spinflip" in sym:
@@ -315,28 +437,20 @@ def _candidate_atoms(a, b, dims, sym):
     if "reflect" in sym and dims[0] == dims[1]:
         vecs.extend([(bb, aa) for aa, bb in list(vecs)])
     vecs.extend([(aa.conj(), bb.conj()) for aa, bb in list(vecs)])
-    atoms = []
-    for aa, bb in vecs:
-        v = np.kron(aa, bb)
-        atom = np.outer(v, v.conj())
-        for key in ("n", "sz"):
-            if key in sym:
-                labels = sym[key]
-                atom = atom * np.equal.outer(labels, labels)
-        atoms.append(atom)
-    return atoms
+    return np.stack([compress(np.kron(aa, bb)) for aa, bb in vecs])
 
 
 def ree_numeric(rho: DensityMatrix, ssr: str = "none", tol: float = 1e-7,
-                max_iters: int = 5000, restarts: int = 12, seed: int = 7,
-                inner_iters: int = 400) -> EntanglementResult:
+                max_iters: int = 5000, inner_iters: int = 400) -> EntanglementResult:
     """Relative entropy of entanglement by Frank-Wolfe over the separable set.
 
     The requested superselection pinch is applied to rho first ('P', 'N', or
-    'none'); minimization then runs over all separable states.  Returns an
-    upper bound on the entanglement whose distance to the optimum is at most
-    the reported Frank-Wolfe duality ``gap``.  Non-convergence within
-    ``max_iters`` outer iterations is flagged rather than raised.
+    'none'); minimization then runs over the separable states pinched by the
+    block key, which has the same minimum as the whole separable set.
+    Returns an upper bound on the entanglement whose distance to the optimum
+    is the reported Frank-Wolfe duality ``gap`` when the product-state oracle
+    finds its global maximum.  Non-convergence within ``max_iters`` outer
+    iterations is flagged rather than raised.
     """
     ssr_key = str(ssr).upper() if str(ssr).lower() != "none" else "none"
     if ssr_key == "P":
@@ -353,132 +467,131 @@ def ree_numeric(rho: DensityMatrix, ssr: str = "none", tol: float = 1e-7,
     da, db = work.dims
     dim = da * db
     mat = 0.5 * (work.mat + work.mat.conj().T)
-    p = np.clip(np.linalg.eigvalsh(mat).real, 0.0, None)
-    tr_rho_ln_rho = float(np.sum(p[p > 0] * np.log(p[p > 0])))
     sym = _detect_symmetries(mat, work.dims)
-    rng = np.random.default_rng(seed)
+    index, valid = _block_layout(_block_key(work.dims, ssr_key, sym))
+    k, s = index.shape
+    pair = valid[:, :, None] & valid[:, None, :]
+    rows = np.broadcast_to(index[:, :, None], pair.shape)[pair]
+    cols = np.broadcast_to(index[:, None, :], pair.shape)[pair]
+    real = "real" in sym
+    dtype = float if real else complex
+    rho_b = np.zeros(pair.shape, dtype=dtype)
+    rho_b[pair] = mat[rows, cols].real if real else mat[rows, cols]
+    p = np.clip(np.linalg.eigvalsh(rho_b), 0.0, None)
+    tr_rho_ln_rho = float(np.sum(p[p > 0] * np.log(p[p > 0])))
+    pad = np.eye(s) * ~valid[:, None, :]
+    sectors_a, sectors_b = _local_sectors(da, ssr_key), _local_sectors(db, ssr_key)
+
+    def compress(v):
+        """Block entries of the key pinch of |v><v| (its real part for real rho)."""
+        vb = np.where(valid, v[index], 0.0)
+        atom = (vb[:, :, None] * vb[:, None, :].conj()).ravel()
+        return atom.real if real else atom
+
+    counts = {"objective_evals": 0, "oracle_calls": 0}
+
+    def evaluate(stack, w):
+        """Objective, gradient blocks and every atom's score Tr[atom G] at sigma(w)."""
+        counts["objective_evals"] += 1
+        sigma = (w @ stack).reshape(pair.shape) + pad
+        val, grad = _objective_and_grad(rho_b, tr_rho_ln_rho, sigma)
+        return val, grad, (stack @ grad.conj().ravel()).real
 
     # product basis projectors keep the iterate full rank and already solve
-    # the problem exactly for diagonal rho
-    atoms = [np.zeros((dim, dim), dtype=complex) for _ in range(dim)]
-    for i in range(dim):
-        atoms[i][i, i] = 1.0
+    # the problem exactly for diagonal rho; atoms are kept as their block
+    # entries, one row each
+    stack = np.zeros((dim, k * s * s), dtype=dtype)
+    block, pos = np.nonzero(valid)
+    stack[index[block, pos], block * s * s + pos * (s + 1)] = 1.0
     weights = 0.9 * np.clip(np.diag(mat).real, 0.0, None) + 0.1 / dim
     weights /= weights.sum()
-    weights = list(weights)
 
-    def _random_vec(d):
-        v = rng.normal(size=d) + 1j * rng.normal(size=d)
-        return v / np.linalg.norm(v)
-
-    def _grad_at(sigma):
-        return _objective_and_grad(mat, tr_rho_ln_rho, sigma)
+    def result(iterations, gap, converged):
+        return EntanglementResult(
+            value=value, ssr=ssr_key, method="numeric-ree", iterations=iterations,
+            gap=float(gap), converged=converged,
+            diagnostics={"atoms": len(stack), **counts,
+                         "block_sizes": [int(x) for x in valid.sum(axis=1)]})
 
     gap = np.inf
     value = np.inf
     best_ab = None
     for iteration in range(1, max_iters + 1):
-        stack = np.stack(atoms)
-        w = np.asarray(weights)
-        sigma = np.tensordot(w, stack, axes=1)
-        value, grad = _grad_at(sigma)
-        g4 = grad.reshape(da, db, da, db)
+        value, grad, atom_scores = evaluate(stack, weights)
+        g = np.zeros((dim, dim), dtype=dtype)
+        g[rows, cols] = grad[pair]
+        best_val, best_ab, searches = _sector_oracle(g, sectors_a, sectors_b, best_ab)
+        counts["oracle_calls"] += searches
 
-        # linear oracle over product states, multiple deterministic starts
-        starts = []
-        _, ev = np.linalg.eigh(grad)
-        u, _, vh = np.linalg.svd(ev[:, -1].reshape(da, db))
-        starts.append((u[:, 0], vh[0].conj()))
-        if best_ab is not None:
-            starts.append(best_ab)
-        for _ in range(restarts):
-            starts.append((_random_vec(da), _random_vec(db)))
-        best_val = -np.inf
-        for a0, b0 in starts:
-            cand_val, a, b = _best_product(g4, da, db, a0, b0)
-            if cand_val > best_val:
-                best_val, best_ab = cand_val, (a, b)
-
-        atom_scores = np.einsum("mij,ji->m", stack, grad).real
-        sigma_score = float(np.real(np.trace(grad @ sigma)))
+        sigma_score = float(weights @ atom_scores)
         gap = max(best_val, float(atom_scores.max())) - sigma_score
         if gap <= tol:
-            return EntanglementResult(
-                value=value, ssr=ssr_key, method="numeric-ree",
-                iterations=iteration, gap=max(float(gap), 0.0), converged=True,
-                diagnostics={"atoms": len(atoms)})
+            return result(iteration, max(float(gap), 0.0), True)
 
         # merge the oracle's atoms into the set: refresh a nearby existing
         # atom in place (keeping its weight) so directions can track the
         # optimum instead of piling up near-duplicates
-        candidates = _candidate_atoms(*best_ab, work.dims, sym)
+        candidates = _candidate_atoms(*best_ab, work.dims, sym, compress)
         for atom in candidates:
-            dists = [np.max(np.abs(atom - ex)) for ex in atoms]
+            dists = np.max(np.abs(stack - atom), axis=1)
             j = int(np.argmin(dists))
             if dists[j] <= 1e-12:
                 continue
             if dists[j] < 1e-7 and j >= dim:
-                atoms[j] = atom
+                stack[j] = atom
             else:
-                atoms.append(atom)
-                weights.append(0.0)
+                stack = np.vstack([stack, atom])
+                weights = np.append(weights, 0.0)
 
         # inject weight on the oracle target; the corrective re-optimization
         # below makes the exact step size immaterial
-        target = candidates[0]
-        idx = min(range(len(atoms)),
-                  key=lambda i: np.max(np.abs(atoms[i] - target)))
+        idx = int(np.argmin(np.max(np.abs(stack - candidates[0]), axis=1)))
         gamma = min(max(gap / 4.0, 1e-4), 0.3)
-        weights = [wi * (1.0 - gamma) for wi in weights]
+        weights = weights * (1.0 - gamma)
         weights[idx] += gamma
 
-        atoms, weights = _polish_weights(atoms, weights, _grad_at, dim, inner_iters)
+        stack, weights = _polish_weights(stack, weights, evaluate, dim, inner_iters)
 
     logger.warning("REE solver hit the iteration cap with gap %.3e", gap)
-    return EntanglementResult(
-        value=value, ssr=ssr_key, method="numeric-ree", iterations=max_iters,
-        gap=float(gap), converged=False, diagnostics={"atoms": len(atoms)})
+    return result(max_iters, gap, False)
 
 
-def _polish_weights(atoms, weights, grad_at, n_basis, maxiter):
+def _polish_weights(stack, weights, evaluate, n_basis, maxiter):
     """Fully corrective step: re-optimize mixture weights over the atom set.
 
     Sequential quadratic programming on the simplex; the basis atoms keep a
     tiny weight floor so sigma stays full rank and the objective (and its
-    gradient) remain finite everywhere the optimizer looks.
+    gradient) remain finite everywhere the optimizer looks.  The weight
+    gradient is minus the atom scores, one matrix-vector product.
     """
     from scipy.optimize import minimize
 
-    stack = np.stack(atoms)
-    m = len(atoms)
+    m = len(stack)
 
     def objective(wv):
-        sigma = np.tensordot(np.clip(wv, 1e-300, None), stack, axes=1)
-        val, grad = grad_at(sigma)
-        return val, -np.einsum("mij,ji->m", stack, grad).real
+        val, _, scores = evaluate(stack, np.clip(wv, 1e-300, None))
+        return val, -scores
 
     constraints = [{"type": "eq", "fun": lambda wv: np.sum(wv) - 1.0,
                     "jac": lambda wv: np.ones(m)}]
     bounds = [(1e-12, 1.0)] * n_basis + [(0.0, 1.0)] * (m - n_basis)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
-        result = minimize(objective, np.asarray(weights, dtype=float), jac=True,
+        result = minimize(objective, weights, jac=True,
                           method="SLSQP", bounds=bounds, constraints=constraints,
                           options={"maxiter": maxiter, "ftol": 1e-16})
     w = np.clip(result.x, 0.0, None)
     w[:n_basis] = np.maximum(w[:n_basis], 1e-300)
     w /= w.sum()
 
-    f_new, _ = grad_at(np.tensordot(w, stack, axes=1))
-    f_old, _ = grad_at(np.tensordot(np.asarray(weights), stack, axes=1))
+    f_new = evaluate(stack, w)[0]
+    f_old = evaluate(stack, weights)[0]
     if not np.isfinite(f_new) or f_new > f_old:
-        w = np.asarray(weights, dtype=float)  # keep the incumbent on failure
+        w = weights  # keep the incumbent on failure
 
     keep = w > 1e-18
     keep[:n_basis] = True  # basis atoms guard the support of sigma
-    atoms = [a for a, k in zip(atoms, keep) if k]
-    w = w[keep]
-    return atoms, list(w / w.sum())
+    return stack[keep], w[keep] / w[keep].sum()
 
 
 def pssr_entanglement(rho: DensityMatrix, **solver_kwargs) -> EntanglementResult:

@@ -210,8 +210,12 @@ def scan_entanglement(d_list, eta_min: float = 1e-4, eta_max: float = 1.0 - 1e-4
     return rows
 
 
-def pssr_point(eta: float, d: int, n_sites: Optional[int] = None, **solver_kwargs) -> float:
-    """Parity-superselected entanglement of one tight-binding orbital pair."""
+def pssr_point(eta: float, d: int, n_sites: Optional[int] = None, **solver_kwargs):
+    """Parity-superselected entanglement of one tight-binding orbital pair.
+
+    Returns the solver's :class:`~orbent.entanglement.EntanglementResult`, so
+    that callers see its gap and whether it converged.
+    """
     from .entanglement import pssr_entanglement
     from .freefermion import two_orbital_state_from_block
 
@@ -220,7 +224,7 @@ def pssr_point(eta: float, d: int, n_sites: Optional[int] = None, **solver_kwarg
     else:
         w = w_kernel_finite(d, round(2 * n_sites * eta), n_sites)
     dm, _ = two_orbital_state_from_block(eta, eta, w)
-    return pssr_entanglement(dm, **solver_kwargs).value
+    return pssr_entanglement(dm, **solver_kwargs)
 
 
 def scan_dmin(eta_min: float = 1e-3, eta_max: float = 0.5, points: int = 60,

@@ -62,6 +62,10 @@ class TestTb:
         _, first, _ = run_cli(capsys, "tb", "--eta", "0.2", "--d", "1", "--ssr", "p")
         _, second, _ = run_cli(capsys, "tb", "--eta", "0.2", "--d", "1", "--ssr", "p")
         assert first == second
+        # the solver's diagnostics stay off stdout, whose record keeps its schema
+        assert set(json.loads(first)) == {
+            "model", "eta", "d", "n_sites", "ssr", "log_base", "w", "a", "b", "r", "t",
+            "provenance", "value", "method", "gap", "iterations", "converged"}
 
 
 class TestTbScan:
@@ -110,6 +114,17 @@ class TestTbScan:
         assert set(rows[0]) == {"eta", "d", "E_nssr", "E_pssr"}
         for row in rows:
             assert float(row["E_pssr"]) >= float(row["E_nssr"]) - 1e-6
+
+    def test_uncertified_pssr_exits_3(self, tmp_path, capsys):
+        out = tmp_path / "p.csv"
+        code, _, err = run_cli(capsys, "tb-scan", "--d-list", "1", "--eta-min",
+                               "0.2", "--eta-max", "0.2", "--points", "1",
+                               "--pssr", "--ree-max-iters", "1", "--out", str(out))
+        assert code == 3
+        assert "did not certify" in err
+        with open(out, newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert len(rows) == 1 and float(rows[0]["E_pssr"]) > 0.0
 
 
 class TestDminScan:

@@ -1,10 +1,15 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from orbent.channels import gn_local, gpi_local
+from orbent.channels import _labels, gn_local, gpi_local
 from orbent.entanglement import (
     _PHI_PLUS,
     _PSI_PLUS,
+    _local_sectors,
+    _objective_and_grad,
+    _sector_oracle,
     SymmetryViolation,
     decompose_symmetric,
     entanglement_criterion,
@@ -15,7 +20,7 @@ from orbent.entanglement import (
     relative_entropy,
     von_neumann_entropy,
 )
-from orbent.fock import DensityMatrix, pure_state_dm
+from orbent.fock import DensityMatrix, _factor_labels, pure_state_dm
 from orbent.freefermion import two_orbital_state_from_block
 from orbent.tightbinding import w_kernel
 
@@ -203,6 +208,19 @@ class TestReeNumeric:
         with pytest.raises(ValueError):
             ree_numeric(pure_state_dm(_PSI_PLUS, (4, 4)), ssr="Q")
 
+    def test_diagnostics_on_parity_blocks(self):
+        dm, _ = two_orbital_state_from_block(0.2, 0.2, w_kernel(1, 0.2))
+        res = pssr_entanglement(dm)
+        assert res.converged
+        sizes = res.diagnostics["block_sizes"]
+        assert sum(sizes) == 16 and max(sizes) == 2
+        # one local search per pair of 2-dim parity sectors, no random starts
+        assert res.diagnostics["oracle_calls"] == 4 * res.iterations
+        assert res.diagnostics["objective_evals"] > res.iterations
+        again = pssr_entanglement(dm)
+        assert (again.value, again.gap, again.diagnostics) == \
+            (res.value, res.gap, res.diagnostics)
+
     def test_nonconvergence_flagged(self):
         dm, _ = two_orbital_state_from_block(0.5, 0.5, ETA_HALF_D1["W"])
         res = ree_numeric(dm, ssr="N", tol=1e-13, max_iters=1, inner_iters=2)
@@ -226,3 +244,135 @@ def test_nssr_entanglement_dm_wrapper():
     assert res.method == "closed-form"
     assert res.value == pytest.approx(ETA_HALF_D1["E"], abs=1e-12)
     assert res.in_base("2") == pytest.approx(res.value / LN2)
+
+
+# ---------------------------------------------------------------------------
+# blockwise objective and local-sector oracle against dense references
+
+_N_TOT, _SZ2_TOT = _factor_labels((4, 4))
+
+
+def _two_orbital_key(kind):
+    """Block key of each (4, 4) basis state: local labels of the pinch, N, 2Sz."""
+    if kind == "unstructured":
+        return np.zeros((16, 1), dtype=int)
+    cols = [_N_TOT, _SZ2_TOT]
+    if kind in ("P", "N"):
+        local = _labels(4, kind)
+        cols += [np.repeat(local, 4), np.tile(local, 4)]
+    return np.stack(cols, axis=1)
+
+
+def _local_key(kind):
+    local = _labels(4, kind)
+    return np.stack([np.repeat(local, 4), np.tile(local, 4)], axis=1)
+
+
+def _same_block(key):
+    return np.all(key[:, None, :] == key[None, :, :], axis=-1)
+
+
+def _random_state(rng, mask):
+    x = rng.normal(size=(16, 32)) + 1j * rng.normal(size=(16, 32))
+    mat = (x @ x.conj().T) * mask
+    return mat / np.trace(mat).real
+
+
+def _padded_stack(mat, blocks, fill):
+    size = max(len(b) for b in blocks)
+    stack = np.zeros((len(blocks), size, size), dtype=complex)
+    for i, b in enumerate(blocks):
+        stack[i, :len(b), :len(b)] = mat[np.ix_(b, b)]
+        stack[i, range(len(b), size), range(len(b), size)] = fill
+    return stack
+
+
+def _dense_objective(rho, sigma):
+    """S(rho||sigma) and D ln(sigma)[rho] on the full 16 x 16 matrices."""
+    p = np.linalg.eigvalsh(rho)
+    p = p[p > 1e-300]
+    s, v = np.linalg.eigh(sigma)
+    rt = v.conj().T @ rho @ v
+    weight = np.diag(rt).real
+    kernel = s <= 1e-14 * s.max()
+    if np.sum(weight[kernel]) > 1e-12:
+        return np.inf, None
+    g = np.zeros((16, 16))
+    for i in range(16):
+        for j in range(16):
+            if s[i] == s[j]:
+                g[i, j] = 1.0 / s[i]
+            else:
+                g[i, j] = (np.log(s[i]) - np.log(s[j])) / (s[i] - s[j])
+    return float(np.sum(p * np.log(p)) - np.sum(weight * np.log(s))), v @ (rt * g) @ v.conj().T
+
+
+class TestBlockwiseObjective:
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.sampled_from(["P", "N", "none", "unstructured"]))
+    def test_matches_dense_reference(self, seed, kind):
+        rng = np.random.default_rng(seed)
+        key = _two_orbital_key(kind)
+        mask = _same_block(key)
+        _, block_of = np.unique(key, axis=0, return_inverse=True)
+        blocks = [np.flatnonzero(block_of.ravel() == b) for b in range(block_of.max() + 1)]
+        rho = _random_state(rng, mask)
+        sigma = _random_state(rng, mask)
+        p = np.linalg.eigvalsh(rho)
+        tr_rho_ln_rho = float(np.sum(p * np.log(p)))
+
+        val, grad = _objective_and_grad(_padded_stack(rho, blocks, 0.0), tr_rho_ln_rho,
+                                        _padded_stack(sigma, blocks, 1.0))
+        ref_val, ref_grad = _dense_objective(rho, sigma)
+        assert abs(val - ref_val) < 1e-12
+        dense = np.zeros((16, 16), dtype=complex)
+        for i, b in enumerate(blocks):
+            dense[np.ix_(b, b)] = grad[i, :len(b), :len(b)]
+            assert np.all(grad[i, len(b):, :] == 0) and np.all(grad[i, :, len(b):] == 0)
+        assert np.max(np.abs(dense - ref_grad)) < 1e-12
+
+        # a sigma whose kernel carries weight of rho is infinitely far away
+        diag = rng.random(16) + 0.1
+        diag[rng.integers(16)] = 0.0
+        kernel_sigma = np.diag(diag / diag.sum())
+        val, _ = _objective_and_grad(_padded_stack(rho, blocks, 0.0), tr_rho_ln_rho,
+                                     _padded_stack(kernel_sigma, blocks, 1.0))
+        assert val == np.inf
+        assert _dense_objective(rho, kernel_sigma)[0] == np.inf
+
+
+class TestSectorOracle:
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.sampled_from(["P", "N", "none"]))
+    def test_beats_dense_sampling(self, seed, kind):
+        rng = np.random.default_rng(seed)
+        x = rng.normal(size=(16, 16)) + 1j * rng.normal(size=(16, 16))
+        g = x + x.conj().T
+        if kind != "none":
+            g = g * _same_block(_local_key(kind))
+        sectors = _local_sectors(4, kind)
+        value, (a, b), _ = _sector_oracle(g, sectors, sectors)
+
+        ab = np.kron(a, b)
+        assert abs(np.vdot(ab, g @ ab).real - value) < 1e-12
+        assert value <= np.linalg.eigvalsh(g)[-1] + 1e-12
+        a_s = rng.normal(size=(4000, 4)) + 1j * rng.normal(size=(4000, 4))
+        b_s = rng.normal(size=(4000, 4)) + 1j * rng.normal(size=(4000, 4))
+        a_s /= np.linalg.norm(a_s, axis=1, keepdims=True)
+        b_s /= np.linalg.norm(b_s, axis=1, keepdims=True)
+        prods = (a_s[:, :, None] * b_s[:, None, :]).reshape(-1, 16)
+        sampled = np.einsum("ni,ij,nj->n", prods.conj(), g, prods).real
+        assert value >= sampled.max() - 1e-12
+        if kind == "none":
+            return
+
+        # a fine scan of each factor a inside each sector, with the exact best b
+        theta, phi = np.meshgrid(np.linspace(0, np.pi, 91), np.linspace(0, 2 * np.pi, 180))
+        grid = np.stack([np.cos(theta / 2), np.exp(1j * phi) * np.sin(theta / 2)],
+                        axis=-1).reshape(-1, 2)
+        g4 = g.reshape(4, 4, 4, 4)
+        for ia in sectors:
+            scan = grid if len(ia) == 2 else np.ones((1, 1))
+            for ib in sectors:
+                m = np.einsum("ni,ikjl,nj->nkl", scan.conj(), g4[np.ix_(ia, ib, ia, ib)], scan)
+                assert value >= np.linalg.eigvalsh(m)[:, -1].max() - 1e-12
