@@ -45,8 +45,8 @@ gs = ground_state(build_hamiltonian(HubbardParams(L, 8.0), 2, 0))
 res_n = orbital_pair_entanglement(gs.state, 0, 3, ssr="N")
 res_p = orbital_pair_entanglement(gs.state, 0, 3, ssr="P")
 print(f"  E_N = {res_n.value:.8f} (closed form)")
-print(f"  E_P = {res_p.value:.8f} (minimized numerically, "
-      f"certified gap {res_p.gap:.1e})")
+print(f"  E_P = {res_p.value:.8f} ({res_p.method} minimization, "
+      f"gap {res_p.gap:.1e})")
 
 print("\nthe same model travels as FCIDUMP text:")
 text = serialize_fcidump(HubbardParams(3, 4.0).integrals())

@@ -5,9 +5,12 @@ fermion parity (P) or particle number (N); only the entanglement surviving
 the corresponding pinching channels can be extracted and used.  This package
 builds the pinched two-orbital states of free and interacting electron
 systems and quantifies their entanglement, in closed form where the sector
-structure allows and by convex minimization otherwise; the minimization
-reports a duality gap that is exact when its product-state oracle finds the
-global maximum.
+structure allows and by convex minimization otherwise.  The P-SSR value of
+a state that commutes with total N and Sz and has equal diagonals on its two
+coherent pairs is exact, from two two-qubit X-state problems, with a proven
+gap; every other state goes to a Frank-Wolfe minimization whose duality gap
+is exact only when its product-state oracle finds the global maximum, so it
+is a heuristic bound.
 """
 
 from .channels import (

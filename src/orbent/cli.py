@@ -261,7 +261,7 @@ def cmd_ed(args) -> int:
                       ssr=args.ssr, log_base=args.log_base,
                       value=_log_base_value(res.value, args.log_base),
                       method=res.method)
-        if res.method == "numeric-ree":
+        if ssr == "P":
             record.update(gap=res.gap, iterations=res.iterations,
                           converged=res.converged)
             failed |= not res.converged
@@ -286,7 +286,8 @@ def _add_ree_flags(parser):
     parser.add_argument("--ree-tol", type=float, default=1e-7,
                         help="duality-gap tolerance of the minimization")
     parser.add_argument("--ree-max-iters", type=int, default=5000,
-                        help="outer iteration cap of the minimization")
+                        help="iteration cap of the minimization (Frank-Wolfe "
+                             "steps, or bisection steps on the exact route)")
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -6,6 +6,18 @@ formula in terms of the sector parameters (r, t), and the associated exact
 entanglement criterion.  Natural logarithm throughout; convert to bits by
 dividing by ln 2.
 
+Parity-superselected entanglement of a two-orbital state that commutes with
+total N and 2Sz: after the parity pinch only two coherences survive,
+|0,updown> <-> |updown,0> ("ee") and |up,down> <-> |down,up> ("oo").  Each
+group is a two-qubit X state, for which separable <=> PPT (Peres 1996;
+Horodecki 1996), so the separable set is |c|^2 <= a d on each group and
+the problem splits into two scalar root problems from the KKT conditions
+(``pssr_entanglement``).  The returned gap is the Frank-Wolfe gap at the
+returned sigma with the linear maximization over separable X states done
+exactly (closed form), so it is a proven bound.  States whose coherent
+groups have unequal diagonals, and every other input, go to the numerical
+solver.
+
 Numerical piece: a relative-entropy-of-entanglement solver that minimizes
 S(rho || sigma) over the separable set by Frank-Wolfe iteration.  sigma is
 maintained as a convex mixture of product states; each outer step asks a
@@ -36,6 +48,7 @@ so the gap is a heuristic bound, not a proven one.
 from __future__ import annotations
 
 import logging
+import math
 import warnings
 from dataclasses import dataclass, field
 
@@ -61,7 +74,15 @@ def von_neumann_entropy(rho) -> float:
     return float(-np.sum(pos * np.log(pos)))
 
 
-def relative_entropy(rho, sigma, *, kernel_tol: float = 1e-14) -> float:
+_KERNEL_TOL = 1e-14
+
+
+def _kernel(q, kernel_tol: float = _KERNEL_TOL) -> np.ndarray:
+    """Eigenvalues of sigma that count as kernel: at most ``kernel_tol`` times the largest."""
+    return q <= kernel_tol * max(float(q.max()), 1e-300)
+
+
+def relative_entropy(rho, sigma, *, kernel_tol: float = _KERNEL_TOL) -> float:
     """Tr[rho (ln rho - ln sigma)]; +inf when rho has weight on ker(sigma).
 
     Eigenvalues of sigma below ``kernel_tol`` times its largest one count as
@@ -75,7 +96,7 @@ def relative_entropy(rho, sigma, *, kernel_tol: float = 1e-14) -> float:
     q, v = np.linalg.eigh(s)
     q = np.clip(q.real, 0.0, None)
     weights = np.einsum("ji,jk,ki->i", v.conj(), r, v).real
-    kernel = q <= kernel_tol * max(q.max(), 1e-300)
+    kernel = _kernel(q, kernel_tol)
     if float(np.sum(weights[kernel])) > 1e-12:
         return float("inf")
     on = ~kernel & (weights > 0)
@@ -247,14 +268,15 @@ def _objective_and_grad(rho, tr_rho_ln_rho, sigma):
 
     ``rho`` and ``sigma`` are (k, s, s) stacks of the diagonal blocks of two
     block-diagonal matrices, and G comes back as the same stack.  Padding
-    entries carry sigma = 1 and rho = 0, so they add nothing to the value or
-    to G.  Directions orthogonal to the support of sigma are masked (rho
-    carries no genuine weight there while the iterate stays interior).
+    entries carry sigma = rho = 0, so they add nothing to the value or to G.
+    The support of sigma follows the kernel rule of ``relative_entropy``
+    (``_kernel``); directions orthogonal to it are masked (rho carries no
+    genuine weight there while the iterate stays interior).
     """
     s, v = np.linalg.eigh(sigma)
     vh = v.conj().transpose(0, 2, 1)
     rt = vh @ rho @ v
-    supp = s > 1e-250
+    supp = ~_kernel(s)
     s_safe = np.where(supp, s, 1.0)
     ln_s = np.log(s_safe)
 
@@ -374,6 +396,11 @@ _SPIN_FLIP_4 = np.array([
 ], dtype=float)
 
 
+def _commutes(mat, labels) -> bool:
+    """Whether mat (numerically) commutes with the diagonal operator ``labels``."""
+    return float(np.max(np.abs(mat * ~np.equal.outer(labels, labels)))) < 1e-12
+
+
 def _detect_symmetries(mat, dims):
     """Which separability-preserving symmetrizations leave rho invariant."""
     sym = {}
@@ -384,8 +411,7 @@ def _detect_symmetries(mat, dims):
     except ValueError:
         return sym
     for name, labels in (("n", n_tot), ("sz", sz2_tot)):
-        pinched = mat * np.equal.outer(labels, labels)
-        if np.max(np.abs(pinched - mat)) < 1e-12:
+        if _commutes(mat, labels):
             sym[name] = labels
     if dims == (4, 4):
         f = np.kron(_SPIN_FLIP_4, _SPIN_FLIP_4)
@@ -479,7 +505,6 @@ def ree_numeric(rho: DensityMatrix, ssr: str = "none", tol: float = 1e-7,
     rho_b[pair] = mat[rows, cols].real if real else mat[rows, cols]
     p = np.clip(np.linalg.eigvalsh(rho_b), 0.0, None)
     tr_rho_ln_rho = float(np.sum(p[p > 0] * np.log(p[p > 0])))
-    pad = np.eye(s) * ~valid[:, None, :]
     sectors_a, sectors_b = _local_sectors(da, ssr_key), _local_sectors(db, ssr_key)
 
     def compress(v):
@@ -493,7 +518,7 @@ def ree_numeric(rho: DensityMatrix, ssr: str = "none", tol: float = 1e-7,
     def evaluate(stack, w):
         """Objective, gradient blocks and every atom's score Tr[atom G] at sigma(w)."""
         counts["objective_evals"] += 1
-        sigma = (w @ stack).reshape(pair.shape) + pad
+        sigma = (w @ stack).reshape(pair.shape)
         val, grad = _objective_and_grad(rho_b, tr_rho_ln_rho, sigma)
         return val, grad, (stack @ grad.conj().ravel()).real
 
@@ -594,9 +619,165 @@ def _polish_weights(stack, weights, evaluate, n_basis, maxiter):
     return stack[keep], w[keep] / w[keep].sum()
 
 
-def pssr_entanglement(rho: DensityMatrix, **solver_kwargs) -> EntanglementResult:
-    """Parity-superselected entanglement: numeric REE of the pinched state."""
-    return ree_numeric(rho, ssr="P", **solver_kwargs)
+# ---------------------------------------------------------------------------
+# exact parity-superselected REE of N- and Sz-symmetric two-orbital states
+
+# basis indices (corner, middle, middle, corner) of the two coherent groups
+# that the parity pinch leaves in an N- and Sz-symmetric two-orbital state:
+# local qubits {0, updown} x {0, updown} ("ee") and {up, down} x {up, down}
+# ("oo"); the coherence joins the two middle states
+_X_GROUPS = (("ee", (0, 3, 12, 15)), ("oo", (5, 6, 9, 10)))
+
+
+def _x_kkt_point(r00, r11, p_plus, p_minus, s):
+    """Unnormalized sigma weights (a, d, u, v) of the KKT system at sqrt(a d) = s.
+
+    a = r00 + mu t, d = r11 + mu t, u = P+/(1 + mu s), v = P-/(1 - mu s),
+    where t = s^2 and mu(t) = (sqrt((r00 - r11)^2 + 4t) - (r00 + r11))/(2t)
+    makes a d = t.  mu t and 1 - mu s are written without cancellation.
+    Needs r00 + r11 > 0, which keeps mu s below 1.
+    """
+    total, root = r00 + r11, math.hypot(r00 - r11, 2.0 * s)
+    mu_t = 2.0 * (s * s - r00 * r11) / (root + total)
+    one_minus = 2.0 * (s * total + r00 * r11) / (s * (2.0 * s + total + root))
+    return r00 + mu_t, r11 + mu_t, p_plus / (2.0 - one_minus), p_minus / one_minus
+
+
+def _x_dual_bound(g_a, g_d, g_plus, g_minus) -> float:
+    """Upper bound on Tr[G tau] over normalized separable X states tau.
+
+    G has corner entries g_a, g_d and eigenvalues g_plus, g_minus on the
+    middle pair: middle diagonal h = (g+ + g-)/2, coherence g = |g+ - g-|/2.
+    Splitting the coherence, theta on the partial transpose and 1 - theta on
+    the middle block, gives the dual certificate y(theta) =
+    max(lambda_max[[g_a, theta g], [theta g, g_d]], h + (1 - theta) g) for
+    every theta in [0, 1].  The best theta, where the increasing and the
+    decreasing branch meet, makes y the exact maximum (semidefinite duality
+    over tau >= 0, tau^T_B >= 0).
+    """
+    h, g = 0.5 * (g_plus + g_minus), 0.5 * abs(g_plus - g_minus)
+    mean, half = 0.5 * (g_a + g_d), 0.5 * abs(g_a - g_d)
+    if mean + math.hypot(half, g) <= h:
+        theta = 1.0
+    elif mean + half >= h + g:
+        theta = 0.0
+    else:
+        k = h + g - mean
+        theta = min(max((k * k - half * half) / (2.0 * k * g), 0.0), 1.0)
+    return max(mean + math.hypot(half, theta * g), h + (1.0 - theta) * g)
+
+
+def _x_state_ree(r00, r11, p_plus, p_minus, max_iters):
+    """REE of a normalized two-qubit X state whose middle diagonals are equal.
+
+    rho has corner weights r00, r11 and weights P+ >= P- on the middle pair
+    (|01> +- |10>)/sqrt2, the phase of its coherence removed.  sigma is
+    taken in the same form, with weights (a, d, u, v) and coherence
+    c = (u - v)/2, and is separable iff c^2 <= a d.  When rho is entangled
+    the constraint is active, the sum multiplier is 1 by homogeneity, and
+    the KKT point of ``_x_kkt_point`` solves c(s) = s.  c(s) - s is positive
+    at s = sqrt(r00 r11) and negative at s = 1/2, and any root is optimal
+    (a KKT point of a convex problem).  Bisection keeps the upper, feasible
+    end and stops at adjacent floats or after ``max_iters`` steps.
+
+    Returns the value, sigma's weights, the proven gap of ``_x_dual_bound``
+    at that sigma, and the number of bisection steps.
+    """
+    rho_w = (r00, r11, p_plus, p_minus)
+    iterations = 0
+    if 0.25 * (p_plus - p_minus) ** 2 <= r00 * r11:
+        return 0.0, rho_w, 0.0, iterations  # PPT, hence separable
+    if r00 + r11 == 0.0:
+        # no corner weight: a = d = |c| leaves u = 1/2, and P- ln v is best at v = 1/2
+        sigma_w = (0.0, 0.0, 0.5, 0.5)
+    else:
+        lo, hi = math.sqrt(r00 * r11), 0.5
+        while iterations < max_iters:
+            mid = 0.5 * (lo + hi)
+            if not lo < mid < hi:
+                break
+            iterations += 1
+            _, _, u, v = _x_kkt_point(r00, r11, p_plus, p_minus, mid)
+            if 0.5 * (u - v) > mid:
+                lo = mid
+            else:
+                hi = mid
+        a, d, u, v = _x_kkt_point(r00, r11, p_plus, p_minus, hi)
+        if v - u > 2.0 * hi:  # a capped search can stop with c < -sqrt(a d)
+            m = 0.5 * (u + v)
+            u, v = m - hi, m + hi
+        total = a + d + u + v
+        sigma_w = (a / total, d / total, u / total, v / total)
+    value = sum(r * math.log(r / s) for r, s in zip(rho_w, sigma_w) if r > 0.0)
+    grad = [r / s if r > 0.0 else 0.0 for r, s in zip(rho_w, sigma_w)]
+    gap = _x_dual_bound(*grad) - sum(g * s for g, s in zip(grad, sigma_w))
+    return value, sigma_w, max(gap, 0.0), iterations
+
+
+def _pssr_x_state(work: DensityMatrix, tol: float, max_iters: int):
+    """Exact REE of a parity-pinched two-orbital state, or None where it does not apply.
+
+    It applies when ``work`` commutes with total N and 2Sz (the test of
+    ``_detect_symmetries``) and each coherent group has equal middle
+    diagonals to 1e-12 (they are averaged).  The separable set then splits
+    into the two groups, the optimal sigma gives each group rho's weight
+    p_g, and every other basis state contributes 0, so
+    E_P = sum_g p_g E_X(rho_g / p_g), and the gap is sum_g p_g gap_g.
+    """
+    mat = work.mat
+    if work.dims != (4, 4) or not all(_commutes(mat, labels)
+                                      for labels in _factor_labels(work.dims)):
+        return None
+    diag = np.diag(mat).real.tolist()
+    if any(abs(diag[i1] - diag[i2]) >= 1e-12 for _, (_, i1, i2, _) in _X_GROUPS):
+        return None
+
+    sigma = np.diag(diag).astype(complex)
+    value = gap = 0.0
+    iterations = 0
+    terms = {}
+    for name, (i0, i1, i2, i3) in _X_GROUPS:
+        weight = diag[i0] + diag[i1] + diag[i2] + diag[i3]
+        terms[name] = 0.0
+        if weight <= 0.0:
+            continue
+        z = complex(mat[i1, i2])
+        mid = 0.5 * (diag[i1] + diag[i2])
+        val, (a, d, u, v), g, its = _x_state_ree(
+            diag[i0] / weight, diag[i3] / weight, (mid + abs(z)) / weight,
+            max(mid - abs(z), 0.0) / weight, max_iters)
+        phase = z / abs(z) if z != 0 else 1.0
+        sigma[i0, i0], sigma[i3, i3] = weight * a, weight * d
+        sigma[i1, i1] = sigma[i2, i2] = weight * 0.5 * (u + v)
+        sigma[i1, i2] = weight * 0.5 * (u - v) * phase
+        sigma[i2, i1] = np.conj(sigma[i1, i2])
+        terms[name] = weight * val
+        value += weight * val
+        gap += weight * g
+        iterations += its
+    return EntanglementResult(
+        value=value, ssr="P", method="x-state", iterations=iterations, gap=gap,
+        converged=gap <= tol, diagnostics={"terms": terms, "sigma": sigma})
+
+
+def pssr_entanglement(rho: DensityMatrix, tol: float = 1e-7, max_iters: int = 5000,
+                      inner_iters: int = 400) -> EntanglementResult:
+    """Parity-superselected entanglement: REE of the parity-pinched state.
+
+    When the pinched state commutes with total N and 2Sz and its two
+    coherent groups have equal diagonals, which holds for tight-binding
+    states and for orbital pairs of (N, Sz) eigenstates with an exchange
+    symmetry, the value is exact (method "x-state", ``_pssr_x_state``): two
+    two-qubit X-state problems, each one bisection on a scalar.
+    ``iterations`` counts bisection steps, at most ``max_iters`` per group,
+    and ``gap`` is a proven bound on the distance to the minimum;
+    ``diagnostics`` carries each group's term and sigma.  Every other input
+    goes to the Frank-Wolfe solver ``ree_numeric``, whose gap is heuristic.
+    """
+    exact = _pssr_x_state(gpi_local(rho), tol, max_iters)
+    if exact is not None:
+        return exact
+    return ree_numeric(rho, ssr="P", tol=tol, max_iters=max_iters, inner_iters=inner_iters)
 
 
 def nssr_entanglement_dm(rho: DensityMatrix, tol: float = 1e-8) -> EntanglementResult:

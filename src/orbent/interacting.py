@@ -224,7 +224,11 @@ def orbital_pair_entanglement(state: ManyBodyState, l: int, lp: int,
 
     The number-superselected value uses the closed sector formula (the state
     must carry the ring symmetries; violations raise).  The parity value is
-    computed by the numeric relative-entropy solver on the pinched state.
+    the relative entropy of entanglement of the pinched state from
+    :func:`~orbent.entanglement.pssr_entanglement`: exact, with a proven gap,
+    when the pair's state has the N, Sz and exchange symmetry of a ring
+    eigenstate, and from the Frank-Wolfe solver with a heuristic gap
+    otherwise.
     """
     rho = two_orbital_rdm(state, l, lp)
     kind = str(ssr).upper()

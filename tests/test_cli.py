@@ -1,9 +1,13 @@
 import csv
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import orbent
 from orbent.cli import main
 
 
@@ -42,7 +46,7 @@ class TestTb:
                                "--ssr", "p")
         assert code == 0
         record = json.loads(out)
-        assert record["method"] == "numeric-ree"
+        assert record["method"] == "x-state"
         assert record["gap"] <= 1e-7
         assert record["converged"] is True
 
@@ -245,6 +249,16 @@ class TestEd:
         code, _, _ = run_cli(capsys, "ed", "--orbitals", "0,1")
         assert code == 2
 
+    def test_pssr_record_carries_gap(self, capsys):
+        code, out, _ = run_cli(capsys, "ed", "--hubbard", "6,4", "--nelec", "4",
+                               "--orbitals", "0,1", "--ssr", "p")
+        assert code == 0
+        record = json.loads(out)
+        assert record["method"] == "x-state"
+        assert record["gap"] <= 1e-7
+        assert record["converged"] is True
+        assert record["iterations"] > 0
+
     def test_nonconvergence_exit_3(self, capsys):
         code, _, err = run_cli(capsys, "ed", "--hubbard", "4,2", "--nelec", "2",
                                "--orbitals", "0,1", "--ssr", "p",
@@ -261,3 +275,12 @@ class TestEd:
         lines = out.read_text().strip().splitlines()
         assert len(lines) == 5
         assert all(json.loads(line)["n_elec"] == 6 for line in lines)
+
+
+def test_import_leaves_scipy_optimize_unloaded():
+    """scipy.optimize costs about 0.2 s to import; only the Frank-Wolfe polish needs it."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(orbent.__file__)))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    probe = "import sys, orbent.cli; sys.exit('scipy.optimize' in sys.modules)"
+    assert subprocess.run([sys.executable, "-c", probe], env=env).returncode == 0

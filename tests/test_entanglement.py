@@ -10,6 +10,7 @@ from orbent.entanglement import (
     _local_sectors,
     _objective_and_grad,
     _sector_oracle,
+    _x_state_ree,
     SymmetryViolation,
     decompose_symmetric,
     entanglement_criterion,
@@ -210,14 +211,14 @@ class TestReeNumeric:
 
     def test_diagnostics_on_parity_blocks(self):
         dm, _ = two_orbital_state_from_block(0.2, 0.2, w_kernel(1, 0.2))
-        res = pssr_entanglement(dm)
+        res = ree_numeric(dm, ssr="P")
         assert res.converged
         sizes = res.diagnostics["block_sizes"]
         assert sum(sizes) == 16 and max(sizes) == 2
         # one local search per pair of 2-dim parity sectors, no random starts
         assert res.diagnostics["oracle_calls"] == 4 * res.iterations
         assert res.diagnostics["objective_evals"] > res.iterations
-        again = pssr_entanglement(dm)
+        again = ree_numeric(dm, ssr="P")
         assert (again.value, again.gap, again.diagnostics) == \
             (res.value, res.gap, res.diagnostics)
 
@@ -236,6 +237,120 @@ class TestPvsN:
             e_p = pssr_entanglement(dm).value
             assert abs(e_p - e_n) < 1e-3
             assert e_p >= e_n - 1e-7
+
+
+# ---------------------------------------------------------------------------
+# exact P-SSR route: two two-qubit X-state problems
+
+TB_ANCHORS = ((0.2, 1), (0.1, 2), (0.45, 1), (0.5, 1), (0.05, 5), (0.03, 8), (0.01, 20))
+
+
+def _partial_transpose(mat):
+    return mat.reshape(4, 4, 4, 4).transpose(0, 3, 2, 1).reshape(16, 16)
+
+
+def _symmetric_state(rng, noise):
+    """Mixture of one to three pure states inside (N, 2Sz) sectors, mostly the
+    (2, 0) one, plus ``noise`` times a full-rank state that is block diagonal
+    in (N, 2Sz); exchange symmetric."""
+    keys = sorted(set(zip(_N_TOT.tolist(), _SZ2_TOT.tolist())))
+    mat = np.zeros((16, 16), dtype=complex)
+    for _ in range(rng.integers(1, 4)):
+        n, sz = (2, 0) if rng.random() < 0.6 else keys[rng.integers(len(keys))]
+        inside = (_N_TOT == n) & (_SZ2_TOT == sz)
+        v = np.zeros(16, dtype=complex)
+        v[inside] = rng.normal(size=inside.sum()) + 1j * rng.normal(size=inside.sum())
+        mat += rng.uniform(0.1, 1.0) * np.outer(v, v.conj()) / np.vdot(v, v).real
+    sectors = np.equal.outer(_N_TOT, _N_TOT) & np.equal.outer(_SZ2_TOT, _SZ2_TOT)
+    full = _random_state(rng, sectors)
+    mat = (1 - noise) * mat / np.trace(mat).real + noise * full
+    return DensityMatrix(_symmetrize_reflection(mat), (4, 4))
+
+
+class TestPssrExact:
+    def test_oo_term_is_nssr_value(self):
+        for eta, d in TB_ANCHORS:
+            dm, sec = two_orbital_state_from_block(eta, eta, w_kernel(d, eta))
+            res = pssr_entanglement(dm)
+            assert res.method == "x-state"
+            assert abs(res.diagnostics["terms"]["oo"] - nssr_entanglement(sec.r, sec.t)) < 1e-12
+
+    def test_dilute_regression_point(self):
+        # Frank-Wolfe stops 1.33e-6 above this minimum while reporting a
+        # gap of 7.4e-11: its product-state oracle is stuck there
+        dm, _ = two_orbital_state_from_block(0.05, 0.05, w_kernel(5, 0.05))
+        res = pssr_entanglement(dm)
+        assert res.method == "x-state" and res.converged and res.gap <= 1e-10
+        assert abs(res.value - 9.4577775218870e-04) < 1e-12
+
+    def test_bell_pair_without_corner_weight(self):
+        res = pssr_entanglement(pure_state_dm(_PSI_PLUS, (4, 4)))
+        assert res.method == "x-state" and res.gap <= 1e-15
+        assert res.value == pytest.approx(LN2, abs=1e-15)
+
+    @settings(max_examples=10, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.sampled_from([0.0, 0.02, 0.3]))
+    def test_minimum_with_proven_gap(self, seed, noise):
+        rng = np.random.default_rng(seed)
+        dm = _symmetric_state(rng, noise)
+        res = pssr_entanglement(dm)
+        assert res.method == "x-state" and res.converged
+        assert res.gap <= 1e-10
+        sigma = res.diagnostics["sigma"]
+        assert np.linalg.eigvalsh(sigma)[0] >= -1e-12
+        assert np.linalg.eigvalsh(_partial_transpose(sigma))[0] >= -1e-12
+        pinched = gpi_local(dm)
+        assert abs(relative_entropy(pinched, sigma) - res.value) < 1e-12
+        # no PPT mixture of sigma with a random separable X state does better
+        for _ in range(20):
+            tau = np.diag(rng.random(16)).astype(complex)
+            for i1, i2, i0, i3 in ((3, 12, 0, 15), (6, 9, 5, 10)):
+                c = rng.random() * min(np.sqrt(tau[i0, i0] * tau[i3, i3]),
+                                       np.sqrt(tau[i1, i1] * tau[i2, i2]))
+                tau[i1, i2] = tau[i2, i1] = c * np.sign(pinched.mat[i1, i2].real or 1.0)
+            lam = rng.random() ** 2
+            mix = (1 - lam) * sigma + lam * tau / np.trace(tau).real
+            assert relative_entropy(pinched, mix) >= res.value - 1e-12
+        # every Frank-Wolfe iterate is a separable upper bound; the cap keeps
+        # the solve short on rank-deficient draws, where it can take minutes
+        assert res.value <= ree_numeric(dm, ssr="P", max_iters=5).value + 1e-12
+
+    def test_iteration_cap_keeps_the_bound_honest(self):
+        dm, _ = two_orbital_state_from_block(0.2, 0.2, w_kernel(1, 0.2))
+        exact = pssr_entanglement(dm)
+        capped = pssr_entanglement(dm, max_iters=2)
+        assert capped.method == "x-state" and not capped.converged
+        assert capped.iterations == 4
+        assert capped.value - capped.gap <= exact.value <= capped.value
+        assert relative_entropy(gpi_local(dm), capped.diagnostics["sigma"]) == \
+            pytest.approx(capped.value, abs=1e-12)
+
+    @pytest.mark.parametrize("weights", [(0.1, 0.05, 0.6, 0.25), (0.3, 0.0, 0.7, 0.0),
+                                         (1e-6, 1e-6, 0.6, 0.4 - 2e-6)])
+    def test_capped_bisection_brackets_the_minimum(self, weights):
+        # after 0 or 1 steps the KKT point's coherence can fall below
+        # -sqrt(a d); the returned sigma must still be separable
+        exact = _x_state_ree(*weights, 5000)[0]
+        for cap in range(4):
+            value, sigma_w, gap, _ = _x_state_ree(*weights, cap)
+            a, d, u, v = sigma_w
+            assert (u - v) ** 2 / 4 <= a * d * (1 + 1e-12) and min(sigma_w) >= 0.0
+            assert value - gap <= exact + 1e-15 and exact <= value + 1e-15
+
+    @pytest.mark.parametrize("pair", [(3, 12), (6, 9)])
+    def test_unequal_diagonals_take_frank_wolfe(self, pair):
+        dm, _ = two_orbital_state_from_block(0.2, 0.2, w_kernel(1, 0.2))
+        extra = np.zeros((16, 16))
+        extra[pair[0], pair[0]] = 1.0
+        lopsided = DensityMatrix(0.9 * dm.mat + 0.1 * extra, (4, 4))
+        res = pssr_entanglement(lopsided, max_iters=1)
+        assert res.method == "numeric-ree"
+
+    def test_sz_coherence_takes_frank_wolfe(self):
+        v = np.zeros(16)
+        v[4 * 1 + 1] = v[4 * 2 + 2] = 1 / np.sqrt(2)  # |up,up> + |down,down>
+        res = pssr_entanglement(pure_state_dm(v, (4, 4)), max_iters=1)
+        assert res.method == "numeric-ree"
 
 
 def test_nssr_entanglement_dm_wrapper():
@@ -339,6 +454,24 @@ class TestBlockwiseObjective:
                                      _padded_stack(kernel_sigma, blocks, 1.0))
         assert val == np.inf
         assert _dense_objective(rho, kernel_sigma)[0] == np.inf
+
+
+def test_zero_row_of_sigma_is_kernel_in_objective():
+    """The objective and ``relative_entropy`` share one kernel rule: eigh
+    returns about +-1e-17 for an exactly zero row and column of sigma, which
+    is kernel, so rho's weight there makes both infinite."""
+    rng = np.random.default_rng(20)
+    full = np.ones((16, 16), dtype=bool)
+    for _ in range(50):
+        rho = _random_state(rng, full)
+        sigma = _random_state(rng, full)
+        k = rng.integers(16)
+        sigma[k, :] = sigma[:, k] = 0.0
+        sigma /= np.trace(sigma).real
+        p = np.linalg.eigvalsh(rho)
+        val, _ = _objective_and_grad(rho[None], float(np.sum(p * np.log(p))), sigma[None])
+        assert val == np.inf
+        assert relative_entropy(rho, sigma) == np.inf
 
 
 class TestSectorOracle:
