@@ -257,7 +257,8 @@ def cmd_ed(args) -> int:
             d = min(d, params.n_sites - d)
         record = dict(model)
         record.update(n_elec=n_elec, ms2=ms2, energy=gs.energy,
-                      degenerate_ground=gs.degenerate, l=l, lp=lp, d=d,
+                      degenerate_ground=gs.degenerate, sector_dim=op.dim,
+                      residual=gs.residual, l=l, lp=lp, d=d,
                       ssr=args.ssr, log_base=args.log_base,
                       value=_log_base_value(res.value, args.log_base),
                       method=res.method)

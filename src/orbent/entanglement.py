@@ -575,19 +575,24 @@ def ree_numeric(rho: DensityMatrix, ssr: str = "none", tol: float = 1e-7,
         weights = weights * (1.0 - gamma)
         weights[idx] += gamma
 
-        stack, weights = _polish_weights(stack, weights, evaluate, dim, inner_iters)
+        stack, weights = _polish_weights(stack, weights, evaluate, dim, inner_iters, gap)
 
     logger.warning("REE solver hit the iteration cap with gap %.3e", gap)
     return result(max_iters, gap, False)
 
 
-def _polish_weights(stack, weights, evaluate, n_basis, maxiter):
+def _polish_weights(stack, weights, evaluate, n_basis, maxiter, gap):
     """Fully corrective step: re-optimize mixture weights over the atom set.
 
     Sequential quadratic programming on the simplex; the basis atoms keep a
     tiny weight floor so sigma stays full rank and the objective (and its
     gradient) remain finite everywhere the optimizer looks.  The weight
     gradient is minus the atom scores, one matrix-vector product.
+
+    By convexity, the Frank-Wolfe gap over the current atom set bounds what
+    further re-weighting can gain, so SLSQP stops once that bound falls
+    below a hundredth of the outer ``gap``; beyond that the next oracle atom
+    pays more than the polish.
     """
     from scipy.optimize import minimize
 
@@ -597,6 +602,13 @@ def _polish_weights(stack, weights, evaluate, n_basis, maxiter):
         val, _, scores = evaluate(stack, np.clip(wv, 1e-300, None))
         return val, -scores
 
+    def stop_when_polished(intermediate_result):
+        wv = np.clip(intermediate_result.x, 1e-300, None)
+        wv /= wv.sum()
+        scores = evaluate(stack, wv)[2]
+        if scores.max() - wv @ scores <= 0.01 * gap:
+            raise StopIteration
+
     constraints = [{"type": "eq", "fun": lambda wv: np.sum(wv) - 1.0,
                     "jac": lambda wv: np.ones(m)}]
     bounds = [(1e-12, 1.0)] * n_basis + [(0.0, 1.0)] * (m - n_basis)
@@ -604,7 +616,8 @@ def _polish_weights(stack, weights, evaluate, n_basis, maxiter):
         warnings.simplefilter("ignore", RuntimeWarning)
         result = minimize(objective, weights, jac=True,
                           method="SLSQP", bounds=bounds, constraints=constraints,
-                          options={"maxiter": maxiter, "ftol": 1e-16})
+                          options={"maxiter": maxiter, "ftol": 1e-16},
+                          callback=stop_when_polished)
     w = np.clip(result.x, 0.0, None)
     w[:n_basis] = np.maximum(w[:n_basis], 1e-300)
     w /= w.sum()

@@ -333,6 +333,11 @@ def two_orbital_rdm(state: ManyBodyState, l: int, lp: int) -> DensityMatrix:
     to the front of the ordered creation string (fermionic reordering
     signs included).  Coherences between even and odd total subsystem
     parity are not fixed by parity-even observables and are set to zero.
+
+    Only the configurations with a nonzero amplitude are visited, and the
+    environment is indexed by the distinct environment strings among them,
+    so the cost scales with the state's support (the sector dimension for
+    an exact-diagonalization eigenstate), not with the Fock dimension.
     """
     space = state.space
     if l == lp:
@@ -345,29 +350,28 @@ def two_orbital_rdm(state: ManyBodyState, l: int, lp: int) -> DensityMatrix:
 
     sub_modes = [space.mode(l, UP), space.mode(l, DOWN),
                  space.mode(lp, UP), space.mode(lp, DOWN)]
-    env_modes = [p for p in range(space.n_modes) if p not in sub_modes]
+    sub_mask = sum(1 << p for p in sub_modes)
 
-    idx = space.configs()
+    idx = np.flatnonzero(state.amps)
     bits = [(idx >> p) & 1 for p in sub_modes]
 
     # local index alpha = n_up + 2*n_down per orbital, flat = 4*alpha_l + alpha_lp
     sub_idx = 4 * (bits[0] + 2 * bits[1]) + (bits[2] + 2 * bits[3])
 
-    env_idx = np.zeros(space.dim, dtype=np.int64)
-    for pos, p in enumerate(env_modes):
-        env_idx |= ((idx >> p) & 1) << pos
+    # one column per distinct environment string of the support
+    envs, env_col = np.unique(idx & ~sub_mask, return_inverse=True)
 
     # permutation sign: pull each occupied subsystem mode to the front in turn
-    exponent = np.zeros(space.dim, dtype=np.int64)
+    exponent = np.zeros(idx.size, dtype=np.int64)
     pulled = 0
-    for p in sub_modes:
+    for bit, p in zip(bits, sub_modes):
         below = idx & ((1 << p) - 1) & ~pulled
-        exponent += bits[sub_modes.index(p)] * popcount(below)
+        exponent += bit * popcount(below)
         pulled |= 1 << p
     sign = 1.0 - 2.0 * (exponent & 1)
 
-    psi = np.zeros((16, 1 << len(env_modes)), dtype=complex)
-    psi[sub_idx, env_idx] = sign * state.amps
+    psi = np.zeros((16, envs.size), dtype=complex)
+    psi[sub_idx, env_col] = sign * state.amps[idx]
     rho = psi @ psi.conj().T
 
     parity = _factor_labels((4, 4))[0] % 2

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import csv
 import importlib.resources
+import itertools
 from dataclasses import dataclass
 from typing import Optional, Union
 
@@ -33,7 +34,7 @@ import scipy.sparse.linalg as spsl
 
 from . import entanglement as ent
 from .fcidump import FcidumpData
-from .fock import FockSpace, ManyBodyState, popcount, two_orbital_rdm
+from .fock import DOWN, UP, FockSpace, ManyBodyState, popcount, two_orbital_rdm
 from .tightbinding import ring_one_body
 
 NORB_CAP = 8
@@ -62,15 +63,25 @@ class HubbardParams:
 
 
 def sector_basis(norb: int, n_elec: int, sz2: Optional[int] = None) -> np.ndarray:
-    """Sorted configuration integers with the requested (N, 2Sz)."""
+    """Sorted configuration integers with the requested (N, 2Sz).
+
+    Each configuration is an up-spin string interleaved with a down-spin
+    string, both enumerated as combinations of occupied sites, so the cost
+    is the sector's size, not the Fock dimension.
+    """
     space = FockSpace(norb)
-    mask = space.config_n() == n_elec
-    if sz2 is not None:
-        mask &= space.config_sz2() == sz2
-    basis = space.configs()[mask]
-    if basis.size == 0:
+
+    def strings(spin, k):
+        return np.array([sum(1 << space.mode(site, spin) for site in occ)
+                         for occ in itertools.combinations(range(norb), k)],
+                        dtype=np.int64)
+
+    blocks = [(strings(UP, n_up)[:, None] | strings(DOWN, n_elec - n_up)[None, :]).ravel()
+              for n_up in range(norb + 1)
+              if 0 <= n_elec - n_up <= norb and sz2 in (None, 2 * n_up - n_elec)]
+    if not blocks:
         raise ValueError(f"empty sector N={n_elec}, 2Sz={sz2} for {norb} orbitals")
-    return basis
+    return np.sort(np.concatenate(blocks))
 
 
 class ManyBodyOperator:
@@ -185,14 +196,20 @@ class GroundStateResult:
     residual: float
 
 
-def ground_state(op: ManyBodyOperator, *, dense_cutoff: int = 2000,
+def ground_state(op: ManyBodyOperator, *, dense_cutoff: int = 300,
                  residual_tol: float = 1e-9) -> GroundStateResult:
     """Lowest eigenpair of a sector Hamiltonian.
 
-    Dense diagonalization below ``dense_cutoff``, implicitly restarted
+    Dense diagonalization up to ``dense_cutoff``, implicitly restarted
     Lanczos from a fixed-seed start vector above it (residual pushed below
     ``residual_tol``).  A spectral gap under 1e-9 flags a degenerate ground
     level; the returned state is then just one ground vector.
+
+    The default cutoff is the measured crossover on Hubbard rings with one
+    BLAS thread: dense ``eigh`` costs O(dim**3) and is as fast as Lanczos at
+    dimension 225-300 (2-5 ms), but at 400 it takes 8-9 ms against 5-7 ms,
+    at 784 about 45 ms against 4-8 ms and at 1225 about 180 ms against
+    8-43 ms.  The two ground energies agree to 1e-14 there.
     """
     h = op.matrix
     if op.dim == 1:

@@ -212,6 +212,15 @@ class TestEd:
         assert record["d"] == 2
         assert record["energy"] == pytest.approx(-2.0, abs=1e-9)
 
+    def test_record_reports_sector_dim_and_residual(self, capsys):
+        code, out, _ = run_cli(capsys, "ed", "--hubbard", "6,4", "--nelec", "4",
+                               "--all-pairs")
+        assert code == 0
+        for line in out.strip().splitlines():
+            record = json.loads(line)
+            assert record["sector_dim"] == 225  # C(6,2)**2 at 2Sz = 0
+            assert 0.0 <= record["residual"] <= 1e-9
+
     def test_all_pairs_matches_finite_tb(self, capsys):
         from orbent.tightbinding import TbQuery, tb_entanglement
         code, out, _ = run_cli(capsys, "ed", "--hubbard", "6,0", "--nelec", "2",

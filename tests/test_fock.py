@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from orbent import fock
 from orbent.channels import gpi_local
@@ -11,6 +13,7 @@ from orbent.fock import (
     apply_create,
     apply_operator_string,
     basis_state,
+    popcount,
     pure_state_dm,
     sector_project,
     two_orbital_rdm,
@@ -204,6 +207,89 @@ class TestTwoOrbitalRdm:
             proj = np.diag((labels == n).astype(float))
             comm = proj @ rho.mat - rho.mat @ proj
             assert np.max(np.abs(comm)) < 1e-12
+
+
+def _full_fock_two_orbital_rdm(state, l, lp):
+    """The full-Fock construction ``two_orbital_rdm`` replaced, kept as the
+    reference: every configuration of the 4**norb space is visited and the
+    environment is indexed by its own bits."""
+    space = state.space
+    sub_modes = [space.mode(l, 0), space.mode(l, 1),
+                 space.mode(lp, 0), space.mode(lp, 1)]
+    env_modes = [p for p in range(space.n_modes) if p not in sub_modes]
+
+    idx = space.configs()
+    bits = [(idx >> p) & 1 for p in sub_modes]
+
+    # local index alpha = n_up + 2*n_down per orbital, flat = 4*alpha_l + alpha_lp
+    sub_idx = 4 * (bits[0] + 2 * bits[1]) + (bits[2] + 2 * bits[3])
+
+    env_idx = np.zeros(space.dim, dtype=np.int64)
+    for pos, p in enumerate(env_modes):
+        env_idx |= ((idx >> p) & 1) << pos
+
+    # permutation sign: pull each occupied subsystem mode to the front in turn
+    exponent = np.zeros(space.dim, dtype=np.int64)
+    pulled = 0
+    for p in sub_modes:
+        below = idx & ((1 << p) - 1) & ~pulled
+        exponent += bits[sub_modes.index(p)] * popcount(below)
+        pulled |= 1 << p
+    sign = 1.0 - 2.0 * (exponent & 1)
+
+    psi = np.zeros((16, 1 << len(env_modes)), dtype=complex)
+    psi[sub_idx, env_idx] = sign * state.amps
+    rho = psi @ psi.conj().T
+
+    parity = fock._factor_labels((4, 4))[0] % 2
+    rho *= np.equal.outer(parity, parity)
+    rho = 0.5 * (rho + rho.conj().T)
+    tr = np.trace(rho).real
+    if abs(tr - 1.0) > fock.TRACE_TOL:
+        rho /= tr
+    return DensityMatrix(rho, (4, 4))
+
+
+@st.composite
+def _states_and_pairs(draw):
+    """A normalized state on 2-5 orbitals and an ordered orbital pair.  The
+    state is a random (N, 2Sz) sector state, a random state mixing every N,
+    or a state supported on 1-4 random configurations."""
+    norb = draw(st.integers(2, 5))
+    l, lp = draw(st.permutations(range(norb)))[:2]
+    kind = draw(st.sampled_from(["sector", "mixed", "sparse"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    space = FockSpace(norb)
+    amps = rng.normal(size=space.dim) + 1j * rng.normal(size=space.dim)
+    if kind == "sector":
+        n = draw(st.integers(1, 2 * norb - 1))
+        sz2 = draw(st.sampled_from(sorted(set(space.config_sz2()[space.config_n() == n]))))
+        amps = np.where((space.config_n() == n) & (space.config_sz2() == sz2), amps, 0.0)
+    elif kind == "sparse":
+        support = rng.choice(space.dim, size=draw(st.integers(1, 4)), replace=False)
+        amps = np.where(np.isin(space.configs(), support), amps, 0.0)
+    return ManyBodyState(space, amps / np.linalg.norm(amps)), l, lp
+
+
+class TestTwoOrbitalRdmSupport:
+    """``two_orbital_rdm`` visits only the occupied configurations; it must
+    give the full-Fock construction's matrix."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(_states_and_pairs())
+    def test_matches_full_fock_reference(self, case):
+        state, l, lp = case
+        new = two_orbital_rdm(state, l, lp).mat
+        ref = _full_fock_two_orbital_rdm(state, l, lp).mat
+        assert np.max(np.abs(new - ref)) <= 1e-14
+
+    def test_single_configuration(self):
+        sp = FockSpace(4)
+        cfg = (1 << sp.mode(0, 1)) | (1 << sp.mode(2, 0)) | (1 << sp.mode(3, 1))
+        st_ = basis_state(sp, cfg)
+        for l, lp in ((0, 2), (2, 0), (1, 3), (3, 0)):
+            assert np.array_equal(two_orbital_rdm(st_, l, lp).mat,
+                                  _full_fock_two_orbital_rdm(st_, l, lp).mat)
 
 
 class TestDensityMatrix:

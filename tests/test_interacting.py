@@ -194,6 +194,25 @@ class TestBuildHamiltonian:
         with pytest.raises(ValueError):
             sector_basis(2, 3, 3)
 
+    @pytest.mark.parametrize("norb", range(1, 7))
+    def test_sector_basis_matches_fock_mask(self, norb):
+        # the string enumeration must reproduce the 4**norb mask selection,
+        # empty sectors included
+        space = FockSpace(norb)
+        for n_elec in range(2 * norb + 1):
+            for sz2 in [None, *range(-norb - 1, norb + 2)]:
+                mask = space.config_n() == n_elec
+                if sz2 is not None:
+                    mask &= space.config_sz2() == sz2
+                expected = space.configs()[mask]
+                if expected.size == 0:
+                    with pytest.raises(ValueError, match="empty sector"):
+                        sector_basis(norb, n_elec, sz2)
+                    continue
+                basis = sector_basis(norb, n_elec, sz2)
+                assert basis.dtype == expected.dtype
+                assert np.array_equal(basis, expected)
+
     def test_hermiticity_guard(self):
         basis = sector_basis(2, 1, 1)
         bad = sps.csr_matrix(np.array([[0.0, 1.0], [0.0, 0.0]]))
@@ -227,6 +246,18 @@ class TestGroundState:
         assert isinstance(sparse, GroundStateResult)
         assert sparse.energy == pytest.approx(dense.energy, abs=1e-8)
         assert sparse.residual < 1e-9
+
+    @pytest.mark.parametrize("n_sites,n_elec", [(6, 4), (6, 6), (8, 4)])
+    def test_default_cutoff_agrees_with_dense(self, n_sites, n_elec):
+        # sector dimensions 225 (dense by default), 400 and 784 (Lanczos)
+        op = build_hamiltonian(HubbardParams(n_sites, 4.0), n_elec, 0)
+        default, dense = ground_state(op), ground_state(op, dense_cutoff=10**6)
+        assert not dense.degenerate
+        assert default.energy == pytest.approx(dense.energy, abs=1e-12)
+        for lp in range(1, n_sites):
+            got = orbital_pair_entanglement(default.state, 0, lp, ssr="N").value
+            ref = orbital_pair_entanglement(dense.state, 0, lp, ssr="N").value
+            assert got == pytest.approx(ref, abs=1e-12)
 
     def test_lanczos_path_repeats_bit_for_bit(self):
         op = build_hamiltonian(HubbardParams(8, 4.0), 8, 0)
