@@ -581,6 +581,14 @@ def ree_numeric(rho: DensityMatrix, ssr: str = "none", tol: float = 1e-7,
     return result(max_iters, gap, False)
 
 
+class _Polished(Exception):
+    """Ends the weight polish at ``weights``, a point whose atom-set gap is small."""
+
+    def __init__(self, weights):
+        super().__init__()
+        self.weights = weights
+
+
 def _polish_weights(stack, weights, evaluate, n_basis, maxiter, gap):
     """Fully corrective step: re-optimize mixture weights over the atom set.
 
@@ -590,35 +598,37 @@ def _polish_weights(stack, weights, evaluate, n_basis, maxiter, gap):
     gradient is minus the atom scores, one matrix-vector product.
 
     By convexity, the Frank-Wolfe gap over the current atom set bounds what
-    further re-weighting can gain, so SLSQP stops once that bound falls
-    below a hundredth of the outer ``gap``; beyond that the next oracle atom
-    pays more than the polish.
+    further re-weighting can gain, so the polish stops at the first point
+    SLSQP evaluates where that bound is below a hundredth of the outer
+    ``gap``; beyond that the next oracle atom pays more than the polish.
+    The bound reuses the scores the objective already computed, and the
+    stop is an exception out of the objective rather than a callback, which
+    SLSQP only lets stop the run in recent SciPy releases.
     """
     from scipy.optimize import minimize
 
     m = len(stack)
 
     def objective(wv):
-        val, _, scores = evaluate(stack, np.clip(wv, 1e-300, None))
+        wv = np.clip(wv, 1e-300, None)
+        val, _, scores = evaluate(stack, wv)
+        # SLSQP keeps sum(wv) = 1 up to rounding (a linear constraint met at the start)
+        if scores.max() - wv @ scores / wv.sum() <= 0.01 * gap:
+            raise _Polished(wv)
         return val, -scores
-
-    def stop_when_polished(intermediate_result):
-        wv = np.clip(intermediate_result.x, 1e-300, None)
-        wv /= wv.sum()
-        scores = evaluate(stack, wv)[2]
-        if scores.max() - wv @ scores <= 0.01 * gap:
-            raise StopIteration
 
     constraints = [{"type": "eq", "fun": lambda wv: np.sum(wv) - 1.0,
                     "jac": lambda wv: np.ones(m)}]
     bounds = [(1e-12, 1.0)] * n_basis + [(0.0, 1.0)] * (m - n_basis)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
-        result = minimize(objective, weights, jac=True,
-                          method="SLSQP", bounds=bounds, constraints=constraints,
-                          options={"maxiter": maxiter, "ftol": 1e-16},
-                          callback=stop_when_polished)
-    w = np.clip(result.x, 0.0, None)
+        try:
+            x = minimize(objective, weights, jac=True,
+                         method="SLSQP", bounds=bounds, constraints=constraints,
+                         options={"maxiter": maxiter, "ftol": 1e-16}).x
+        except _Polished as stop:
+            x = stop.weights
+    w = np.clip(x, 0.0, None)
     w[:n_basis] = np.maximum(w[:n_basis], 1e-300)
     w /= w.sum()
 

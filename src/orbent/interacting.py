@@ -209,7 +209,11 @@ def ground_state(op: ManyBodyOperator, *, dense_cutoff: int = 300,
     BLAS thread: dense ``eigh`` costs O(dim**3) and is as fast as Lanczos at
     dimension 225-300 (2-5 ms), but at 400 it takes 8-9 ms against 5-7 ms,
     at 784 about 45 ms against 4-8 ms and at 1225 about 180 ms against
-    8-43 ms.  The two ground energies agree to 1e-14 there.
+    8-43 ms.  The two ground energies agree to 1e-14 there.  The crossover
+    was measured on the sparse Hubbard matrices only.  A Lanczos matvec
+    costs O(nnz), so denser Hamiltonians gain less: on the 784-dim N = 4
+    sector of an 8-orbital dense-ERI FCIDUMP, about a quarter of whose
+    entries are nonzero, Lanczos still halves the time dense ``eigh`` takes.
     """
     h = op.matrix
     if op.dim == 1:
