@@ -37,6 +37,7 @@ from .fock import (
     DensityMatrix,
     FockSpace,
     ManyBodyState,
+    SectorState,
     apply_operator_string,
     sector_project,
     two_orbital_rdm,

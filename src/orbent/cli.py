@@ -76,10 +76,8 @@ def cmd_tb(args) -> int:
         record.update(value=_log_base_value(closed.e_nssr, args.log_base),
                       entangled=closed.entangled, method="closed-form")
     else:
-        from .freefermion import two_orbital_state_from_block
-        dm, _ = two_orbital_state_from_block(args.eta, args.eta, closed.w)
-        res = entanglement.pssr_entanglement(dm, tol=args.ree_tol,
-                                             max_iters=args.ree_max_iters)
+        res = tightbinding.pssr_point(args.eta, args.d, args.finite_l, tol=args.ree_tol,
+                                      max_iters=args.ree_max_iters)
         record.update(value=_log_base_value(res.value, args.log_base),
                       method=res.method, gap=res.gap, iterations=res.iterations,
                       converged=res.converged)

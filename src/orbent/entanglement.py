@@ -47,6 +47,8 @@ so the gap is a heuristic bound, not a proven one.
 
 from __future__ import annotations
 
+import functools
+import itertools
 import logging
 import math
 import warnings
@@ -323,6 +325,26 @@ def _bloch_grid(n_theta: int = 12, n_phi: int = 24) -> np.ndarray:
 _BLOCH_GRID = _bloch_grid()
 
 
+@functools.lru_cache(maxsize=None)
+def _superposition_grid(n: int) -> np.ndarray:
+    """Unit vectors over n basis states on a fixed lattice.
+
+    Squared moduli are multiples of 1/4 (of 1/2 above 4 states, which keeps
+    the grid at O(n**2) entries) and relative phases multiples of pi/2; for
+    the 4-dim factor of one spinful orbital that is 332 states.
+    """
+    units = 4 if n <= 4 else 2
+    states = []
+    for picks in itertools.combinations_with_replacement(range(n), units):
+        weight = np.bincount(picks, minlength=n) / units
+        support = np.flatnonzero(weight)
+        for phases in itertools.product(range(4), repeat=support.size - 1):
+            a = np.sqrt(weight).astype(complex)
+            a[support[1:]] *= 1j ** np.array(phases)
+            states.append(a)
+    return np.array(states)
+
+
 def _local_sectors(d: int, ssr_key: str):
     """Basis indices of each local superselection sector of one factor."""
     if ssr_key == "none":
@@ -340,7 +362,12 @@ def _sector_oracle(g, sectors_a, sectors_b, previous=None):
     the top eigenvector of the pair's block, which is exact; a 2-dim factor
     is scanned over a fixed Bloch-sphere grid and the best point refined;
     larger sectors are searched from the Schmidt factors of the top
-    eigenvector, the ``previous`` best product and the local basis states.
+    eigenvector, the ``previous`` best product, the local basis states and
+    the six best points of a fixed superposition grid for a, each scored
+    with the exact best b.  The grid matters when G commutes with total N
+    (``ssr="none"`` on a number-conserving state): alternating updates then
+    keep a and b inside fixed local-N sectors, and every other start is
+    inside one already.
     Returns the value, the factors as full-dimension vectors and the number
     of local searches run.
     """
@@ -371,7 +398,14 @@ def _sector_oracle(g, sectors_a, sectors_b, previous=None):
             else:
                 _, vecs = np.linalg.eigh(block)
                 u, _, _ = np.linalg.svd(vecs[:, -1].reshape(sa, sb))
-                starts = [u[:, 0], *np.eye(sa)]
+                grid = _superposition_grid(sa)
+                scan = np.einsum("ni,ikjl,nj->nkl", grid.conj(), g4, grid)
+                # symmetry-equivalent points share a score, so refine one
+                # point of each of the six best distinct scores
+                score = np.round(np.linalg.eigvalsh(scan)[:, -1], 9)
+                _, first = np.unique(-score, return_index=True)
+                top = first[:6]
+                starts = [u[:, 0], *np.eye(sa), *grid[top]]
                 if previous is not None and np.linalg.norm(previous[0][ia]) > 0:
                     starts.insert(1, previous[0][ia] / np.linalg.norm(previous[0][ia]))
                 val = -np.inf

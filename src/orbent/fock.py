@@ -19,6 +19,7 @@ Conventions, fixed globally and referenced by every sign computation:
 from __future__ import annotations
 
 import logging
+from typing import Union
 
 import numpy as np
 
@@ -103,6 +104,35 @@ class ManyBodyState:
 
     def overlap(self, other: "ManyBodyState") -> complex:
         return complex(np.vdot(self.amps, other.amps))
+
+    def support(self):
+        """Configurations with a nonzero amplitude, and those amplitudes."""
+        idx = np.flatnonzero(self.amps)
+        return idx, self.amps[idx]
+
+
+class SectorState:
+    """Amplitudes over a sorted list of configurations, e.g. one (N, 2Sz) sector.
+
+    Configurations outside ``basis`` carry zero amplitude, so nothing of the
+    Fock dimension is stored.
+    """
+
+    def __init__(self, space: FockSpace, basis: np.ndarray, amps):
+        amps = np.asarray(amps)
+        if amps.shape != basis.shape:
+            raise ValueError(f"amplitude vector must have shape {basis.shape}")
+        self.space = space
+        self.basis = basis
+        self.amps = amps
+
+    @property
+    def norm(self) -> float:
+        return float(np.linalg.norm(self.amps))
+
+    def support(self):
+        """The sector's configurations and their amplitudes."""
+        return self.basis, self.amps
 
 
 def vacuum_state(space: FockSpace) -> ManyBodyState:
@@ -324,7 +354,8 @@ def _factor_labels(dims):
 # two-orbital reduced density matrix
 
 
-def two_orbital_rdm(state: ManyBodyState, l: int, lp: int) -> DensityMatrix:
+def two_orbital_rdm(state: Union[ManyBodyState, SectorState], l: int,
+                    lp: int) -> DensityMatrix:
     """Reduced state of orbitals (l, lp) as a 16 x 16 density matrix.
 
     The two-orbital basis is |alpha>_l (x) |beta>_lp with alpha, beta in
@@ -334,10 +365,11 @@ def two_orbital_rdm(state: ManyBodyState, l: int, lp: int) -> DensityMatrix:
     signs included).  Coherences between even and odd total subsystem
     parity are not fixed by parity-even observables and are set to zero.
 
-    Only the configurations with a nonzero amplitude are visited, and the
-    environment is indexed by the distinct environment strings among them,
-    so the cost scales with the state's support (the sector dimension for
-    an exact-diagonalization eigenstate), not with the Fock dimension.
+    Only the configurations of ``state.support()`` are visited (the sector
+    basis of a :class:`SectorState`, the nonzero amplitudes of a full-Fock
+    state), and the environment is indexed by the distinct environment
+    strings among them, so the cost of a sector state scales with the
+    sector dimension, not with the Fock dimension.
     """
     space = state.space
     if l == lp:
@@ -352,7 +384,7 @@ def two_orbital_rdm(state: ManyBodyState, l: int, lp: int) -> DensityMatrix:
                  space.mode(lp, UP), space.mode(lp, DOWN)]
     sub_mask = sum(1 << p for p in sub_modes)
 
-    idx = np.flatnonzero(state.amps)
+    idx, amps = state.support()
     bits = [(idx >> p) & 1 for p in sub_modes]
 
     # local index alpha = n_up + 2*n_down per orbital, flat = 4*alpha_l + alpha_lp
@@ -371,7 +403,7 @@ def two_orbital_rdm(state: ManyBodyState, l: int, lp: int) -> DensityMatrix:
     sign = 1.0 - 2.0 * (exponent & 1)
 
     psi = np.zeros((16, envs.size), dtype=complex)
-    psi[sub_idx, env_col] = sign * state.amps[idx]
+    psi[sub_idx, env_col] = sign * amps
     rho = psi @ psi.conj().T
 
     parity = _factor_labels((4, 4))[0] % 2

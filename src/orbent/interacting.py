@@ -17,6 +17,12 @@ E_pq = sum_s f+_ps f_qs, grouped by the left index pair:
 Each W_pq is one sparse matrix weighted from the concatenated generator
 triplets, so the two-body part costs one sparse product per pair pq with a
 nonzero integral (at most norb**2), not one per integral (norb**4).
+
+Everything is allocated at the size of the sector, never of the 4**norb Fock
+space: destination configurations are ranked in the sorted sector basis by
+binary search, the ground state is a :class:`~orbent.fock.SectorState` over
+that basis, and the one resource cap bounds the generator entries before the
+basis is enumerated.
 """
 
 from __future__ import annotations
@@ -24,6 +30,7 @@ from __future__ import annotations
 import csv
 import importlib.resources
 import itertools
+import math
 from dataclasses import dataclass
 from typing import Optional, Union
 
@@ -34,10 +41,10 @@ import scipy.sparse.linalg as spsl
 
 from . import entanglement as ent
 from .fcidump import FcidumpData
-from .fock import DOWN, UP, FockSpace, ManyBodyState, popcount, two_orbital_rdm
+from .fock import (DOWN, UP, FockSpace, ManyBodyState, SectorState, popcount,
+                   two_orbital_rdm)
 from .tightbinding import ring_one_body
 
-NORB_CAP = 8
 NNZ_CAP = 4_000_000
 
 
@@ -62,6 +69,18 @@ class HubbardParams:
                            eri=eri)
 
 
+def _up_counts(norb: int, n_elec: int, sz2: Optional[int]) -> list[int]:
+    """Up-spin electron counts of the (N, 2Sz) sector, all of them if sz2 is None."""
+    return [n_up for n_up in range(norb + 1)
+            if 0 <= n_elec - n_up <= norb and sz2 in (None, 2 * n_up - n_elec)]
+
+
+def sector_dim(norb: int, n_elec: int, sz2: Optional[int] = None) -> int:
+    """Number of configurations with the requested (N, 2Sz), from binomials."""
+    return sum(math.comb(norb, n_up) * math.comb(norb, n_elec - n_up)
+               for n_up in _up_counts(norb, n_elec, sz2))
+
+
 def sector_basis(norb: int, n_elec: int, sz2: Optional[int] = None) -> np.ndarray:
     """Sorted configuration integers with the requested (N, 2Sz).
 
@@ -77,8 +96,7 @@ def sector_basis(norb: int, n_elec: int, sz2: Optional[int] = None) -> np.ndarra
                         dtype=np.int64)
 
     blocks = [(strings(UP, n_up)[:, None] | strings(DOWN, n_elec - n_up)[None, :]).ravel()
-              for n_up in range(norb + 1)
-              if 0 <= n_elec - n_up <= norb and sz2 in (None, 2 * n_up - n_elec)]
+              for n_up in _up_counts(norb, n_elec, sz2)]
     if not blocks:
         raise ValueError(f"empty sector N={n_elec}, 2Sz={sz2} for {norb} orbitals")
     return np.sort(np.concatenate(blocks))
@@ -104,16 +122,11 @@ class ManyBodyOperator:
     def dim(self) -> int:
         return self.basis.size
 
-    def embed(self, coeffs: np.ndarray) -> ManyBodyState:
-        """Lift a sector vector to a full Fock-space state."""
-        amps = np.zeros(self.space.dim, dtype=complex)
-        amps[self.basis] = coeffs
-        return ManyBodyState(self.space, amps)
 
-
-def _generator(basis: np.ndarray, lookup: np.ndarray, p: int, q: int):
+def _generator(basis: np.ndarray, p: int, q: int):
     """COO triplets (rows, cols, vals) of the spin-summed generator
-    E_pq = sum_s f+_ps f_qs on the sector basis."""
+    E_pq = sum_s f+_ps f_qs on the sorted sector basis, at most ``basis.size``
+    entries per spin."""
     rows, cols, vals = [], [], []
     for spin in (0, 1):
         mp, mq = 2 * p + spin, 2 * q + spin
@@ -130,26 +143,23 @@ def _generator(basis: np.ndarray, lookup: np.ndarray, p: int, q: int):
         sign = 1 - 2 * ((popcount(src & ((np.int64(1) << mq) - 1))
                          + popcount(inter & ((np.int64(1) << mp) - 1))) & 1)
         dst = inter | (np.int64(1) << mp)
-        rows.append(lookup[dst])
+        rows.append(np.searchsorted(basis, dst))
         cols.append(np.nonzero(movable)[0])
         vals.append(sign.astype(float))
     return np.concatenate(rows), np.concatenate(cols), np.concatenate(vals)
 
 
 def build_hamiltonian(source: Union[FcidumpData, HubbardParams], n_elec: int,
-                      sz2: int = 0, *, norb_cap: int = NORB_CAP,
-                      nnz_cap: int = NNZ_CAP) -> ManyBodyOperator:
-    """Sector-restricted sparse Hamiltonian from integrals or Hubbard parameters."""
+                      sz2: int = 0, *, nnz_cap: int = NNZ_CAP) -> ManyBodyOperator:
+    """Sector-restricted sparse Hamiltonian from integrals or Hubbard parameters.
+
+    ``nnz_cap`` bounds the memory: before the sector basis is enumerated,
+    the generator entries the assembly may hold (2 * dim per touched E_pq,
+    plus the identity) must fit under it, and so must the nonzeros of the
+    assembled matrix as it grows.  Either excess raises ``ValueError``.
+    """
     data = source.integrals() if isinstance(source, HubbardParams) else source
     norb = data.norb
-    if norb > norb_cap:
-        raise ValueError(
-            f"{norb} orbitals exceed the exact-diagonalization cap of {norb_cap}")
-    basis = sector_basis(norb, n_elec, sz2)
-    space = FockSpace(norb)
-    lookup = np.full(space.dim, -1, dtype=np.int64)
-    lookup[basis] = np.arange(basis.size)
-    dim = basis.size
 
     # flat pair index k = p*norb + q; row k of eri2 holds (pq|rs) over rs.
     # Only the generators some integral touches are built.
@@ -158,7 +168,13 @@ def build_hamiltonian(source: Union[FcidumpData, HubbardParams], n_elec: int,
     touched = np.abs(eri2) > 1e-14
     keys = np.nonzero((np.abs(one_body) > 1e-14) | touched.any(axis=0)
                       | touched.any(axis=1))[0]
-    gens = [_generator(basis, lookup, *divmod(int(k), norb)) for k in keys]
+    dim = sector_dim(norb, n_elec, sz2)
+    bound = (2 * keys.size + 1) * dim
+    if bound > nnz_cap:
+        raise ValueError(f"sector of dimension {dim} may hold {bound} generator "
+                         f"entries, over the {nnz_cap} nonzero cap")
+    basis = sector_basis(norb, n_elec, sz2)
+    gens = [_generator(basis, *divmod(int(k), norb)) for k in keys]
     # the identity, last, carries the core energy
     gens.append((np.arange(dim), np.arange(dim), np.ones(dim)))
 
@@ -184,13 +200,13 @@ def build_hamiltonian(source: Union[FcidumpData, HubbardParams], n_elec: int,
         if ham.nnz > nnz_cap:
             raise ValueError(f"sector Hamiltonian exceeds the {nnz_cap} nonzero cap")
     ham.eliminate_zeros()
-    return ManyBodyOperator(ham, basis, space, n_elec, sz2, core=data.core)
+    return ManyBodyOperator(ham, basis, FockSpace(norb), n_elec, sz2, core=data.core)
 
 
 @dataclass
 class GroundStateResult:
     energy: float
-    state: ManyBodyState
+    state: SectorState
     degenerate: bool
     gap: float
     residual: float
@@ -203,7 +219,8 @@ def ground_state(op: ManyBodyOperator, *, dense_cutoff: int = 300,
     Dense diagonalization up to ``dense_cutoff``, implicitly restarted
     Lanczos from a fixed-seed start vector above it (residual pushed below
     ``residual_tol``).  A spectral gap under 1e-9 flags a degenerate ground
-    level; the returned state is then just one ground vector.
+    level; the returned state is then just one ground vector.  The state is
+    the sector vector over ``op.basis``, never lifted to the Fock space.
 
     The default cutoff is the measured crossover on Hubbard rings with one
     BLAS thread: dense ``eigh`` costs O(dim**3) and is as fast as Lanczos at
@@ -217,10 +234,8 @@ def ground_state(op: ManyBodyOperator, *, dense_cutoff: int = 300,
     """
     h = op.matrix
     if op.dim == 1:
-        vec = np.ones(1)
-        energy = float(h[0, 0].real)
-        return GroundStateResult(energy, op.embed(vec), False, np.inf, 0.0)
-    if op.dim <= dense_cutoff:
+        energy, vec, gap = float(h[0, 0].real), np.ones(1), np.inf
+    elif op.dim <= dense_cutoff:
         evals, evecs = sla.eigh(h.toarray(), subset_by_index=[0, 1])
         energy, vec = float(evals[0]), evecs[:, 0]
         gap = float(evals[1] - evals[0])
@@ -236,10 +251,11 @@ def ground_state(op: ManyBodyOperator, *, dense_cutoff: int = 300,
     residual = float(np.linalg.norm(h @ vec - energy * vec))
     if residual > residual_tol:
         raise RuntimeError(f"eigensolver residual {residual:.2e} above {residual_tol}")
-    return GroundStateResult(energy, op.embed(vec), bool(gap < 1e-9), gap, residual)
+    return GroundStateResult(energy, SectorState(op.space, op.basis, vec),
+                             bool(gap < 1e-9), gap, residual)
 
 
-def orbital_pair_entanglement(state: ManyBodyState, l: int, lp: int,
+def orbital_pair_entanglement(state: Union[SectorState, ManyBodyState], l: int, lp: int,
                               ssr: str = "N", **solver_kwargs) -> ent.EntanglementResult:
     """Accessible entanglement between two orbitals of a many-body state.
 
@@ -301,16 +317,17 @@ def reference_lookup(n_elec: int, r_sep: float, d: int) -> ReferenceTableEntry:
 
 
 def compare_with_reference(data: FcidumpData, n_elec: int, r_sep: float,
-                           *, norb_cap: int = NORB_CAP,
                            **solver_kwargs) -> dict:
     """Optional harness: solve user-supplied integrals and report deviations
     from the bundled table in both logarithm conventions, without asserting.
 
-    The ground-state solve honors the exact-diagonalization cap, so the
-    full 16-orbital comparison needs ``norb_cap`` raised explicitly and a
-    machine sized for it.
+    The ground-state solve honors the nonzero cap of
+    :func:`build_hamiltonian`.  With dense 16-orbital integrals the N = 2
+    and 30 sectors (256 configurations) fit under it; N = 4 (14 400
+    configurations, 7.4M generator entries) and every larger sector are
+    refused before anything of the sector's size is allocated.
     """
-    op = build_hamiltonian(data, n_elec, n_elec % 2, norb_cap=norb_cap)
+    op = build_hamiltonian(data, n_elec, n_elec % 2)
     gs = ground_state(op)
     report = {"n_elec": n_elec, "r_sep": r_sep, "energy": gs.energy,
               "degenerate": gs.degenerate, "rows": []}

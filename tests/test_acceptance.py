@@ -294,7 +294,7 @@ def test_criterion_11_reference_table_and_parser():
         h16 = read_fcidump(h16_path)
         n_elec = int(os.environ.get("ORBENT_H16_NELEC", h16.nelec))
         r_sep = float(os.environ.get("ORBENT_H16_R", "1"))
-        rep = compare_with_reference(h16, n_elec, r_sep, norb_cap=16)
+        rep = compare_with_reference(h16, n_elec, r_sep)
         print(f"H16 comparison report (no assertions): {rep}")
         detail += "; H16 report emitted"
     else:

@@ -248,11 +248,24 @@ class TestEd:
         assert code == 2
         assert "cannot read" in err
 
-    def test_norb_cap_exit_2(self, capsys):
-        code, _, err = run_cli(capsys, "ed", "--hubbard", "9,1", "--nelec", "2",
+    def test_nnz_cap_exit_2(self, capsys):
+        code, _, err = run_cli(capsys, "ed", "--hubbard", "16,4", "--nelec", "8",
                                "--orbitals", "0,1")
         assert code == 2
         assert "cap" in err
+
+    @pytest.mark.parametrize("n_elec,dim", [(2, 256), (4, 14400)])
+    def test_sixteen_site_ring(self, capsys, n_elec, dim):
+        code, out, _ = run_cli(capsys, "ed", "--hubbard", "16,4", "--nelec", str(n_elec),
+                               "--all-pairs", "--ssr", "p")
+        assert code == 0
+        records = [json.loads(line) for line in out.splitlines()]
+        assert len(records) == 15 and {r["sector_dim"] for r in records} == {dim}
+        assert all(r["converged"] for r in records)
+        if n_elec == 2:
+            # dilute filling: entanglement grows with separation up to d = 8
+            values = [r["value"] for r in records[:8]]
+            assert values == sorted(values)
 
     def test_mutually_exclusive_sources(self, capsys):
         code, _, _ = run_cli(capsys, "ed", "--orbitals", "0,1")

@@ -1,3 +1,4 @@
+import tracemalloc
 from functools import lru_cache
 
 import numpy as np
@@ -186,9 +187,16 @@ class TestBuildHamiltonian:
         gs = ground_state(build_hamiltonian(shifted, 2, 0))
         assert gs.energy == pytest.approx(2.0, abs=1e-10)
 
-    def test_norb_cap(self):
-        with pytest.raises(ValueError):
-            build_hamiltonian(HubbardParams(9, 1.0), 2, 0)
+    def test_nnz_cap_refuses_before_allocating_the_sector(self):
+        # Hubbard 16, N = 8: 3.3M configurations, refused from binomials alone
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="nonzero cap"):
+                build_hamiltonian(HubbardParams(16, 4.0), 8, 0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 50e6
 
     def test_empty_sector_rejected(self):
         with pytest.raises(ValueError):
@@ -268,7 +276,7 @@ class TestGroundState:
 
 
 class TestPairEntanglement:
-    @pytest.mark.parametrize("n_sites,n_elec", [(4, 2), (4, 6), (6, 2), (6, 6)])
+    @pytest.mark.parametrize("n_sites,n_elec", [(4, 2), (4, 6), (6, 2), (6, 6), (16, 2)])
     def test_free_ring_matches_tight_binding(self, n_sites, n_elec):
         op = build_hamiltonian(HubbardParams(n_sites, 0.0), n_elec, 0)
         gs = ground_state(op)
