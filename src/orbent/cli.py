@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import sys
 
@@ -79,8 +80,8 @@ def cmd_tb(args) -> int:
         res = tightbinding.pssr_point(args.eta, args.d, args.finite_l, tol=args.ree_tol,
                                       max_iters=args.ree_max_iters)
         record.update(value=_log_base_value(res.value, args.log_base),
-                      method=res.method, gap=res.gap, iterations=res.iterations,
-                      converged=res.converged)
+                      method=res.method, gap=_log_base_value(res.gap, args.log_base),
+                      iterations=res.iterations, converged=res.converged)
         if not res.converged:
             _emit_json(record)
             print("error: minimization did not certify the requested gap",
@@ -261,8 +262,8 @@ def cmd_ed(args) -> int:
                       value=_log_base_value(res.value, args.log_base),
                       method=res.method)
         if ssr == "P":
-            record.update(gap=res.gap, iterations=res.iterations,
-                          converged=res.converged)
+            record.update(gap=_log_base_value(res.gap, args.log_base),
+                          iterations=res.iterations, converged=res.converged)
             failed |= not res.converged
         lines.append(json.dumps(record, sort_keys=True))
     text = "\n".join(lines)
@@ -283,13 +284,17 @@ def cmd_ed(args) -> int:
 
 def _add_ree_flags(parser):
     parser.add_argument("--ree-tol", type=float, default=1e-7,
-                        help="duality-gap tolerance of the minimization")
+                        help="duality-gap tolerance of the minimization, in nats "
+                             "whatever --log-base is")
     parser.add_argument("--ree-max-iters", type=int, default=5000,
                         help="iteration cap of the minimization (Frank-Wolfe "
                              "steps, or bisection steps on the exact route)")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built once per process: every call of :func:`main`
+    parses into a fresh ``Namespace``, and nothing mutates the parser."""
     parser = argparse.ArgumentParser(
         prog="orbent",
         description="Superselection-constrained entanglement between localized "
@@ -350,9 +355,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return exc.code if exc.code is not None else 0
     return args.func(args)

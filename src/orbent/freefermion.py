@@ -126,6 +126,29 @@ def _two_mode_gaussian(occ_l: float, occ_lp: float, coh: complex) -> np.ndarray:
     return rho
 
 
+# per-spin pair occupations (n_l, n_lp) encoded as 2*n_l + n_lp, mapped to the
+# |00>, |10>, |01>, |11> ordering of _two_mode_gaussian
+_PAIR_INDEX = np.array([0, 2, 1, 3])
+
+
+def _graded_tables():
+    """Gather tables of the graded product in the site-major basis.
+
+    Basis index 4 * (n_l_up + 2 n_l_dn) + (n_lp_up + 2 n_lp_dn) reads its
+    up- and down-spin factors from rows _PAIR_INDEX[2 n_l + n_lp] of
+    _two_mode_gaussian and carries the regrouping sign (-1)^(n_lp_up * n_l_dn).
+    Returns the two ``np.ix_`` gathers and the 16 x 16 table of sign products.
+    """
+    n = (np.arange(16)[:, None] >> np.array([2, 3, 0, 1])) & 1
+    up = _PAIR_INDEX[2 * n[:, 0] + n[:, 2]]
+    down = _PAIR_INDEX[2 * n[:, 1] + n[:, 3]]
+    sign = np.where(n[:, 2] & n[:, 1], -1.0, 1.0)
+    return np.ix_(up, up), np.ix_(down, down), np.multiply.outer(sign, sign)
+
+
+_UP, _DOWN, _SIGNS = _graded_tables()
+
+
 def two_orbital_state_from_block(occ_l: float, occ_lp: float, coh: complex,
                                  decompose: bool = True):
     """Two-orbital reduced state of a spin-symmetric Slater determinant.
@@ -141,28 +164,16 @@ def two_orbital_state_from_block(occ_l: float, occ_lp: float, coh: complex,
     exchange symmetry, i.e. occ_l != occ_lp or complex coh).
     """
     rho_spin = _two_mode_gaussian(occ_l, occ_lp, coh)
-    rho = np.zeros((16, 16), dtype=complex)
-    for x in range(16):
-        n = [(x >> k) & 1 for k in (3, 2, 1, 0)]  # n_l_up, n_l_dn, n_lp_up, n_lp_dn
-        xu, xd = 2 * n[0] + n[2], 2 * n[1] + n[3]  # per-spin (n_l, n_lp) as basis index
-        sx = -1.0 if n[2] & n[1] else 1.0
-        xi = 4 * (n[0] + 2 * n[1]) + (n[2] + 2 * n[3])
-        for y in range(16):
-            m = [(y >> k) & 1 for k in (3, 2, 1, 0)]
-            yu, yd = 2 * m[0] + m[2], 2 * m[1] + m[3]
-            sy = -1.0 if m[2] & m[1] else 1.0
-            yi = 4 * (m[0] + 2 * m[1]) + (m[2] + 2 * m[3])
-            rho[xi, yi] = sx * sy * rho_spin[_PAIR_INDEX[xu], _PAIR_INDEX[yu]] \
-                * rho_spin[_PAIR_INDEX[xd], _PAIR_INDEX[yd]]
+    left, right = _SIGNS * rho_spin[_UP], rho_spin[_DOWN]
+    # the complex product in real arithmetic: numpy's SIMD complex multiply
+    # may fuse it into FMAs, which round differently from one entry at a time
+    rho = np.empty((16, 16), dtype=complex)
+    rho.real = left.real * right.real - left.imag * right.imag
+    rho.imag = left.real * right.imag + left.imag * right.real
     dm = DensityMatrix(rho, (4, 4))
     if not decompose:
         return dm, None
     return dm, decompose_symmetric(dm, tol=1e-8)
-
-
-# per-spin pair occupations (n_l, n_lp) encoded as 2*n_l + n_lp, mapped to the
-# |00>, |10>, |01>, |11> ordering of _two_mode_gaussian
-_PAIR_INDEX = np.array([0, 2, 1, 3])
 
 
 def wick_two_orbital_rdm(gamma, l: int, lp: int, gamma_down=None,

@@ -23,6 +23,12 @@ space: destination configurations are ranked in the sorted sector basis by
 binary search, the ground state is a :class:`~orbent.fock.SectorState` over
 that basis, and the one resource cap bounds the generator entries before the
 basis is enumerated.
+
+scipy is imported inside the two functions that use it: ``scipy.sparse`` in
+:func:`build_hamiltonian`, ``scipy.linalg`` and ``scipy.sparse.linalg`` in
+:func:`ground_state`.  Importing this module, and so ``orbent`` and
+``orbent.cli``, loads no scipy; only the ``ed`` path pays for it, on its
+first call.
 """
 
 from __future__ import annotations
@@ -32,18 +38,18 @@ import importlib.resources
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import TYPE_CHECKING, Optional, Union
 
 import numpy as np
-import scipy.linalg as sla
-import scipy.sparse as sps
-import scipy.sparse.linalg as spsl
 
 from . import entanglement as ent
 from .fcidump import FcidumpData
 from .fock import (DOWN, UP, FockSpace, ManyBodyState, SectorState, popcount,
                    two_orbital_rdm)
 from .tightbinding import ring_one_body
+
+if TYPE_CHECKING:
+    import scipy.sparse as sps
 
 NNZ_CAP = 4_000_000
 
@@ -158,6 +164,8 @@ def build_hamiltonian(source: Union[FcidumpData, HubbardParams], n_elec: int,
     plus the identity) must fit under it, and so must the nonzeros of the
     assembled matrix as it grows.  Either excess raises ``ValueError``.
     """
+    import scipy.sparse as sps
+
     data = source.integrals() if isinstance(source, HubbardParams) else source
     norb = data.norb
 
@@ -232,6 +240,9 @@ def ground_state(op: ManyBodyOperator, *, dense_cutoff: int = 300,
     sector of an 8-orbital dense-ERI FCIDUMP, about a quarter of whose
     entries are nonzero, Lanczos still halves the time dense ``eigh`` takes.
     """
+    import scipy.linalg as sla
+    import scipy.sparse.linalg as spsl
+
     h = op.matrix
     if op.dim == 1:
         energy, vec, gap = float(h[0, 0].real), np.ones(1), np.inf

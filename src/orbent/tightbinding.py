@@ -223,7 +223,7 @@ def pssr_point(eta: float, d: int, n_sites: Optional[int] = None, **solver_kwarg
         w = w_kernel(d, eta)
     else:
         w = w_kernel_finite(d, round(2 * n_sites * eta), n_sites)
-    dm, _ = two_orbital_state_from_block(eta, eta, w)
+    dm, _ = two_orbital_state_from_block(eta, eta, w, decompose=False)
     return pssr_entanglement(dm, **solver_kwargs)
 
 

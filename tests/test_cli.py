@@ -62,6 +62,16 @@ class TestTb:
         code, _, _ = run_cli(capsys, "tb", "--eta", "1.5", "--d", "1")
         assert code == 2
 
+    def test_pssr_gap_follows_log_base(self, capsys):
+        argv = ("tb", "--eta", "0.05", "--d", "5", "--ssr", "p")
+        _, out_e, _ = run_cli(capsys, *argv)
+        _, out_2, _ = run_cli(capsys, *argv, "--log-base", "2")
+        nats, bits = json.loads(out_e), json.loads(out_2)
+        assert nats["gap"] > 0
+        assert bits["gap"] == nats["gap"] / np.log(2)
+        assert bits["value"] == nats["value"] / np.log(2)
+        assert bits["converged"] is nats["converged"] is True
+
     def test_determinism(self, capsys):
         _, first, _ = run_cli(capsys, "tb", "--eta", "0.2", "--d", "1", "--ssr", "p")
         _, second, _ = run_cli(capsys, "tb", "--eta", "0.2", "--d", "1", "--ssr", "p")
@@ -281,6 +291,18 @@ class TestEd:
         assert record["converged"] is True
         assert record["iterations"] > 0
 
+    def test_pssr_gap_follows_log_base(self, capsys):
+        # the exact route's gaps are round-off sized, and some are exactly 0
+        argv = ("ed", "--hubbard", "6,4", "--nelec", "4", "--all-pairs", "--ssr", "p")
+        _, out_e, _ = run_cli(capsys, *argv)
+        _, out_2, _ = run_cli(capsys, *argv, "--log-base", "2")
+        nats = [json.loads(line) for line in out_e.splitlines()]
+        bits = [json.loads(line) for line in out_2.splitlines()]
+        assert any(rec["gap"] > 0 for rec in nats)
+        for n_rec, b_rec in zip(nats, bits):
+            assert b_rec["gap"] == n_rec["gap"] / np.log(2)
+            assert b_rec["value"] == n_rec["value"] / np.log(2)
+
     def test_nonconvergence_exit_3(self, capsys):
         code, _, err = run_cli(capsys, "ed", "--hubbard", "4,2", "--nelec", "2",
                                "--orbitals", "0,1", "--ssr", "p",
@@ -306,3 +328,35 @@ def test_import_leaves_scipy_optimize_unloaded():
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     probe = "import sys, orbent.cli; sys.exit('scipy.optimize' in sys.modules)"
     assert subprocess.run([sys.executable, "-c", probe], env=env).returncode == 0
+
+
+def test_closed_form_and_swap_commands_load_no_scipy():
+    """Only ``ed`` needs scipy; the other commands run without importing it."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(orbent.__file__)))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    probe = ("import io, sys, contextlib, orbent.cli\n"
+             "with contextlib.redirect_stdout(io.StringIO()):\n"
+             "    codes = [orbent.cli.main(['tb', '--eta', '0.3', '--d', '2', '--ssr', 'p']),\n"
+             "             orbent.cli.main(['swap-demo'])]\n"
+             "print(codes, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    run = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                         text=True)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.strip() == "[0, 0] []"
+
+
+def test_parser_reuse_keeps_output(capsys):
+    """One parser serves every in-process call; a usage error or another
+    command between two identical calls leaves their output unchanged."""
+    argv = ("tb", "--eta", "0.3", "--d", "2", "--ssr", "p")
+    code, first, _ = run_cli(capsys, *argv)
+    assert code == 0
+    code, _, err = run_cli(capsys, "tb", "--eta", "0.3")
+    assert code == 2 and "--d" in err
+    code, out, _ = run_cli(capsys, "ed", "--hubbard", "4,2", "--nelec", "2",
+                           "--all-pairs")
+    assert code == 0 and len(out.splitlines()) == 3
+    code, second, _ = run_cli(capsys, *argv)
+    assert code == 0
+    assert second == first

@@ -1,9 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from orbent.entanglement import nssr_entanglement, von_neumann_entropy
-from orbent.fock import two_orbital_rdm
+from orbent.fock import DensityMatrix, two_orbital_rdm
 from orbent.freefermion import (
+    _PAIR_INDEX,
+    _two_mode_gaussian,
     DegenerateFermiLevel,
     diagonalize_one_body,
     peschel_block_entropy,
@@ -209,3 +213,39 @@ class TestWickTwoOrbital:
             assert sec is None
             brute = two_orbital_rdm(state, l, lp)
             assert np.max(np.abs(brute.mat - wick.mat)) < 1e-10
+
+
+def _graded_product_by_entry(occ_l, occ_lp, coh):
+    """The two-orbital state by definition, one entry at a time: the graded
+    product of the two spin-channel Gaussian states, each basis ket regrouped
+    from mode order (l up, lp up, l down, lp down) to site-major order with
+    the sign (-1)^(n_lp_up * n_l_down)."""
+    rho_spin = _two_mode_gaussian(occ_l, occ_lp, coh)
+    rho = np.zeros((16, 16), dtype=complex)
+    for x in range(16):
+        n = [(x >> k) & 1 for k in (3, 2, 1, 0)]  # n_l_up, n_l_dn, n_lp_up, n_lp_dn
+        xu, xd = 2 * n[0] + n[2], 2 * n[1] + n[3]
+        sx = -1.0 if n[2] & n[1] else 1.0
+        xi = 4 * (n[0] + 2 * n[1]) + (n[2] + 2 * n[3])
+        for y in range(16):
+            m = [(y >> k) & 1 for k in (3, 2, 1, 0)]
+            yu, yd = 2 * m[0] + m[2], 2 * m[1] + m[3]
+            sy = -1.0 if m[2] & m[1] else 1.0
+            yi = 4 * (m[0] + 2 * m[1]) + (m[2] + 2 * m[3])
+            rho[xi, yi] = sx * sy * rho_spin[_PAIR_INDEX[xu], _PAIR_INDEX[yu]] \
+                * rho_spin[_PAIR_INDEX[xd], _PAIR_INDEX[yd]]
+    return DensityMatrix(rho, (4, 4)).mat
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.floats(0.0, 1.0), st.floats(0.0, 1.0), st.floats(-0.999, 0.999),
+       st.one_of(st.none(), st.floats(0.0, 2 * np.pi)))
+def test_block_state_equals_entrywise_definition(occ_l, occ_lp, scale, phase):
+    # |coh| inside both the particle and the hole bound keeps the per-spin
+    # correlation block between 0 and 1, so the state is valid; no phase
+    # means a real coherence
+    coh = scale * np.sqrt(min(occ_l * occ_lp, (1 - occ_l) * (1 - occ_lp)))
+    if phase is not None:
+        coh = coh * np.exp(1j * phase)
+    dm, _ = two_orbital_state_from_block(occ_l, occ_lp, coh, decompose=False)
+    assert np.array_equal(dm.mat, _graded_product_by_entry(occ_l, occ_lp, coh))
