@@ -6,29 +6,45 @@ values.
 The many-body Hamiltonian in chemist notation reads
 
     H = sum_{pq,s} h_pq f+_ps f_qs
-      + 1/2 sum_{pqrs,ss'} (pq|rs) f+_ps f+_rs' f_ss' f_qs  + core,
+      + 1/2 sum_{pqrs,ss'} (pq|rs) f+_ps f+_rs' f_ss' f_qs  + core
+      = sum_pq h'_pq E_pq + 1/2 sum_{pq,rs} (pq|rs) E_pq E_rs + core,
 
-assembled on one (N, 2Sz) sector from the spin-summed one-body generators
-E_pq = sum_s f+_ps f_qs, grouped by the left index pair:
+with E_pq = e^up_pq + e^down_pq, e^s_pq = f+_ps f_qs and
+h'_ps = h_ps - 1/2 sum_q (pq|qs).  It is assembled on one (N, 2Sz) sector
+from the up and down occupation strings of that sector (Knowles & Handy,
+CPL 111, 315 (1984); Olsen et al., JCP 89, 2185 (1988)).  In the up-major
+product basis |a>|b>, all up creators before all down ones, each e^s_pq
+acts on its own spin's string alone, so with k = pq, l = rs and
+v_kl = (pq|rs):
 
-    H = sum_pq h'_pq E_pq + 1/2 sum_pq E_pq W_pq + core,
-    W_pq = sum_rs (pq|rs) E_rs,    h'_ps = h_ps - 1/2 sum_q (pq|qs).
+    H = (h^up + g^up + core) (x) I + I (x) (h^down + g^down)
+        + sum_kl 1/2 (v + v^T)_kl e^up_k (x) e^down_l,
+    h^s = sum_k h'_k e^s_k,    g^s = 1/2 sum_kl v_kl e^s_k e^s_l.
 
-Each W_pq is one sparse matrix weighted from the concatenated generator
-triplets, so the two-body part costs one sparse product per pair pq with a
-nonzero integral (at most norb**2), not one per integral (norb**4).
+The string generators e^s_k have one entry per string they move, ranked
+through a 2**norb lookup table.  h^s + g^s is one stacked sparse product
+per spin, and the whole of H is one product over the string pairs
+(a'a) and (b'b) that those factors connect (:func:`_assemble`).  The
+interleaved configurations of :mod:`orbent.fock` order the same creators
+site by site, so
 
-Everything is allocated at the size of the sector, never of the 4**norb Fock
-space: destination configurations are ranked in the sorted sector basis by
-binary search, the ground state is a :class:`~orbent.fock.SectorState` over
-that basis, and the one resource cap bounds the generator entries before the
-basis is enumerated.
+    |interleave(a, b)> = S(a, b) |a>|b>,
+    S(a, b) = (-1)^#{(j, i): a down electron at site j, an up electron at i > j},
 
-scipy is imported inside the two functions that use it: ``scipy.sparse`` in
-:func:`build_hamiltonian`, ``scipy.linalg`` and ``scipy.sparse.linalg`` in
-:func:`ground_state`.  Importing this module, and so ``orbent`` and
-``orbent.cli``, loads no scipy; only the ``ed`` path pays for it, on its
-first call.
+and the matrix is conjugated by S and permuted into the sorted sector
+basis, then converted to CSR once.
+
+Everything is allocated at the size of the sector or of its strings, never
+of the 4**norb Fock space: the ground state is a
+:class:`~orbent.fock.SectorState` over the sorted basis, and the one
+resource cap bounds the nonzeros from the strings before anything of the
+sector's size is allocated.
+
+scipy is imported inside the functions that use it: ``scipy.sparse`` in
+:func:`build_hamiltonian` and its helpers, ``scipy.linalg`` and
+``scipy.sparse.linalg`` in :func:`ground_state`.  Importing this module,
+and so ``orbent`` and ``orbent.cli``, loads no scipy; only the ``ed`` path
+pays for it, on its first call.
 """
 
 from __future__ import annotations
@@ -36,7 +52,6 @@ from __future__ import annotations
 import csv
 import importlib.resources
 import itertools
-import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Optional, Union
 
@@ -81,10 +96,32 @@ def _up_counts(norb: int, n_elec: int, sz2: Optional[int]) -> list[int]:
             if 0 <= n_elec - n_up <= norb and sz2 in (None, 2 * n_up - n_elec)]
 
 
-def sector_dim(norb: int, n_elec: int, sz2: Optional[int] = None) -> int:
-    """Number of configurations with the requested (N, 2Sz), from binomials."""
-    return sum(math.comb(norb, n_up) * math.comb(norb, n_elec - n_up)
-               for n_up in _up_counts(norb, n_elec, sz2))
+def _strings(norb: int, k: int) -> np.ndarray:
+    """Occupation strings of one spin with k of norb sites filled (bit i for
+    site i), in the order of ``itertools.combinations``."""
+    return np.array([sum(1 << site for site in occ)
+                     for occ in itertools.combinations(range(norb), k)], dtype=np.int64)
+
+
+def _sector_strings(norb: int, n_elec: int, sz2: Optional[int]) -> list:
+    """(up strings, down strings) of every up-spin count of the (N, 2Sz) sector."""
+    blocks = [(_strings(norb, n_up), _strings(norb, n_elec - n_up))
+              for n_up in _up_counts(norb, n_elec, sz2)]
+    if not blocks:
+        raise ValueError(f"empty sector N={n_elec}, 2Sz={sz2} for {norb} orbitals")
+    return blocks
+
+
+def _interleave(space: FockSpace, up: np.ndarray, down: np.ndarray) -> np.ndarray:
+    """Configurations of every (up, down) string pair, up-major: entry
+    i * down.size + j interleaves up[i] with down[j]."""
+    def modes(strings, spin):
+        out = np.zeros_like(strings)
+        for site in range(space.n_spatial):
+            out |= ((strings >> site) & 1) << space.mode(site, spin)
+        return out
+
+    return (modes(up, UP)[:, None] | modes(down, DOWN)[None, :]).ravel()
 
 
 def sector_basis(norb: int, n_elec: int, sz2: Optional[int] = None) -> np.ndarray:
@@ -95,17 +132,8 @@ def sector_basis(norb: int, n_elec: int, sz2: Optional[int] = None) -> np.ndarra
     is the sector's size, not the Fock dimension.
     """
     space = FockSpace(norb)
-
-    def strings(spin, k):
-        return np.array([sum(1 << space.mode(site, spin) for site in occ)
-                         for occ in itertools.combinations(range(norb), k)],
-                        dtype=np.int64)
-
-    blocks = [(strings(UP, n_up)[:, None] | strings(DOWN, n_elec - n_up)[None, :]).ravel()
-              for n_up in _up_counts(norb, n_elec, sz2)]
-    if not blocks:
-        raise ValueError(f"empty sector N={n_elec}, 2Sz={sz2} for {norb} orbitals")
-    return np.sort(np.concatenate(blocks))
+    return np.sort(np.concatenate([_interleave(space, up, down) for up, down
+                                   in _sector_strings(norb, n_elec, sz2)]))
 
 
 class ManyBodyOperator:
@@ -129,45 +157,44 @@ class ManyBodyOperator:
         return self.basis.size
 
 
-def _generator(basis: np.ndarray, p: int, q: int):
-    """COO triplets (rows, cols, vals) of the spin-summed generator
-    E_pq = sum_s f+_ps f_qs on the sorted sector basis, at most ``basis.size``
-    entries per spin."""
-    rows, cols, vals = [], [], []
-    for spin in (0, 1):
-        mp, mq = 2 * p + spin, 2 * q + spin
-        if mp == mq:
-            occ = ((basis >> mp) & 1) == 1
-            idx = np.nonzero(occ)[0]
-            rows.append(idx)
-            cols.append(idx)
-            vals.append(np.ones(idx.size))
-            continue
-        movable = (((basis >> mq) & 1) == 1) & (((basis >> mp) & 1) == 0)
-        src = basis[movable]
-        inter = src & ~(np.int64(1) << mq)
-        sign = 1 - 2 * ((popcount(src & ((np.int64(1) << mq) - 1))
-                         + popcount(inter & ((np.int64(1) << mp) - 1))) & 1)
-        dst = inter | (np.int64(1) << mp)
-        rows.append(np.searchsorted(basis, dst))
-        cols.append(np.nonzero(movable)[0])
-        vals.append(sign.astype(float))
-    return np.concatenate(rows), np.concatenate(cols), np.concatenate(vals)
+def _string_generators(strings: np.ndarray, keys: np.ndarray, norb: int):
+    """Entries (key, dst, src, sign) of the one-spin generators
+    e_pq = f+_p f_q, p * norb + q = keys[key], on the strings of one spin:
+    one per string each generator moves.  Destinations are ranked through a
+    2**norb lookup table."""
+    rank = np.zeros(1 << norb, dtype=np.int32)
+    rank[strings] = np.arange(strings.size, dtype=np.int32)
+    p, q = np.divmod(keys, norb)
+    occupied = ((strings[None, :] >> q[:, None]) & 1) == 1
+    free = (((strings[None, :] >> p[:, None]) & 1) == 0) | (p == q)[:, None]
+    key, src = np.nonzero(occupied & free)
+    a, p, q = strings[src], p[key], q[key]
+    moved = a & ~(1 << q)
+    parity = popcount(a & ((1 << q) - 1)) + popcount(moved & ((1 << p) - 1))
+    return key, rank[moved | (1 << p)], src.astype(np.int32), 1.0 - 2.0 * (parity & 1)
 
 
 def build_hamiltonian(source: Union[FcidumpData, HubbardParams], n_elec: int,
                       sz2: int = 0, *, nnz_cap: int = NNZ_CAP) -> ManyBodyOperator:
     """Sector-restricted sparse Hamiltonian from integrals or Hubbard parameters.
 
-    ``nnz_cap`` bounds the memory: before the sector basis is enumerated,
-    the generator entries the assembly may hold (2 * dim per touched E_pq,
-    plus the identity) must fit under it, and so must the nonzeros of the
-    assembled matrix as it grows.  Either excess raises ``ValueError``.
+    ``nnz_cap`` bounds the memory.  Let P_s be the union pattern of the
+    spin-s string generators plus the diagonal, and n_s the number of spin-s
+    strings.  H lies inside P_up (x) P_down, except for the same-spin double
+    excitations, which lie in P_s @ P_s; so
+
+        nnz(P_up) nnz(P_down) + (nnz(P_up @ P_up) - nnz(P_up)) n_down
+                              + (nnz(P_down @ P_down) - nnz(P_down)) n_up
+
+    bounds its nonzeros.  The bound is computed from the strings and must
+    fit under the cap before anything of the sector's size is allocated;
+    the assembled matrix must fit too.  Either excess raises ``ValueError``.
     """
     import scipy.sparse as sps
 
     data = source.integrals() if isinstance(source, HubbardParams) else source
     norb = data.norb
+    space = FockSpace(norb)
 
     # flat pair index k = p*norb + q; row k of eri2 holds (pq|rs) over rs.
     # Only the generators some integral touches are built.
@@ -176,39 +203,117 @@ def build_hamiltonian(source: Union[FcidumpData, HubbardParams], n_elec: int,
     touched = np.abs(eri2) > 1e-14
     keys = np.nonzero((np.abs(one_body) > 1e-14) | touched.any(axis=0)
                       | touched.any(axis=1))[0]
-    dim = sector_dim(norb, n_elec, sz2)
-    bound = (2 * keys.size + 1) * dim
+    if sz2 is None:
+        raise ValueError("build_hamiltonian needs one 2Sz sector, got sz2=None")
+    (up, down), = _sector_strings(norb, n_elec, sz2)
+    n_up, n_down = up.size, down.size
+    gens_up, gens_down = (_string_generators(s, keys, norb) for s in (up, down))
+
+    def pattern_nnz(n, gens):
+        rows, cols = (np.append(x, np.arange(n)) for x in gens[1:3])
+        pattern = sps.csr_matrix((np.ones(rows.size), (rows, cols)), shape=(n, n))
+        return pattern.nnz, (pattern @ pattern).nnz
+
+    (p_up, pp_up), (p_down, pp_down) = pattern_nnz(n_up, gens_up), pattern_nnz(n_down, gens_down)
+    dim = n_up * n_down
+    bound = p_up * p_down + (pp_up - p_up) * n_down + (pp_down - p_down) * n_up
     if bound > nnz_cap:
-        raise ValueError(f"sector of dimension {dim} may hold {bound} generator "
-                         f"entries, over the {nnz_cap} nonzero cap")
-    basis = sector_basis(norb, n_elec, sz2)
-    gens = [_generator(basis, *divmod(int(k), norb)) for k in keys]
-    # the identity, last, carries the core energy
-    gens.append((np.arange(dim), np.arange(dim), np.ones(dim)))
+        raise ValueError(f"sector of dimension {dim} may hold {bound} nonzeros, "
+                         f"over the {nnz_cap} nonzero cap")
 
-    # The concatenated triplets of all generators fix one sparsity pattern.
-    # Column j of ``scatter`` sums generator j onto its slots, so any weighted
-    # sum of generators is the CSR matrix with data ``scatter @ weights``.
-    rows, cols, vals = (np.concatenate(x) for x in zip(*gens))
-    slots, slot_of = np.unique(rows * dim + cols, return_inverse=True)
-    owner = np.repeat(np.arange(len(gens)), [g[0].size for g in gens])
-    scatter = sps.csr_matrix((vals, (slot_of, owner)), shape=(slots.size, len(gens)))
-    indices, indptr = slots % dim, np.searchsorted(slots // dim, np.arange(dim + 1))
-
-    def combine(weights):
-        return sps.csr_matrix((scatter @ weights, indices, indptr), shape=(dim, dim))
-
-    ham = combine(np.append(one_body[keys], data.core))
-    for j in np.nonzero(touched.any(axis=1)[keys])[0]:
-        r, c, v = gens[j]
-        half_e_pq = sps.csr_matrix((0.5 * v, (r, c)), shape=(dim, dim))
-        prod = half_e_pq @ combine(np.append(eri2[keys[j], keys], 0.0))
-        prod.sort_indices()  # canonical operands make the sum a linear merge
-        ham = ham + prod
-        if ham.nnz > nnz_cap:
-            raise ValueError(f"sector Hamiltonian exceeds the {nnz_cap} nonzero cap")
+    configs = _interleave(space, up, down)
+    order = np.argsort(configs)
+    rank = np.empty(dim, dtype=np.int32)
+    rank[order] = np.arange(dim, dtype=np.int32)
+    ham = _assemble(rank.reshape(n_up, n_down), _interleave_sign(up, down, norb),
+                    gens_up, gens_down, one_body[keys], eri2[np.ix_(keys, keys)], data.core)
     ham.eliminate_zeros()
-    return ManyBodyOperator(ham, basis, FockSpace(norb), n_elec, sz2, core=data.core)
+    if ham.nnz > nnz_cap:
+        raise ValueError(f"sector Hamiltonian exceeds the {nnz_cap} nonzero cap")
+    return ManyBodyOperator(ham, configs[order], space, n_elec, sz2, core=data.core)
+
+
+def _interleave_sign(up: np.ndarray, down: np.ndarray, norb: int) -> np.ndarray:
+    """S(a, b) with |interleave(a, b)> = S(a, b) |a>|b>, as an (n_up, n_down)
+    array: (-1)^(pairs of a down electron at site j and an up electron at
+    site i > j)."""
+    above = np.zeros_like(up)  # bit j set if an odd number of up electrons sit above j
+    for site in range(norb):
+        above |= (popcount(up >> (site + 1)) & 1) << site
+    return 1.0 - 2.0 * (popcount(above[:, None] & down[None, :]) & 1)
+
+
+def _spin_factor(n: int, gens, one_body: np.ndarray, v: np.ndarray):
+    """One spin's factor of H over the string pairs (a', a) it connects.
+
+    Columns 0..m-1 hold the generators e_k, column m holds
+    h^s + g^s = sum_k h'_k e_k + 1/2 sum_kl v_kl e_k e_l and column m + 1
+    the identity.  g^s is the one stacked product [e_1 | ... | e_m] @ w,
+    where w stacks the W_k = sum_l v_kl e_l, which live on the generators'
+    pairs.  Returns the factor and the pairs' a' and a.
+    """
+    import scipy.sparse as sps
+
+    key, dst, src, sign = gens
+    m = v.shape[0]
+    pairs, row = np.unique(dst * n + src, return_inverse=True)
+    to, frm = np.divmod(pairs, n)
+    gen = sps.csr_matrix((sign, (row, key)), shape=(pairs.size, m))
+    w = sps.csr_matrix(((gen @ v.T).T.ravel(),
+                        ((np.arange(m)[:, None] * n + to).ravel(), np.tile(frm, m))),
+                       shape=(m * n, n))
+    stacked = sps.csr_matrix((sign, (dst, key * n + src)), shape=(n, m * n))
+    f = (sps.csr_matrix((gen @ one_body, (to, frm)), shape=(n, n))
+         + 0.5 * (stacked @ w)).tocoo()
+
+    diag = np.arange(n)
+    union, where = np.unique(np.concatenate([pairs, f.row * n + f.col, diag * (n + 1)]),
+                             return_inverse=True)
+    gen = gen.tocoo()
+    rows = np.concatenate([where[gen.row], where[pairs.size:]])
+    cols = np.concatenate([gen.col, np.full(f.nnz, m), np.full(n, m + 1)])
+    vals = np.concatenate([gen.data, f.data, np.ones(n)])
+    factor = sps.csr_matrix((vals, (rows, cols)), shape=(union.size, m + 2))
+    return factor, *(x.astype(np.int32) for x in np.divmod(union, n))
+
+
+def _assemble(rank: np.ndarray, sign: np.ndarray, gens_up, gens_down,
+              one_body: np.ndarray, v: np.ndarray, core: float):
+    """H in CSR over the sorted sector basis, from the string generators.
+
+    With F_s the spin factors of :func:`_spin_factor`, H = F_up M F_down^T
+    over the string pairs ((a'a), (b'b)).  M couples e^up_k to e^down_l
+    through u = (v + v^T)/2, h^up + g^up to the identity, the identity to
+    h^down + g^down, and the identity to itself through the core energy:
+
+        H = (h^up + g^up + core) (x) I + I (x) (h^down + g^down)
+            + sum_kl u_kl e^up_k (x) e^down_l.
+
+    Each ((a'a), (b'b)) entry is the one entry ((a'b'), (ab)) of H, so the
+    product holds no duplicates.  ``rank[a, b]`` places (a, b) in the sorted
+    basis and ``sign[a, b]`` is its interleaving sign.  Kept apart from
+    :func:`build_hamiltonian` so that its nonzero-sized temporaries are
+    freed before the Hermiticity check allocates its own.
+    """
+    import scipy.sparse as sps
+
+    n_up, n_down = rank.shape
+    (f_up, to_up, from_up), (f_down, to_down, from_down) = (
+        _spin_factor(n, gens, one_body, v) for n, gens in ((n_up, gens_up), (n_down, gens_down)))
+    middle = sps.block_diag((0.5 * (v + v.T), [[0.0, 1.0], [1.0, core]]), format="csr")
+    pairs = f_up @ middle @ f_down.T
+
+    # up-major Kronecker indices a' n_down + b' (to) and a n_down + b (frm)
+    per_row = np.diff(pairs.indptr)
+    to = np.repeat(to_up * n_down, per_row)
+    to += np.take(to_down, pairs.indices)
+    frm = np.repeat(from_up * n_down, per_row)
+    frm += np.take(from_down, pairs.indices)
+    vals = pairs.data
+    vals *= np.take(sign, to)
+    vals *= np.take(sign, frm)
+    return sps.csr_matrix((vals, (np.take(rank, to), np.take(rank, frm))),
+                          shape=(rank.size,) * 2)
 
 
 @dataclass
@@ -334,9 +439,10 @@ def compare_with_reference(data: FcidumpData, n_elec: int, r_sep: float,
 
     The ground-state solve honors the nonzero cap of
     :func:`build_hamiltonian`.  With dense 16-orbital integrals the N = 2
-    and 30 sectors (256 configurations) fit under it; N = 4 (14 400
-    configurations, 7.4M generator entries) and every larger sector are
-    refused before anything of the sector's size is allocated.
+    and 30 sectors (256 configurations, 65 536 nonzeros) fit under it;
+    N = 4 and 28 (14 400 configurations, a bound of 14.7M nonzeros) and
+    every sector between them are refused before anything of the sector's
+    size is allocated.
     """
     op = build_hamiltonian(data, n_elec, n_elec % 2)
     gs = ground_state(op)

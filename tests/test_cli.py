@@ -360,3 +360,21 @@ def test_parser_reuse_keeps_output(capsys):
     code, second, _ = run_cli(capsys, *argv)
     assert code == 0
     assert second == first
+
+
+@pytest.mark.parametrize("module", ["orbent", "orbent.cli"])
+def test_module_entry_runs_the_command_line(capsys, module):
+    """``python -m orbent`` and ``python -m orbent.cli`` print what ``main``
+    prints and exit with its code, a usage error included."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(orbent.__file__)))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    argv = ["tb", "--eta", "0.3", "--d", "2", "--ssr", "p"]
+    run = subprocess.run([sys.executable, "-m", module, *argv], env=env,
+                         capture_output=True, text=True)
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0 and json.loads(out)["method"] == "x-state"
+    assert run.returncode == 0 and run.stdout == out
+    run = subprocess.run([sys.executable, "-m", module, "tb", "--eta", "0.3"], env=env,
+                         capture_output=True, text=True)
+    assert run.returncode == 2 and "--d" in run.stderr

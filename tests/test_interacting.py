@@ -11,7 +11,7 @@ from scipy.stats import spearmanr
 
 from orbent.entanglement import SymmetryViolation
 from orbent.fcidump import FcidumpData, FcidumpError, parse_fcidump, serialize_fcidump
-from orbent.fock import FockSpace, apply_operator_string, basis_state
+from orbent.fock import FockSpace, apply_operator_string, basis_state, popcount
 from orbent.freefermion import diagonalize_one_body
 from orbent.interacting import (
     NNZ_CAP,
@@ -139,6 +139,83 @@ def _integrals(draw):
     return data, n_elec, sz2
 
 
+def _grouped_reference(data, n_elec, sz2):
+    """Sector Hamiltonian from the grouped assembly
+    H = sum_pq h'_pq E_pq + 1/2 sum_pq E_pq W_pq + core, one sparse product
+    and one merge per generator pair pq with a nonzero integral row, each
+    spin-summed E_pq ranked in the sorted sector basis by binary search:
+    the assembly that preceded the alpha/beta string factorization."""
+    norb = data.norb
+    basis = sector_basis(norb, n_elec, sz2)
+    dim = basis.size
+
+    def generator(p, q):
+        rows, cols, vals = [], [], []
+        for spin in (0, 1):
+            mp, mq = 2 * p + spin, 2 * q + spin
+            if mp == mq:
+                idx = np.nonzero(((basis >> mp) & 1) == 1)[0]
+                rows.append(idx)
+                cols.append(idx)
+                vals.append(np.ones(idx.size))
+                continue
+            movable = (((basis >> mq) & 1) == 1) & (((basis >> mp) & 1) == 0)
+            src = basis[movable]
+            inter = src & ~(np.int64(1) << mq)
+            sign = 1 - 2 * ((popcount(src & ((np.int64(1) << mq) - 1))
+                             + popcount(inter & ((np.int64(1) << mp) - 1))) & 1)
+            rows.append(np.searchsorted(basis, inter | (np.int64(1) << mp)))
+            cols.append(np.nonzero(movable)[0])
+            vals.append(sign.astype(float))
+        return np.concatenate(rows), np.concatenate(cols), np.concatenate(vals)
+
+    one_body = (data.h - 0.5 * np.einsum("pqqs->ps", data.eri)).ravel()
+    eri2 = data.eri.reshape(norb * norb, norb * norb)
+    touched = np.abs(eri2) > 1e-14
+    keys = np.nonzero((np.abs(one_body) > 1e-14) | touched.any(axis=0)
+                      | touched.any(axis=1))[0]
+    gens = [generator(*divmod(int(k), norb)) for k in keys]
+    gens.append((np.arange(dim), np.arange(dim), np.ones(dim)))
+    # column j of scatter sums generator j onto the slots of the union pattern
+    rows, cols, vals = (np.concatenate(x) for x in zip(*gens))
+    slots, slot_of = np.unique(rows * dim + cols, return_inverse=True)
+    owner = np.repeat(np.arange(len(gens)), [g[0].size for g in gens])
+    scatter = sps.csr_matrix((vals, (slot_of, owner)), shape=(slots.size, len(gens)))
+    indices, indptr = slots % dim, np.searchsorted(slots // dim, np.arange(dim + 1))
+
+    def combine(weights):
+        return sps.csr_matrix((scatter @ weights, indices, indptr), shape=(dim, dim))
+
+    ham = combine(np.append(one_body[keys], data.core))
+    for j in np.nonzero(touched.any(axis=1)[keys])[0]:
+        r, c, v = gens[j]
+        half_e_pq = sps.csr_matrix((0.5 * v, (r, c)), shape=(dim, dim))
+        prod = half_e_pq @ combine(np.append(eri2[keys[j], keys], 0.0))
+        prod.sort_indices()
+        ham = ham + prod
+    ham.eliminate_zeros()
+    return ham
+
+
+def _dense_integrals(norb, seed):
+    """Random real-orbital integrals with the 8-fold symmetry, every ERI nonzero."""
+    rng = np.random.default_rng(seed)
+    h = rng.normal(size=(norb, norb))
+    return FcidumpData(norb=norb, nelec=norb // 2, ms2=0, h=h + h.T,
+                       eri=_eightfold(rng.normal(size=(norb,) * 4)), core=-0.7)
+
+
+@st.composite
+def _hubbard_sectors(draw):
+    """Hubbard rings of up to 8 sites with one of their (N, 2Sz) sectors."""
+    n_sites = draw(st.integers(2, 8))
+    n_elec = draw(st.integers(1, 2 * n_sites - 1))
+    top = min(n_elec, 2 * n_sites - n_elec)
+    sz2 = draw(st.sampled_from(range(-top, top + 1, 2)))
+    u = draw(st.floats(0.0, 8.0, allow_nan=False))
+    return HubbardParams(n_sites, u), n_elec, sz2
+
+
 class TestBuildHamiltonian:
     @settings(max_examples=40, deadline=None)
     @given(_integrals())
@@ -150,6 +227,67 @@ class TestBuildHamiltonian:
                + data.core * np.eye(one.shape[-1]))
         built = build_hamiltonian(data, n_elec, sz2).matrix.toarray()
         assert np.max(np.abs(built - ref)) < 1e-12
+
+    @pytest.mark.parametrize("n_elec,sz2", [(2, 0), (3, 1), (3, -1), (4, 0)])
+    def test_matches_grouped_reference_dense(self, n_elec, sz2):
+        data = _dense_integrals(8, seed=5)
+        built = build_hamiltonian(data, n_elec, sz2).matrix
+        ref = _grouped_reference(data, n_elec, sz2)
+        assert abs(built - ref).max() < 1e-12
+        assert built.nnz == ref.nnz
+
+    def test_matches_grouped_reference_hubbard(self):
+        source = HubbardParams(8, 4.0)
+        built = build_hamiltonian(source, 8, 0).matrix
+        ref = _grouped_reference(source.integrals(), 8, 0)
+        assert built.shape == (4900, 4900)
+        assert abs(built - ref).max() < 1e-12
+        assert built.nnz == ref.nnz
+
+    @staticmethod
+    def _assert_bound_covers_nnz(source, n_elec, sz2):
+        # the pre-assembly check refuses every cap below the assembled nnz
+        nnz = build_hamiltonian(source, n_elec, sz2).matrix.nnz
+        with pytest.raises(ValueError, match="may hold"):
+            build_hamiltonian(source, n_elec, sz2, nnz_cap=nnz - 1)
+
+    @settings(max_examples=30, deadline=None)
+    @given(_integrals())
+    def test_cap_bound_covers_nnz_random(self, case):
+        self._assert_bound_covers_nnz(*case)
+
+    @pytest.mark.parametrize("norb,n_elec,sz2", _SECTORS)
+    def test_cap_bound_covers_nnz_dense(self, norb, n_elec, sz2):
+        # every integral nonzero, so same-spin double excitations are present
+        self._assert_bound_covers_nnz(_dense_integrals(norb, seed=norb), n_elec, sz2)
+
+    @settings(max_examples=30, deadline=None)
+    @given(_hubbard_sectors())
+    def test_cap_bound_covers_nnz_hubbard(self, case):
+        self._assert_bound_covers_nnz(*case)
+
+    def test_cap_admits_the_documented_sectors(self):
+        # Hubbard 16 at N = 2 and 4, and the dense 8-orbital N = 8 sector
+        # (1 768 900 nonzeros, all its bound allows), fit under the default cap
+        for n_elec, dim in ((2, 256), (4, 14400)):
+            assert build_hamiltonian(HubbardParams(16, 4.0), n_elec, 0).dim == dim
+        op = build_hamiltonian(_dense_integrals(8, seed=5), 8, 0)
+        assert (op.dim, op.matrix.nnz) == (4900, 1768900)
+
+    def test_dense_assembly_peak_memory(self):
+        # the 784-dim N = 4 sector of a dense 8-orbital set holds 156 016
+        # nonzeros (1.9 MB in CSR); assembly and the Hermiticity check stay
+        # under 12 MB of Python-visible allocations
+        data = _dense_integrals(8, seed=11)
+        build_hamiltonian(data, 2, 0)  # first call: lazy imports and caches
+        tracemalloc.start()
+        try:
+            op = build_hamiltonian(data, 4, 0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert op.matrix.nnz == 156016
+        assert peak < 12e6
 
     def test_nnz_cap(self):
         with pytest.raises(ValueError, match="nonzero cap"):
@@ -201,6 +339,10 @@ class TestBuildHamiltonian:
     def test_empty_sector_rejected(self):
         with pytest.raises(ValueError):
             sector_basis(2, 3, 3)
+        with pytest.raises(ValueError, match="empty sector"):
+            build_hamiltonian(HubbardParams(4, 1.0), 4, 1)
+        with pytest.raises(ValueError, match="one 2Sz sector"):
+            build_hamiltonian(HubbardParams(4, 1.0), 2, None)
 
     @pytest.mark.parametrize("norb", range(1, 7))
     def test_sector_basis_matches_fock_mask(self, norb):
