@@ -44,9 +44,8 @@ print("\nparity vs number superselection, N = 2, U = 8, farthest pair:")
 gs = ground_state(build_hamiltonian(HubbardParams(L, 8.0), 2, 0))
 res_n = orbital_pair_entanglement(gs.state, 0, 3, ssr="N")
 res_p = orbital_pair_entanglement(gs.state, 0, 3, ssr="P")
-print(f"  E_N = {res_n.value:.8f} (closed form)")
-print(f"  E_P = {res_p.value:.8f} ({res_p.method} minimization, "
-      f"gap {res_p.gap:.1e})")
+for name, res in (("E_N", res_n), ("E_P", res_p)):
+    print(f"  {name} = {res.value:.8f} ({res.method} minimization, gap {res.gap:.1e})")
 
 print("\nthe same model travels as FCIDUMP text:")
 text = serialize_fcidump(HubbardParams(3, 4.0).integrals())

@@ -35,7 +35,7 @@ print(f"\ndilute limit, d=1: log-log slope {slope:.4f} (expect 2), "
 print("\nparity vs number superselection near half filling (d = 1):")
 for eta in (0.3, 0.5):
     res = tb_entanglement(TbQuery(eta=eta, d=1))
-    dm, _ = two_orbital_state_from_block(eta, eta, w_kernel(1, eta))
+    dm = two_orbital_state_from_block(eta, eta, w_kernel(1, eta))
     e_p = pssr_entanglement(dm).value
     print(f"  eta={eta}: E_N = {res.e_nssr:.6f}   E_P = {e_p:.6f} "
           f"(parity keeps more)")

@@ -4,13 +4,14 @@ Superselection rules forbid local observables that mix sectors of local
 fermion parity (P) or particle number (N); only the entanglement surviving
 the corresponding pinching channels can be extracted and used.  This package
 builds the pinched two-orbital states of free and interacting electron
-systems and quantifies their entanglement, in closed form where the sector
-structure allows and by convex minimization otherwise.  The P-SSR value of
-a state that commutes with total N and Sz and has equal diagonals on its two
-coherent pairs is exact, from two two-qubit X-state problems, with a proven
-gap; every other state goes to a Frank-Wolfe minimization whose duality gap
-is exact only when its product-state oracle finds the global maximum, so it
-is a heuristic bound.
+systems and quantifies their entanglement, in closed form for tight-binding
+states and by convex minimization otherwise.  The N-SSR and P-SSR values of
+a state that commutes with total N and Sz and has equal diagonals on its
+coherent pairs take one exact route, from two-qubit X-state problems (one
+after the number pinch, two after the parity pinch), with a proven gap;
+every other state goes to a Frank-Wolfe minimization whose duality gap is
+exact only when its product-state oracle finds the global maximum, so it is
+a heuristic bound.
 """
 
 from .channels import (
@@ -22,11 +23,8 @@ from .channels import (
 )
 from .entanglement import (
     EntanglementResult,
-    SymmetricTwoOrbitalState,
-    SymmetryViolation,
-    decompose_symmetric,
-    entanglement_criterion,
     nssr_entanglement,
+    nssr_entanglement_dm,
     pssr_entanglement,
     ree_numeric,
     relative_entropy,

@@ -239,12 +239,11 @@ def cmd_ed(args) -> int:
             print("error: --orbitals expects 'i,j' (0-based)", file=sys.stderr)
             return USAGE_ERROR
 
-    ssr = args.ssr.upper()
-    kwargs = {"tol": args.ree_tol, "max_iters": args.ree_max_iters} if ssr == "P" else {}
     try:
-        results = [interacting.orbital_pair_entanglement(gs.state, l, lp, ssr=ssr, **kwargs)
-                   for l, lp in pairs]
-    except (ValueError, entanglement.SymmetryViolation) as exc:
+        results = [interacting.orbital_pair_entanglement(
+            gs.state, l, lp, ssr=args.ssr, tol=args.ree_tol, max_iters=args.ree_max_iters)
+            for l, lp in pairs]
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
 
@@ -260,11 +259,9 @@ def cmd_ed(args) -> int:
                       residual=gs.residual, l=l, lp=lp, d=d,
                       ssr=args.ssr, log_base=args.log_base,
                       value=_log_base_value(res.value, args.log_base),
-                      method=res.method)
-        if ssr == "P":
-            record.update(gap=_log_base_value(res.gap, args.log_base),
-                          iterations=res.iterations, converged=res.converged)
-            failed |= not res.converged
+                      method=res.method, gap=_log_base_value(res.gap, args.log_base),
+                      iterations=res.iterations, converged=res.converged)
+        failed |= not res.converged
         lines.append(json.dumps(record, sort_keys=True))
     text = "\n".join(lines)
     if args.out:

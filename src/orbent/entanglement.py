@@ -1,22 +1,22 @@
 """Entanglement quantifiers for two-orbital reduced states.
 
-Closed-form pieces: von Neumann and relative entropy, the symmetric-sector
-decomposition of a two-orbital state, the number-superselected entanglement
-formula in terms of the sector parameters (r, t), and the associated exact
-entanglement criterion.  Natural logarithm throughout; convert to bits by
-dividing by ln 2.
+Closed-form pieces: von Neumann and relative entropy, and the
+number-superselected entanglement formula in terms of the sector
+parameters (r, t) of a symmetric state, which the tight-binding results use.
+Natural logarithm throughout; convert to bits by dividing by ln 2.
 
-Parity-superselected entanglement of a two-orbital state that commutes with
-total N and 2Sz: after the parity pinch only two coherences survive,
-|0,updown> <-> |updown,0> ("ee") and |up,down> <-> |down,up> ("oo").  Each
-group is a two-qubit X state, for which separable <=> PPT (Peres 1996;
-Horodecki 1996), so the separable set is |c|^2 <= a d on each group and
-the problem splits into two scalar root problems from the KKT conditions
-(``pssr_entanglement``).  The returned gap is the Frank-Wolfe gap at the
-returned sigma with the linear maximization over separable X states done
-exactly (closed form), so it is a proven bound.  States whose coherent
-groups have unequal diagonals, and every other input, go to the numerical
-solver.
+Superselected entanglement of a two-orbital state that commutes with total
+N and 2Sz, one route for both rules: after the parity pinch only two
+coherences survive, |0,updown> <-> |updown,0> ("ee") and |up,down> <->
+|down,up> ("oo"), and the number pinch also removes the "ee" one.  Each
+coherent group is a two-qubit X state, for which separable <=> PPT (Peres
+1996; Horodecki 1996), so the separable set is |c|^2 <= a d on each group
+and the problem splits into scalar root problems from the KKT conditions
+(``pssr_entanglement``, ``nssr_entanglement_dm``).  The returned gap is the
+Frank-Wolfe gap at the returned sigma with the linear maximization over
+separable X states done exactly (closed form), so it is a proven bound.
+States whose coherent groups have unequal diagonals, and every other input,
+go to the numerical solver.
 
 Numerical piece: a relative-entropy-of-entanglement solver that minimizes
 S(rho || sigma) over the separable set by Frank-Wolfe iteration.  sigma is
@@ -106,119 +106,16 @@ def relative_entropy(rho, sigma, *, kernel_tol: float = _KERNEL_TOL) -> float:
 
 
 # ---------------------------------------------------------------------------
-# symmetric two-orbital sector decomposition
-
-# two-orbital basis |alpha>_A |beta>_B, alpha = n_up + 2 n_down, flat = 4a + b
-_PSI_PLUS = np.zeros(16)
-_PSI_PLUS[[4 * 1 + 2, 4 * 2 + 1]] = 1 / np.sqrt(2)
-_PSI_MINUS = np.zeros(16)
-_PSI_MINUS[4 * 1 + 2], _PSI_MINUS[4 * 2 + 1] = 1 / np.sqrt(2), -1 / np.sqrt(2)
-_PHI_PLUS = np.zeros(16)
-_PHI_PLUS[[4 * 0 + 3, 4 * 3 + 0]] = 1 / np.sqrt(2)
-_PHI_MINUS = np.zeros(16)
-_PHI_MINUS[4 * 0 + 3], _PHI_MINUS[4 * 3 + 0] = 1 / np.sqrt(2), -1 / np.sqrt(2)
-
-
-def reflection_operator() -> np.ndarray:
-    """Fermionic exchange of the two orbitals, |a,b> -> (-1)^(N_a N_b) |b,a>."""
-    r = np.zeros((16, 16))
-    for a in range(4):
-        for b in range(4):
-            sign = -1.0 if (_LOCAL_N[4][a] * _LOCAL_N[4][b]) % 2 else 1.0
-            r[4 * b + a, 4 * a + b] = sign
-    return r
-
-
-_REFLECTION = reflection_operator()
-
-
-class SymmetryViolation(ValueError):
-    """The state breaks a symmetry the closed sector formulas require."""
-
-
-@dataclass
-class SymmetricTwoOrbitalState:
-    """Sector data of a two-orbital state with number, Sz and A<->B symmetry.
-
-    ``sector_weights[na, nb]`` is the weight on local particle numbers
-    (na, nb); q/p are the weights on the four symmetry-compatible entangled
-    pure states.  ``t = max(q_pm)`` and ``r = w11 - t`` feed the closed
-    entanglement formula.
-    """
-
-    q_plus: float
-    q_minus: float
-    p_plus: float
-    p_minus: float
-    sector_weights: np.ndarray
-
-    def __post_init__(self):
-        vals = [self.q_plus, self.q_minus, self.p_plus, self.p_minus,
-                *np.ravel(self.sector_weights)]
-        if min(vals) < -1e-10:
-            raise ValueError(f"negative sector weight {min(vals):.2e}")
-        self.q_plus = max(self.q_plus, 0.0)
-        self.q_minus = max(self.q_minus, 0.0)
-        self.p_plus = max(self.p_plus, 0.0)
-        self.p_minus = max(self.p_minus, 0.0)
-        self.sector_weights = np.clip(self.sector_weights, 0.0, None)
-        total = float(np.sum(self.sector_weights))
-        if abs(total - 1.0) > 1e-10:
-            raise ValueError(f"sector weights must sum to 1, got {total!r}")
-        if self.q_plus + self.q_minus > self.w11 + 1e-10:
-            raise ValueError("q weights exceed the (1,1) sector weight")
-
-    @property
-    def w11(self) -> float:
-        return float(self.sector_weights[1, 1])
-
-    @property
-    def t(self) -> float:
-        return max(self.q_plus, self.q_minus)
-
-    @property
-    def r(self) -> float:
-        return max(self.w11 - self.t, 0.0)
-
-
-def decompose_symmetric(rho: DensityMatrix, tol: float = 1e-8) -> SymmetricTwoOrbitalState:
-    """Extract (q_pm, p_pm, sector weights, r, t) from a symmetric state.
-
-    Raises :class:`SymmetryViolation` when rho fails to commute with total
-    particle number, total Sz, or the orbital exchange, since the closed
-    formulas are silently wrong on symmetry-broken states.
-    """
-    if rho.dims != (4, 4):
-        raise ValueError(f"expected a two-orbital state with dims (4, 4), got {rho.dims}")
-    mat = rho.mat
-    n_tot, sz2_tot = _factor_labels((4, 4))
-    for name, labels in (("particle number", n_tot), ("magnetization", sz2_tot)):
-        mask = ~np.equal.outer(labels, labels)
-        dev = float(np.max(np.abs(mat * mask))) if mask.any() else 0.0
-        if dev > tol:
-            raise SymmetryViolation(f"state breaks {name} symmetry (coherence {dev:.2e})")
-    dev = float(np.max(np.abs(_REFLECTION @ mat @ _REFLECTION - mat)))
-    if dev > tol:
-        raise SymmetryViolation(f"state breaks orbital exchange symmetry (deviation {dev:.2e})")
-
-    weights = np.zeros((3, 3))
-    local_n = _LOCAL_N[4]
-    diag = np.diag(mat).real
-    for a in range(4):
-        for b in range(4):
-            weights[local_n[a], local_n[b]] += diag[4 * a + b]
-    return SymmetricTwoOrbitalState(
-        q_plus=float((_PSI_PLUS @ mat @ _PSI_PLUS).real),
-        q_minus=float((_PSI_MINUS @ mat @ _PSI_MINUS).real),
-        p_plus=float((_PHI_PLUS @ mat @ _PHI_PLUS).real),
-        p_minus=float((_PHI_MINUS @ mat @ _PHI_MINUS).real),
-        sector_weights=weights,
-    )
+# closed-form number-superselected entanglement
 
 
 def nssr_entanglement(r: float, t: float) -> float:
-    """Closed-form number-superselected entanglement from the sector data.
+    """Closed-form number-superselected entanglement from the sector parameters.
 
+    t is the larger weight on (|up,down> +- |down,up>)/sqrt2 and r the rest
+    of the weight with one electron on each orbital.  The formula is exact
+    for states with number, Sz and orbital exchange symmetry and equal
+    weights on |up,up> and |down,down>, such as the tight-binding ones.
     Equals r ln(2r/(r+t)) + t ln(2t/(r+t)) when r < t and zero otherwise;
     the 0 ln 0 = 0 limits are honored (r = 0 gives t ln 2).
     """
@@ -231,11 +128,6 @@ def nssr_entanglement(r: float, t: float) -> float:
     if r > 0.0:
         value += r * np.log(2.0 * r / s)
     return float(max(value, 0.0))
-
-
-def entanglement_criterion(state: SymmetricTwoOrbitalState) -> bool:
-    """Exact criterion: entangled iff the (1,1) weight is below twice max q."""
-    return state.w11 < 2.0 * state.t
 
 
 # ---------------------------------------------------------------------------
@@ -428,6 +320,19 @@ _SPIN_FLIP_4 = np.array([
     [0, 1, 0, 0],
     [0, 0, 0, -1],
 ], dtype=float)
+
+
+def reflection_operator() -> np.ndarray:
+    """Fermionic exchange of the two orbitals, |a,b> -> (-1)^(N_a N_b) |b,a>."""
+    r = np.zeros((16, 16))
+    for a in range(4):
+        for b in range(4):
+            sign = -1.0 if (_LOCAL_N[4][a] * _LOCAL_N[4][b]) % 2 else 1.0
+            r[4 * b + a, 4 * a + b] = sign
+    return r
+
+
+_REFLECTION = reflection_operator()
 
 
 def _commutes(mat, labels) -> bool:
@@ -677,12 +582,13 @@ def _polish_weights(stack, weights, evaluate, n_basis, maxiter, gap):
 
 
 # ---------------------------------------------------------------------------
-# exact parity-superselected REE of N- and Sz-symmetric two-orbital states
+# exact superselected REE of N- and Sz-symmetric two-orbital states
 
 # basis indices (corner, middle, middle, corner) of the two coherent groups
 # that the parity pinch leaves in an N- and Sz-symmetric two-orbital state:
 # local qubits {0, updown} x {0, updown} ("ee") and {up, down} x {up, down}
-# ("oo"); the coherence joins the two middle states
+# ("oo"); the coherence joins the two middle states.  The number pinch also
+# removes the "ee" coherence, which joins different local particle numbers.
 _X_GROUPS = (("ee", (0, 3, 12, 15)), ("oo", (5, 6, 9, 10)))
 
 
@@ -771,31 +677,33 @@ def _x_state_ree(r00, r11, p_plus, p_minus, max_iters):
     return value, sigma_w, max(gap, 0.0), iterations
 
 
-def _pssr_x_state(work: DensityMatrix, tol: float, max_iters: int):
-    """Exact REE of a parity-pinched two-orbital state, or None where it does not apply.
+def _x_state_entanglement(work: DensityMatrix, ssr: str, tol: float, max_iters: int):
+    """Exact REE of a pinched two-orbital state, or None where it does not apply.
 
-    It applies when ``work`` commutes with total N and 2Sz (the test of
-    ``_detect_symmetries``) and each coherent group has equal middle
-    diagonals to 1e-12 (they are averaged).  The separable set then splits
-    into the two groups, the optimal sigma gives each group rho's weight
+    ``work`` is rho after the local pinch of ``ssr`` ("P" or "N").  The
+    route applies when ``work`` commutes with total N and 2Sz (the test of
+    ``_detect_symmetries``) and each of its coherent groups has equal
+    middle diagonals to 1e-12 (they are averaged).  The separable set then
+    splits into the groups, the optimal sigma gives each group rho's weight
     p_g, and every other basis state contributes 0, so
-    E_P = sum_g p_g E_X(rho_g / p_g), and the gap is sum_g p_g gap_g.
+    E = sum_g p_g E_X(rho_g / p_g), and the gap is sum_g p_g gap_g.  Under
+    N-SSR only "oo" is coherent, and the "ee" term is 0.
     """
     mat = work.mat
     if work.dims != (4, 4) or not all(_commutes(mat, labels)
                                       for labels in _factor_labels(work.dims)):
         return None
+    groups = _X_GROUPS if ssr == "P" else _X_GROUPS[1:]
     diag = np.diag(mat).real.tolist()
-    if any(abs(diag[i1] - diag[i2]) >= 1e-12 for _, (_, i1, i2, _) in _X_GROUPS):
+    if any(abs(diag[i1] - diag[i2]) >= 1e-12 for _, (_, i1, i2, _) in groups):
         return None
 
     sigma = np.diag(diag).astype(complex)
     value = gap = 0.0
     iterations = 0
-    terms = {}
-    for name, (i0, i1, i2, i3) in _X_GROUPS:
+    terms = {name: 0.0 for name, _ in _X_GROUPS}
+    for name, (i0, i1, i2, i3) in groups:
         weight = diag[i0] + diag[i1] + diag[i2] + diag[i3]
-        terms[name] = 0.0
         if weight <= 0.0:
             continue
         z = complex(mat[i1, i2])
@@ -813,8 +721,18 @@ def _pssr_x_state(work: DensityMatrix, tol: float, max_iters: int):
         gap += weight * g
         iterations += its
     return EntanglementResult(
-        value=value, ssr="P", method="x-state", iterations=iterations, gap=gap,
+        value=value, ssr=ssr, method="x-state", iterations=iterations, gap=gap,
         converged=gap <= tol, diagnostics={"terms": terms, "sigma": sigma})
+
+
+def _superselected_entanglement(rho, ssr, tol, max_iters, inner_iters) -> EntanglementResult:
+    """REE of rho under ``ssr`` ("P" or "N"): the exact X-state route where it
+    applies (``_x_state_entanglement``), the Frank-Wolfe solver otherwise."""
+    work = gpi_local(rho) if ssr == "P" else gn_local(rho)
+    exact = _x_state_entanglement(work, ssr, tol, max_iters)
+    if exact is not None:
+        return exact
+    return ree_numeric(rho, ssr=ssr, tol=tol, max_iters=max_iters, inner_iters=inner_iters)
 
 
 def pssr_entanglement(rho: DensityMatrix, tol: float = 1e-7, max_iters: int = 5000,
@@ -824,22 +742,24 @@ def pssr_entanglement(rho: DensityMatrix, tol: float = 1e-7, max_iters: int = 50
     When the pinched state commutes with total N and 2Sz and its two
     coherent groups have equal diagonals, which holds for tight-binding
     states and for orbital pairs of (N, Sz) eigenstates with an exchange
-    symmetry, the value is exact (method "x-state", ``_pssr_x_state``): two
-    two-qubit X-state problems, each one bisection on a scalar.
-    ``iterations`` counts bisection steps, at most ``max_iters`` per group,
-    and ``gap`` is a proven bound on the distance to the minimum;
-    ``diagnostics`` carries each group's term and sigma.  Every other input
-    goes to the Frank-Wolfe solver ``ree_numeric``, whose gap is heuristic.
+    symmetry, the value is exact (method "x-state"): two two-qubit X-state
+    problems, each one bisection on a scalar.  ``iterations`` counts
+    bisection steps, at most ``max_iters`` per group, and ``gap`` is a
+    proven bound on the distance to the minimum; ``diagnostics`` carries
+    each group's term and sigma.  Every other input goes to the Frank-Wolfe
+    solver ``ree_numeric``, whose gap is heuristic.
     """
-    exact = _pssr_x_state(gpi_local(rho), tol, max_iters)
-    if exact is not None:
-        return exact
-    return ree_numeric(rho, ssr="P", tol=tol, max_iters=max_iters, inner_iters=inner_iters)
+    return _superselected_entanglement(rho, "P", tol, max_iters, inner_iters)
 
 
-def nssr_entanglement_dm(rho: DensityMatrix, tol: float = 1e-8) -> EntanglementResult:
-    """Closed-form number-superselected entanglement of a symmetric state."""
-    sector = decompose_symmetric(rho, tol=tol)
-    return EntanglementResult(
-        value=nssr_entanglement(sector.r, sector.t), ssr="N", method="closed-form",
-        diagnostics={"r": sector.r, "t": sector.t, "w11": sector.w11})
+def nssr_entanglement_dm(rho: DensityMatrix, tol: float = 1e-7, max_iters: int = 5000,
+                         inner_iters: int = 400) -> EntanglementResult:
+    """Number-superselected entanglement: REE of the number-pinched state.
+
+    The same routes as :func:`pssr_entanglement`.  After the number pinch
+    only the "oo" group is coherent, so the exact value is one X-state
+    problem; it equals ``nssr_entanglement(r, t)`` where that group's
+    corners, |up,up> and |down,down>, also carry equal weight, as in the
+    tight-binding states.
+    """
+    return _superselected_entanglement(rho, "N", tol, max_iters, inner_iters)

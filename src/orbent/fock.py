@@ -93,12 +93,6 @@ class ManyBodyState:
     def norm(self) -> float:
         return float(np.linalg.norm(self.amps))
 
-    def normalized(self) -> "ManyBodyState":
-        n = self.norm
-        if n == 0.0:
-            raise ValueError("cannot normalize the zero state")
-        return ManyBodyState(self.space, self.amps / n)
-
     def is_zero(self, tol: float = 0.0) -> bool:
         return self.norm <= tol
 
@@ -239,9 +233,6 @@ class DensityMatrix:
     @property
     def dim(self) -> int:
         return self.mat.shape[0]
-
-    def eigenvalues(self) -> np.ndarray:
-        return np.linalg.eigvalsh(self.mat)
 
     def partial_trace(self, keep) -> "DensityMatrix":
         """Trace out every factor not listed in ``keep`` (order preserved)."""

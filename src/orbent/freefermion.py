@@ -1,6 +1,7 @@
 """Free-fermion machinery: one-body diagonalization, Slater 1RDMs, the
 correlation-matrix block entropy, and the Wick construction of two-orbital
-reduced states.
+reduced states.  Those states are returned as density matrices alone; their
+entanglement comes from :mod:`orbent.entanglement`.
 
 Spinful systems are handled per spin channel: a single d x d matrix gamma
 describes both channels of a spin-symmetric Slater determinant, with
@@ -11,7 +12,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from .entanglement import SymmetricTwoOrbitalState, decompose_symmetric
 from .fock import (
     DensityMatrix,
     FockSpace,
@@ -149,8 +149,7 @@ def _graded_tables():
 _UP, _DOWN, _SIGNS = _graded_tables()
 
 
-def two_orbital_state_from_block(occ_l: float, occ_lp: float, coh: complex,
-                                 decompose: bool = True):
+def two_orbital_state_from_block(occ_l: float, occ_lp: float, coh: complex) -> DensityMatrix:
     """Two-orbital reduced state of a spin-symmetric Slater determinant.
 
     Input is the per-spin correlation data of the pair: diagonal occupations
@@ -158,10 +157,6 @@ def two_orbital_state_from_block(occ_l: float, occ_lp: float, coh: complex,
     the graded product of the two identical spin-channel Gaussian states;
     regrouping modes from (l up, lp up, l down, lp down) to site-major order
     contributes the fermionic sign (-1)^(n_lp_up * n_l_down) per basis ket.
-
-    Returns the 16 x 16 density matrix and its sector decomposition (None
-    with ``decompose=False``, the only option for pairs without orbital
-    exchange symmetry, i.e. occ_l != occ_lp or complex coh).
     """
     rho_spin = _two_mode_gaussian(occ_l, occ_lp, coh)
     left, right = _SIGNS * rho_spin[_UP], rho_spin[_DOWN]
@@ -170,19 +165,14 @@ def two_orbital_state_from_block(occ_l: float, occ_lp: float, coh: complex,
     rho = np.empty((16, 16), dtype=complex)
     rho.real = left.real * right.real - left.imag * right.imag
     rho.imag = left.real * right.imag + left.imag * right.real
-    dm = DensityMatrix(rho, (4, 4))
-    if not decompose:
-        return dm, None
-    return dm, decompose_symmetric(dm, tol=1e-8)
+    return DensityMatrix(rho, (4, 4))
 
 
-def wick_two_orbital_rdm(gamma, l: int, lp: int, gamma_down=None,
-                         decompose: bool = True):
+def wick_two_orbital_rdm(gamma, l: int, lp: int, gamma_down=None) -> DensityMatrix:
     """Two-orbital reduced state of the Slater state with per-spin 1RDM gamma.
 
     Requires identical spin channels; pass ``gamma_down`` only to assert
-    that, a differing channel is an error.  Returns (DensityMatrix,
-    SymmetricTwoOrbitalState).
+    that, a differing channel is an error.
     """
     gamma = np.asarray(gamma, dtype=complex)
     if l == lp:
@@ -196,4 +186,4 @@ def wick_two_orbital_rdm(gamma, l: int, lp: int, gamma_down=None,
     occ_lp = float(gamma[lp, lp].real)
     # gamma[j, i] = <f_i^dag f_j>, so <f_l^dag f_lp> sits at [lp, l]
     coh = complex(gamma[lp, l])
-    return two_orbital_state_from_block(occ_l, occ_lp, coh, decompose=decompose)
+    return two_orbital_state_from_block(occ_l, occ_lp, coh)

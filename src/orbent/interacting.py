@@ -375,21 +375,19 @@ def orbital_pair_entanglement(state: Union[SectorState, ManyBodyState], l: int, 
                               ssr: str = "N", **solver_kwargs) -> ent.EntanglementResult:
     """Accessible entanglement between two orbitals of a many-body state.
 
-    The number-superselected value uses the closed sector formula (the state
-    must carry the ring symmetries; violations raise).  The parity value is
-    the relative entropy of entanglement of the pinched state from
-    :func:`~orbent.entanglement.pssr_entanglement`: exact, with a proven gap,
-    when the pair's state has the N, Sz and exchange symmetry of a ring
-    eigenstate, and from the Frank-Wolfe solver with a heuristic gap
-    otherwise.
+    Both rules ("N" and "P") give the relative entropy of entanglement of
+    the pinched pair state, by one route
+    (:func:`~orbent.entanglement.nssr_entanglement_dm`,
+    :func:`~orbent.entanglement.pssr_entanglement`): exact, with a proven
+    gap, when the pair's state has the N and Sz symmetry of an (N, Sz)
+    eigenstate and equal diagonals on its coherent groups, as under an
+    orbital exchange symmetry, and from the Frank-Wolfe solver with a
+    heuristic gap otherwise.  ``solver_kwargs`` go to either.
     """
-    rho = two_orbital_rdm(state, l, lp)
-    kind = str(ssr).upper()
-    if kind == "N":
-        return ent.nssr_entanglement_dm(rho)
-    if kind == "P":
-        return ent.pssr_entanglement(rho, **solver_kwargs)
-    raise ValueError(f"unknown superselection kind {ssr!r}")
+    route = {"N": ent.nssr_entanglement_dm, "P": ent.pssr_entanglement}.get(str(ssr).upper())
+    if route is None:
+        raise ValueError(f"unknown superselection kind {ssr!r}")
+    return route(two_orbital_rdm(state, l, lp), **solver_kwargs)
 
 
 # ---------------------------------------------------------------------------
@@ -437,6 +435,8 @@ def compare_with_reference(data: FcidumpData, n_elec: int, r_sep: float,
     """Optional harness: solve user-supplied integrals and report deviations
     from the bundled table in both logarithm conventions, without asserting.
 
+    Both values come from :func:`orbital_pair_entanglement`, and
+    ``solver_kwargs`` apply to the N and the P value alike.
     The ground-state solve honors the nonzero cap of
     :func:`build_hamiltonian`.  With dense 16-orbital integrals the N = 2
     and 30 sectors (256 configurations, 65 536 nonzeros) fit under it;

@@ -189,6 +189,15 @@ def dmin_asymptotic(eta: float) -> float:
     return SQRT2 / (math.pi * eta * (1.0 - eta))
 
 
+def _eta_grid(eta_min: float, eta_max: float, points: int, scale: str) -> np.ndarray:
+    """Filling grid of a scan, evenly spaced on a "linear" or "log" scale."""
+    if scale == "linear":
+        return np.linspace(eta_min, eta_max, points)
+    if scale == "log":
+        return np.logspace(math.log10(eta_min), math.log10(eta_max), points)
+    raise ValueError(f"unknown scale {scale!r}")
+
+
 def scan_entanglement(d_list, eta_min: float = 1e-4, eta_max: float = 1.0 - 1e-4,
                       points: int = 2001, scale: str = "linear"):
     """Entanglement-vs-filling table: one row per (eta, d), eta outer, d inner.
@@ -196,14 +205,8 @@ def scan_entanglement(d_list, eta_min: float = 1e-4, eta_max: float = 1.0 - 1e-4
     Rows carry the closed-form number-superselected value; ``pssr_point``
     gives the parity-superselected one.
     """
-    if scale == "linear":
-        grid = np.linspace(eta_min, eta_max, points)
-    elif scale in ("log", "loglog"):
-        grid = np.logspace(math.log10(eta_min), math.log10(eta_max), points)
-    else:
-        raise ValueError(f"unknown scale {scale!r}")
     rows = []
-    for eta in grid:
+    for eta in _eta_grid(eta_min, eta_max, points, scale):
         for d in d_list:
             res = tb_entanglement(TbQuery(eta=float(eta), d=int(d)))
             rows.append({"eta": float(eta), "d": int(d), "E_nssr": res.e_nssr})
@@ -223,20 +226,13 @@ def pssr_point(eta: float, d: int, n_sites: Optional[int] = None, **solver_kwarg
         w = w_kernel(d, eta)
     else:
         w = w_kernel_finite(d, round(2 * n_sites * eta), n_sites)
-    dm, _ = two_orbital_state_from_block(eta, eta, w, decompose=False)
-    return pssr_entanglement(dm, **solver_kwargs)
+    return pssr_entanglement(two_orbital_state_from_block(eta, eta, w), **solver_kwargs)
 
 
 def scan_dmin(eta_min: float = 1e-3, eta_max: float = 0.5, points: int = 60,
               scale: str = "log"):
     """Disentangling-distance table with the analytic estimate alongside."""
-    if scale == "linear":
-        grid = np.linspace(eta_min, eta_max, points)
-    elif scale == "log":
-        grid = np.logspace(math.log10(eta_min), math.log10(eta_max), points)
-    else:
-        raise ValueError(f"unknown scale {scale!r}")
     return [{"eta": float(eta),
              "dmin_exact": dmin_exact(float(eta)).value,
              "dmin_asymptotic": dmin_asymptotic(float(eta))}
-            for eta in grid]
+            for eta in _eta_grid(eta_min, eta_max, points, scale)]

@@ -16,7 +16,6 @@ from scipy.stats import spearmanr
 from orbent.channels import gn_local, gpi_local, run_swap_protocol
 from orbent.entanglement import (
     _REFLECTION,
-    nssr_entanglement,
     pssr_entanglement,
     ree_numeric,
 )
@@ -94,7 +93,7 @@ def test_criterion_02_wick_vs_brute_force():
                     if l == lp:
                         continue
                     brute = two_orbital_rdm(state, l, lp)
-                    wick, _ = wick_two_orbital_rdm(gamma, l, lp)
+                    wick = wick_two_orbital_rdm(gamma, l, lp)
                     worst = max(worst, float(np.max(np.abs(brute.mat - wick.mat))))
     elapsed = time.time() - t0
     ok = worst < 1e-10 and elapsed < 30.0
@@ -172,8 +171,8 @@ def test_criterion_06_ree_solver_vs_closed_form():
     worst_dev = worst_gap = 0.0
     all_converged = True
     for d, eta in cases:
-        dm, sec = two_orbital_state_from_block(eta, eta, w_kernel(d, float(eta)))
-        closed = nssr_entanglement(sec.r, sec.t)
+        dm = two_orbital_state_from_block(eta, eta, w_kernel(d, float(eta)))
+        closed = tb_entanglement(TbQuery(eta=float(eta), d=d)).e_nssr
         res = ree_numeric(dm, ssr="N", tol=1e-7)
         worst_dev = max(worst_dev, abs(res.value - closed))
         worst_gap = max(worst_gap, res.gap)
@@ -189,8 +188,8 @@ def test_criterion_07_parity_vs_number_closeness():
     worst = -np.inf
     for d in (2, 10):
         for eta in (0.1, 0.3, 0.5):
-            dm, sec = two_orbital_state_from_block(eta, eta, w_kernel(d, eta))
-            e_n = nssr_entanglement(sec.r, sec.t)
+            dm = two_orbital_state_from_block(eta, eta, w_kernel(d, eta))
+            e_n = tb_entanglement(TbQuery(eta=eta, d=d)).e_nssr
             e_p = pssr_entanglement(dm).value
             worst = max(worst, e_p - e_n)
     ok = worst < 1e-3

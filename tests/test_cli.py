@@ -303,6 +303,50 @@ class TestEd:
             assert b_rec["gap"] == n_rec["gap"] / np.log(2)
             assert b_rec["value"] == n_rec["value"] / np.log(2)
 
+    @pytest.mark.parametrize("n_elec,ms2,d,value", [
+        (3, 1, 3, 0.021988), (4, 2, 1, 0.035995), (4, 2, 3, 0.016666), (4, 0, 1, 0.0016192)])
+    def test_nssr_matches_frank_wolfe_in_every_sz_sector(self, capsys, n_elec, ms2, d, value):
+        # the exact route against the solver on the same state; 2Sz != 0
+        # ground states carry unequal |up,up> and |down,down> weights.  The
+        # N = 3 level is twofold degenerate (the record flags it), so its
+        # value belongs to the ground vector the dense solver returns
+        from orbent.entanglement import ree_numeric
+        from orbent.fock import two_orbital_rdm
+        from orbent.interacting import HubbardParams, build_hamiltonian, ground_state
+        argv = ["ed", "--hubbard", "6,4", "--nelec", str(n_elec), "--orbitals", f"0,{d}"]
+        if ms2:
+            argv += ["--ms2", str(ms2)]
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0
+        record = json.loads(out)
+        assert record["method"] == "x-state" and record["converged"] is True
+        assert record["gap"] <= 1e-10
+        assert record["value"] == pytest.approx(value, abs=5e-7)
+        gs = ground_state(build_hamiltonian(HubbardParams(6, 4.0).integrals(), n_elec, ms2))
+        fw = ree_numeric(two_orbital_rdm(gs.state, 0, d), ssr="N")
+        assert fw.converged
+        assert fw.value - fw.gap - 1e-9 <= record["value"] <= fw.value + 1e-9
+
+    def test_nssr_without_exact_route_takes_frank_wolfe(self, capsys):
+        code, out, _ = run_cli(capsys, "ed", "--hubbard", "6,4", "--nelec", "3",
+                               "--orbitals", "0,1", "--ssr", "n")
+        assert code == 0
+        record = json.loads(out)
+        assert record["method"] == "numeric-ree" and record["converged"] is True
+        assert record["gap"] <= 1e-7
+
+    def test_nssr_nonconvergence_exit_3(self, capsys):
+        # the --ree-* flags reach the N-SSR route too: one bisection step
+        # cannot certify a 1e-13 gap
+        code, out, err = run_cli(capsys, "ed", "--hubbard", "6,4", "--nelec", "4",
+                                 "--orbitals", "0,1", "--ree-max-iters", "1",
+                                 "--ree-tol", "1e-13")
+        assert code == 3
+        assert "did not certify" in err
+        record = json.loads(out)
+        assert record["method"] == "x-state" and record["converged"] is False
+        assert record["iterations"] == 1 and record["gap"] > 1e-13
+
     def test_nonconvergence_exit_3(self, capsys):
         code, _, err = run_cli(capsys, "ed", "--hubbard", "4,2", "--nelec", "2",
                                "--orbitals", "0,1", "--ssr", "p",

@@ -5,15 +5,10 @@ from hypothesis import strategies as st
 
 from orbent.channels import _labels, gn_local, gpi_local
 from orbent.entanglement import (
-    _PHI_PLUS,
-    _PSI_PLUS,
     _local_sectors,
     _objective_and_grad,
     _sector_oracle,
     _x_state_ree,
-    SymmetryViolation,
-    decompose_symmetric,
-    entanglement_criterion,
     nssr_entanglement,
     nssr_entanglement_dm,
     pssr_entanglement,
@@ -23,9 +18,15 @@ from orbent.entanglement import (
 )
 from orbent.fock import DensityMatrix, _factor_labels, pure_state_dm
 from orbent.freefermion import two_orbital_state_from_block
-from orbent.tightbinding import w_kernel
+from orbent.tightbinding import TbQuery, tb_entanglement, w_kernel
 
 LN2 = np.log(2.0)
+
+# two-orbital basis |alpha>_A |beta>_B, alpha = n_up + 2 n_down, flat = 4a + b
+_PSI_PLUS = np.zeros(16)
+_PSI_PLUS[[4 * 1 + 2, 4 * 2 + 1]] = 1 / np.sqrt(2)  # (|up,down> + |down,up>)/sqrt2
+_PHI_PLUS = np.zeros(16)
+_PHI_PLUS[[4 * 0 + 3, 4 * 3 + 0]] = 1 / np.sqrt(2)  # (|0,updown> + |updown,0>)/sqrt2
 
 # independently computed (50-digit arithmetic) tight-binding reference point
 ETA_HALF_D1 = {
@@ -68,45 +69,52 @@ class TestEntropies:
 
 
 class TestDecomposeSymmetric:
-    def test_psi_plus(self):
-        sec = decompose_symmetric(pure_state_dm(_PSI_PLUS, (4, 4)))
-        assert sec.q_plus == pytest.approx(1.0)
-        assert sec.q_minus == pytest.approx(0.0, abs=1e-14)
-        assert sec.w11 == pytest.approx(1.0)
-        assert sec.t == pytest.approx(1.0)
-        assert sec.r == pytest.approx(0.0, abs=1e-14)
+    """N-SSR values of symmetric states and of states that break one symmetry:
+    the exact route where its conditions hold, Frank-Wolfe otherwise."""
 
-    def test_sz_broken_state_rejected(self):
+    def test_psi_plus(self):
+        res = nssr_entanglement_dm(pure_state_dm(_PSI_PLUS, (4, 4)))
+        assert res.method == "x-state" and res.gap <= 1e-15
+        assert res.value == pytest.approx(LN2, abs=1e-15)
+
+    def test_sz_broken_state_takes_frank_wolfe(self):
         v = np.zeros(16)
         v[4 * 1 + 1] = v[4 * 2 + 2] = 1 / np.sqrt(2)  # (upup + downdown)/sqrt2
-        with pytest.raises(SymmetryViolation):
-            decompose_symmetric(pure_state_dm(v, (4, 4)))
+        res = nssr_entanglement_dm(pure_state_dm(v, (4, 4)))
+        assert res.method == "numeric-ree" and res.converged
+        assert res.value == pytest.approx(LN2, abs=1e-7)
 
-    def test_reflection_broken_state_rejected(self):
+    def test_reflection_broken_state_takes_frank_wolfe(self):
         mat = np.zeros((16, 16))
         mat[4 * 1 + 2, 4 * 1 + 2] = 0.8  # |up,down> vs |down,up> asymmetry
         mat[4 * 2 + 1, 4 * 2 + 1] = 0.2
-        with pytest.raises(SymmetryViolation):
-            decompose_symmetric(DensityMatrix(mat, (4, 4)))
+        res = nssr_entanglement_dm(DensityMatrix(mat, (4, 4)))
+        assert res.method == "numeric-ree" and res.converged
+        assert res.value == pytest.approx(0.0, abs=1e-7)
 
-    def test_number_broken_state_rejected(self):
+    def test_number_broken_state_takes_frank_wolfe(self):
         v = np.zeros(16)
         v[0] = v[4 * 1 + 2] = 1 / np.sqrt(2)  # vacuum + (up,down) coherence
-        with pytest.raises(SymmetryViolation):
-            decompose_symmetric(pure_state_dm(v, (4, 4)))
+        res = nssr_entanglement_dm(pure_state_dm(v, (4, 4)))
+        assert res.method == "numeric-ree" and res.converged
+        assert res.value == pytest.approx(0.0, abs=1e-7)
 
     def test_wick_state_matches_reference_parameters(self):
-        _, sec = two_orbital_state_from_block(0.5, 0.5, ETA_HALF_D1["W"])
-        assert sec.t == pytest.approx(ETA_HALF_D1["t"], abs=1e-12)
-        assert sec.r == pytest.approx(ETA_HALF_D1["r"], abs=1e-12)
+        ref = tb_entanglement(TbQuery(eta=0.5, d=1))
+        assert ref.t == pytest.approx(ETA_HALF_D1["t"], abs=1e-12)
+        assert ref.r == pytest.approx(ETA_HALF_D1["r"], abs=1e-12)
+        dm = two_orbital_state_from_block(0.5, 0.5, ETA_HALF_D1["W"])
+        assert nssr_entanglement_dm(dm).value == \
+            pytest.approx(nssr_entanglement(ref.r, ref.t), abs=1e-15)
 
     def test_sector_weights_sum_to_one(self):
+        # a diagonal state is separable, and exchange symmetry keeps it exact
         rng = np.random.default_rng(5)
         diag = rng.random(16)
-        dm = DensityMatrix(np.diag(diag / diag.sum()), (4, 4))
-        sec = decompose_symmetric(
-            DensityMatrix(_symmetrize_reflection(dm.mat), (4, 4)))
-        assert np.sum(sec.sector_weights) == pytest.approx(1.0, abs=1e-12)
+        dm = DensityMatrix(_symmetrize_reflection(np.diag(diag / diag.sum())), (4, 4))
+        res = nssr_entanglement_dm(dm)
+        assert res.method == "x-state"
+        assert res.value == 0.0 and res.gap == 0.0
 
 
 def _symmetrize_reflection(mat):
@@ -149,18 +157,18 @@ class TestClosedFormula:
 
 class TestCriterion:
     def test_psi_plus_entangled(self):
-        sec = decompose_symmetric(pure_state_dm(_PSI_PLUS, (4, 4)))
-        assert entanglement_criterion(sec)
+        res = nssr_entanglement_dm(pure_state_dm(_PSI_PLUS, (4, 4)))
+        assert res.value == pytest.approx(LN2, abs=1e-15)
 
     def test_product_state_separable(self):
         v = np.zeros(16)
         v[4 * 1 + 2] = 1.0  # |up> x |down>
         mat = np.outer(v, v)
         sym = DensityMatrix(_symmetrize_reflection(mat), (4, 4))
-        sec = decompose_symmetric(sym)
-        # q_pm = 1/2 each from the overlap, w11 = 1: criterion 1 < 1 fails
-        assert sec.q_plus == pytest.approx(0.5)
-        assert not entanglement_criterion(sec)
+        # the mixture of |up,down> and |down,up>: no coherence, so separable
+        res = nssr_entanglement_dm(sym)
+        assert res.method == "x-state"
+        assert res.value == 0.0 and res.gap == 0.0
 
 
 class TestReeNumeric:
@@ -178,7 +186,7 @@ class TestReeNumeric:
         assert res.value == pytest.approx(LN2, abs=1e-7)
 
     def test_nssr_projection_matches_closed_form(self):
-        dm, sec = two_orbital_state_from_block(0.5, 0.5, ETA_HALF_D1["W"])
+        dm = two_orbital_state_from_block(0.5, 0.5, ETA_HALF_D1["W"])
         res = ree_numeric(dm, ssr="N", tol=1e-7)
         assert res.converged and res.gap <= 1e-7
         assert res.value == pytest.approx(ETA_HALF_D1["E"], abs=1e-6)
@@ -191,7 +199,7 @@ class TestReeNumeric:
         # a number-conserving state; a multi-start oracle with random starts
         # puts the value at 0.312573, the oracle without superposed starts
         # at 0.349958
-        dm, _ = two_orbital_state_from_block(0.5, 0.5, w_kernel(1, 0.5))
+        dm = two_orbital_state_from_block(0.5, 0.5, w_kernel(1, 0.5))
         res = ree_numeric(dm, ssr="none")
         assert res.converged
         assert res.value <= 0.312574 + 1e-6
@@ -202,13 +210,13 @@ class TestReeNumeric:
 
     def test_monotone_under_stronger_ssr(self):
         for eta, d in [(0.2, 1), (0.45, 1), (0.1, 2)]:
-            dm, _ = two_orbital_state_from_block(eta, eta, w_kernel(d, eta))
+            dm = two_orbital_state_from_block(eta, eta, w_kernel(d, eta))
             e_p = ree_numeric(dm, ssr="P").value
             e_n = ree_numeric(dm, ssr="N").value
             assert e_n <= e_p + 1e-6
 
     def test_bounded_by_marginal_entropy(self):
-        dm, _ = two_orbital_state_from_block(0.3, 0.3, w_kernel(1, 0.3))
+        dm = two_orbital_state_from_block(0.3, 0.3, w_kernel(1, 0.3))
         work = gn_local(dm)
         res = ree_numeric(dm, ssr="N")
         marg = von_neumann_entropy(work.partial_trace((0,)))
@@ -219,7 +227,7 @@ class TestReeNumeric:
             ree_numeric(pure_state_dm(_PSI_PLUS, (4, 4)), ssr="Q")
 
     def test_diagnostics_on_parity_blocks(self):
-        dm, _ = two_orbital_state_from_block(0.2, 0.2, w_kernel(1, 0.2))
+        dm = two_orbital_state_from_block(0.2, 0.2, w_kernel(1, 0.2))
         res = ree_numeric(dm, ssr="P")
         assert res.converged
         sizes = res.diagnostics["block_sizes"]
@@ -232,7 +240,7 @@ class TestReeNumeric:
             (res.value, res.gap, res.diagnostics)
 
     def test_nonconvergence_flagged(self):
-        dm, _ = two_orbital_state_from_block(0.5, 0.5, ETA_HALF_D1["W"])
+        dm = two_orbital_state_from_block(0.5, 0.5, ETA_HALF_D1["W"])
         res = ree_numeric(dm, ssr="N", tol=1e-13, max_iters=1, inner_iters=2)
         assert not res.converged
         assert res.gap > 0
@@ -241,8 +249,8 @@ class TestReeNumeric:
 class TestPvsN:
     def test_practically_indistinguishable_at_d2(self):
         for eta in (0.1, 0.3):
-            dm, sec = two_orbital_state_from_block(eta, eta, w_kernel(2, eta))
-            e_n = nssr_entanglement(sec.r, sec.t)
+            dm = two_orbital_state_from_block(eta, eta, w_kernel(2, eta))
+            e_n = tb_entanglement(TbQuery(eta=eta, d=2)).e_nssr
             e_p = pssr_entanglement(dm).value
             assert abs(e_p - e_n) < 1e-3
             assert e_p >= e_n - 1e-7
@@ -279,15 +287,16 @@ def _symmetric_state(rng, noise):
 class TestPssrExact:
     def test_oo_term_is_nssr_value(self):
         for eta, d in TB_ANCHORS:
-            dm, sec = two_orbital_state_from_block(eta, eta, w_kernel(d, eta))
+            dm = two_orbital_state_from_block(eta, eta, w_kernel(d, eta))
+            ref = tb_entanglement(TbQuery(eta=eta, d=d))
             res = pssr_entanglement(dm)
             assert res.method == "x-state"
-            assert abs(res.diagnostics["terms"]["oo"] - nssr_entanglement(sec.r, sec.t)) < 1e-12
+            assert abs(res.diagnostics["terms"]["oo"] - nssr_entanglement(ref.r, ref.t)) < 1e-12
 
     def test_dilute_regression_point(self):
         # Frank-Wolfe stops 1.33e-6 above this minimum while reporting a
         # gap of 7.4e-11: its product-state oracle is stuck there
-        dm, _ = two_orbital_state_from_block(0.05, 0.05, w_kernel(5, 0.05))
+        dm = two_orbital_state_from_block(0.05, 0.05, w_kernel(5, 0.05))
         res = pssr_entanglement(dm)
         assert res.method == "x-state" and res.converged and res.gap <= 1e-10
         assert abs(res.value - 9.4577775218870e-04) < 1e-12
@@ -302,30 +311,32 @@ class TestPssrExact:
     def test_minimum_with_proven_gap(self, seed, noise):
         rng = np.random.default_rng(seed)
         dm = _symmetric_state(rng, noise)
-        res = pssr_entanglement(dm)
-        assert res.method == "x-state" and res.converged
-        assert res.gap <= 1e-10
-        sigma = res.diagnostics["sigma"]
-        assert np.linalg.eigvalsh(sigma)[0] >= -1e-12
-        assert np.linalg.eigvalsh(_partial_transpose(sigma))[0] >= -1e-12
-        pinched = gpi_local(dm)
-        assert abs(relative_entropy(pinched, sigma) - res.value) < 1e-12
-        # no PPT mixture of sigma with a random separable X state does better
-        for _ in range(20):
-            tau = np.diag(rng.random(16)).astype(complex)
-            for i1, i2, i0, i3 in ((3, 12, 0, 15), (6, 9, 5, 10)):
-                c = rng.random() * min(np.sqrt(tau[i0, i0] * tau[i3, i3]),
-                                       np.sqrt(tau[i1, i1] * tau[i2, i2]))
-                tau[i1, i2] = tau[i2, i1] = c * np.sign(pinched.mat[i1, i2].real or 1.0)
-            lam = rng.random() ** 2
-            mix = (1 - lam) * sigma + lam * tau / np.trace(tau).real
-            assert relative_entropy(pinched, mix) >= res.value - 1e-12
-        # every Frank-Wolfe iterate is a separable upper bound; the cap keeps
-        # the solve short on rank-deficient draws, where it can take minutes
-        assert res.value <= ree_numeric(dm, ssr="P", max_iters=5).value + 1e-12
+        for ssr, route, pinch in (("P", pssr_entanglement, gpi_local),
+                                  ("N", nssr_entanglement_dm, gn_local)):
+            res = route(dm)
+            assert res.method == "x-state" and res.converged and res.ssr == ssr
+            assert res.gap <= 1e-10
+            sigma = res.diagnostics["sigma"]
+            assert np.linalg.eigvalsh(sigma)[0] >= -1e-12
+            assert np.linalg.eigvalsh(_partial_transpose(sigma))[0] >= -1e-12
+            pinched = pinch(dm)
+            assert abs(relative_entropy(pinched, sigma) - res.value) < 1e-12
+            # no PPT mixture of sigma with a random separable X state does better
+            for _ in range(20):
+                tau = np.diag(rng.random(16)).astype(complex)
+                for i1, i2, i0, i3 in ((3, 12, 0, 15), (6, 9, 5, 10)):
+                    c = rng.random() * min(np.sqrt(tau[i0, i0] * tau[i3, i3]),
+                                           np.sqrt(tau[i1, i1] * tau[i2, i2]))
+                    tau[i1, i2] = tau[i2, i1] = c * np.sign(pinched.mat[i1, i2].real or 1.0)
+                lam = rng.random() ** 2
+                mix = (1 - lam) * sigma + lam * tau / np.trace(tau).real
+                assert relative_entropy(pinched, mix) >= res.value - 1e-12
+            # every Frank-Wolfe iterate is a separable upper bound; the cap keeps
+            # the solve short on rank-deficient draws, where it can take minutes
+            assert res.value <= ree_numeric(dm, ssr=ssr, max_iters=5).value + 1e-12
 
     def test_iteration_cap_keeps_the_bound_honest(self):
-        dm, _ = two_orbital_state_from_block(0.2, 0.2, w_kernel(1, 0.2))
+        dm = two_orbital_state_from_block(0.2, 0.2, w_kernel(1, 0.2))
         exact = pssr_entanglement(dm)
         capped = pssr_entanglement(dm, max_iters=2)
         assert capped.method == "x-state" and not capped.converged
@@ -348,12 +359,25 @@ class TestPssrExact:
 
     @pytest.mark.parametrize("pair", [(3, 12), (6, 9)])
     def test_unequal_diagonals_take_frank_wolfe(self, pair):
-        dm, _ = two_orbital_state_from_block(0.2, 0.2, w_kernel(1, 0.2))
+        dm = two_orbital_state_from_block(0.2, 0.2, w_kernel(1, 0.2))
         extra = np.zeros((16, 16))
         extra[pair[0], pair[0]] = 1.0
         lopsided = DensityMatrix(0.9 * dm.mat + 0.1 * extra, (4, 4))
         res = pssr_entanglement(lopsided, max_iters=1)
         assert res.method == "numeric-ree"
+
+    def test_number_pinch_leaves_one_coherent_group(self):
+        # under N-SSR only "oo" is coherent: unequal "ee" diagonals keep the
+        # exact route and only rescale its term, unequal "oo" ones take FW
+        dm = two_orbital_state_from_block(0.2, 0.2, w_kernel(1, 0.2))
+
+        def lopsided(i):
+            return DensityMatrix(0.9 * dm.mat + 0.1 * np.diag(np.eye(16)[i]), (4, 4))
+
+        res = nssr_entanglement_dm(lopsided(3))
+        assert res.method == "x-state"
+        assert res.value == pytest.approx(0.9 * nssr_entanglement_dm(dm).value, abs=1e-15)
+        assert nssr_entanglement_dm(lopsided(6), max_iters=1).method == "numeric-ree"
 
     def test_sz_coherence_takes_frank_wolfe(self):
         v = np.zeros(16)
@@ -363,9 +387,10 @@ class TestPssrExact:
 
 
 def test_nssr_entanglement_dm_wrapper():
-    dm, sec = two_orbital_state_from_block(0.5, 0.5, ETA_HALF_D1["W"])
+    dm = two_orbital_state_from_block(0.5, 0.5, ETA_HALF_D1["W"])
     res = nssr_entanglement_dm(dm)
-    assert res.method == "closed-form"
+    assert res.method == "x-state" and res.ssr == "N" and res.gap <= 1e-15
+    assert res.diagnostics["terms"]["ee"] == 0.0
     assert res.value == pytest.approx(ETA_HALF_D1["E"], abs=1e-12)
     assert res.in_base("2") == pytest.approx(res.value / LN2)
 

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from orbent.entanglement import nssr_entanglement, von_neumann_entropy
+from orbent.entanglement import nssr_entanglement, nssr_entanglement_dm, von_neumann_entropy
 from orbent.fock import DensityMatrix, two_orbital_rdm
 from orbent.freefermion import (
     _PAIR_INDEX,
@@ -154,17 +154,24 @@ def _block_entropy_brute_force(state, block):
 
 class TestWickTwoOrbital:
     def test_vacuum_block(self):
-        dm, sec = two_orbital_state_from_block(0.0, 0.0, 0.0)
+        dm = two_orbital_state_from_block(0.0, 0.0, 0.0)
         assert dm.mat[0, 0] == pytest.approx(1.0)
-        assert nssr_entanglement(sec.r, sec.t) == 0.0
+        assert nssr_entanglement_dm(dm).value == 0.0
 
     def test_reference_point_values(self):
-        dm, sec = two_orbital_state_from_block(0.5, 0.5, 1.0 / np.pi)
+        dm = two_orbital_state_from_block(0.5, 0.5, 1.0 / np.pi)
         a = (0.25 - 0.5 - np.pi**-2) ** 2
         assert a == pytest.approx(WICK_REF["A"], abs=1e-15)
-        assert sec.t == pytest.approx(WICK_REF["t"], abs=1e-12)
-        assert sec.r == pytest.approx(WICK_REF["r"], abs=1e-12)
-        assert nssr_entanglement(sec.r, sec.t) == pytest.approx(WICK_REF["E"], abs=1e-12)
+        # t is the larger weight on (|up,down> +- |down,up>)/sqrt2 (basis
+        # states 6 and 9), r the rest of the one-electron-each block 5, 6, 9, 10
+        m = dm.mat.real
+        t = 0.5 * (m[6, 6] + m[9, 9]) + abs(m[6, 9])
+        assert t == pytest.approx(WICK_REF["t"], abs=1e-12)
+        assert m[5, 5] + m[6, 6] + m[9, 9] + m[10, 10] - t == \
+            pytest.approx(WICK_REF["r"], abs=1e-12)
+        assert nssr_entanglement(WICK_REF["r"], WICK_REF["t"]) == \
+            pytest.approx(WICK_REF["E"], abs=1e-12)
+        assert nssr_entanglement_dm(dm).value == pytest.approx(WICK_REF["E"], abs=1e-12)
 
     def test_spin_asymmetric_rejected(self):
         g = slater_1rdm(ring_one_body(8), 1)
@@ -186,7 +193,7 @@ class TestWickTwoOrbital:
                 if l == lp:
                     continue
                 brute = two_orbital_rdm(state, l, lp)
-                wick, _ = wick_two_orbital_rdm(gamma, l, lp)
+                wick = wick_two_orbital_rdm(gamma, l, lp)
                 assert np.max(np.abs(brute.mat - wick.mat)) < 1e-10
 
     def test_entropy_against_peschel(self):
@@ -194,7 +201,7 @@ class TestWickTwoOrbital:
         # entropy of its restricted correlation block
         h = ring_one_body(8)
         gamma = slater_1rdm(h, 3)
-        dm, _ = wick_two_orbital_rdm(gamma, 0, 3)
+        dm = wick_two_orbital_rdm(gamma, 0, 3)
         assert von_neumann_entropy(dm) == pytest.approx(
             peschel_block_entropy(gamma, [0, 3]), abs=1e-10)
 
@@ -209,8 +216,7 @@ class TestWickTwoOrbital:
         assert abs(gamma[0, 0] - gamma[1, 1]) > 1e-3
         state = slater_fock_state(h, 1)
         for l, lp in [(0, 1), (0, 3), (1, 2)]:
-            wick, sec = wick_two_orbital_rdm(gamma, l, lp, decompose=False)
-            assert sec is None
+            wick = wick_two_orbital_rdm(gamma, l, lp)
             brute = two_orbital_rdm(state, l, lp)
             assert np.max(np.abs(brute.mat - wick.mat)) < 1e-10
 
@@ -247,5 +253,5 @@ def test_block_state_equals_entrywise_definition(occ_l, occ_lp, scale, phase):
     coh = scale * np.sqrt(min(occ_l * occ_lp, (1 - occ_l) * (1 - occ_lp)))
     if phase is not None:
         coh = coh * np.exp(1j * phase)
-    dm, _ = two_orbital_state_from_block(occ_l, occ_lp, coh, decompose=False)
+    dm = two_orbital_state_from_block(occ_l, occ_lp, coh)
     assert np.array_equal(dm.mat, _graded_product_by_entry(occ_l, occ_lp, coh))

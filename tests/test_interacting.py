@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from scipy.stats import spearmanr
 
-from orbent.entanglement import SymmetryViolation
 from orbent.fcidump import FcidumpData, FcidumpError, parse_fcidump, serialize_fcidump
 from orbent.fock import FockSpace, apply_operator_string, basis_state, popcount
 from orbent.freefermion import diagonalize_one_body
@@ -485,8 +484,11 @@ class TestPairEntanglement:
         amps[(1 << sp.mode(0, 0)) | (1 << sp.mode(1, 0))] = 1 / np.sqrt(2)
         amps[(1 << sp.mode(0, 1)) | (1 << sp.mode(1, 1))] = 1 / np.sqrt(2)
         from orbent.fock import ManyBodyState
-        with pytest.raises(SymmetryViolation):
-            orbital_pair_entanglement(ManyBodyState(sp, amps), 0, 1, ssr="N")
+        # the exact route does not apply, so the Frank-Wolfe solver takes it:
+        # a Bell pair inside the one-electron-each sector
+        res = orbital_pair_entanglement(ManyBodyState(sp, amps), 0, 1, ssr="N")
+        assert res.method == "numeric-ree" and res.converged
+        assert res.value == pytest.approx(np.log(2.0), abs=1e-7)
 
 
 class TestReferenceTable:
