@@ -31,21 +31,12 @@ from .entanglement import (
     von_neumann_entropy,
 )
 from .fcidump import FcidumpData, parse_fcidump, read_fcidump, serialize_fcidump
-from .fock import (
-    DensityMatrix,
-    FockSpace,
-    ManyBodyState,
-    SectorState,
-    apply_operator_string,
-    sector_project,
-    two_orbital_rdm,
-)
+from .fock import DensityMatrix, FockSpace, SectorState, two_orbital_rdm
 from .freefermion import (
     DegenerateFermiLevel,
     diagonalize_one_body,
     peschel_block_entropy,
     slater_1rdm,
-    slater_fock_state,
     wick_two_orbital_rdm,
 )
 from .interacting import (

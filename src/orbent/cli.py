@@ -162,9 +162,14 @@ def cmd_swap_demo(args) -> int:
     except OSError as exc:
         print(f"error: cannot read state file: {exc}", file=sys.stderr)
         return USAGE_ERROR
+    except ValueError as exc:  # not JSON, or not text
+        print(f"error: invalid state file: {exc}", file=sys.stderr)
+        return USAGE_ERROR
     try:
+        if not isinstance(payload, dict):
+            raise ValueError("expected a JSON object with a 'rho' entry")
         rho_mat = _matrix_from_json(payload["rho"])
-        dims = {4: (2, 2), 16: (4, 4)}.get(rho_mat.shape[0])
+        dims = {4: (2, 2), 16: (4, 4)}.get(rho_mat.shape[0]) if rho_mat.ndim == 2 else None
         if dims is None:
             raise ValueError("rho must be 4x4 (spinless modes) or 16x16 (spinful)")
         rho = DensityMatrix(rho_mat, dims)

@@ -79,15 +79,15 @@ def von_neumann_entropy(rho) -> float:
 _KERNEL_TOL = 1e-14
 
 
-def _kernel(q, kernel_tol: float = _KERNEL_TOL) -> np.ndarray:
-    """Eigenvalues of sigma that count as kernel: at most ``kernel_tol`` times the largest."""
-    return q <= kernel_tol * max(float(q.max()), 1e-300)
+def _kernel(q) -> np.ndarray:
+    """Eigenvalues of sigma that count as kernel: at most ``_KERNEL_TOL`` times the largest."""
+    return q <= _KERNEL_TOL * max(float(q.max()), 1e-300)
 
 
-def relative_entropy(rho, sigma, *, kernel_tol: float = _KERNEL_TOL) -> float:
+def relative_entropy(rho, sigma) -> float:
     """Tr[rho (ln rho - ln sigma)]; +inf when rho has weight on ker(sigma).
 
-    Eigenvalues of sigma below ``kernel_tol`` times its largest one count as
+    Eigenvalues of sigma below 1e-14 times its largest one count as
     kernel; the state is declared infinitely distinguishable when rho puts
     more than 1e-12 weight there.
     """
@@ -98,7 +98,7 @@ def relative_entropy(rho, sigma, *, kernel_tol: float = _KERNEL_TOL) -> float:
     q, v = np.linalg.eigh(s)
     q = np.clip(q.real, 0.0, None)
     weights = np.einsum("ji,jk,ki->i", v.conj(), r, v).real
-    kernel = _kernel(q, kernel_tol)
+    kernel = _kernel(q)
     if float(np.sum(weights[kernel])) > 1e-12:
         return float("inf")
     on = ~kernel & (weights > 0)
@@ -406,7 +406,7 @@ def _candidate_atoms(a, b, dims, sym, compress):
 
 
 def ree_numeric(rho: DensityMatrix, ssr: str = "none", tol: float = 1e-7,
-                max_iters: int = 5000, inner_iters: int = 400) -> EntanglementResult:
+                max_iters: int = 5000) -> EntanglementResult:
     """Relative entropy of entanglement by Frank-Wolfe over the separable set.
 
     The requested superselection pinch is applied to rho first ('P', 'N', or
@@ -514,10 +514,15 @@ def ree_numeric(rho: DensityMatrix, ssr: str = "none", tol: float = 1e-7,
         weights = weights * (1.0 - gamma)
         weights[idx] += gamma
 
-        stack, weights = _polish_weights(stack, weights, evaluate, dim, inner_iters, gap)
+        stack, weights = _polish_weights(stack, weights, evaluate, dim, gap)
 
     logger.warning("REE solver hit the iteration cap with gap %.3e", gap)
     return result(max_iters, gap, False)
+
+
+# SLSQP iteration cap of one weight polish; the atom-set gap stop below
+# usually ends it much earlier
+_POLISH_ITERS = 400
 
 
 class _Polished(Exception):
@@ -528,7 +533,7 @@ class _Polished(Exception):
         self.weights = weights
 
 
-def _polish_weights(stack, weights, evaluate, n_basis, maxiter, gap):
+def _polish_weights(stack, weights, evaluate, n_basis, gap):
     """Fully corrective step: re-optimize mixture weights over the atom set.
 
     Sequential quadratic programming on the simplex; the basis atoms keep a
@@ -564,7 +569,7 @@ def _polish_weights(stack, weights, evaluate, n_basis, maxiter, gap):
         try:
             x = minimize(objective, weights, jac=True,
                          method="SLSQP", bounds=bounds, constraints=constraints,
-                         options={"maxiter": maxiter, "ftol": 1e-16}).x
+                         options={"maxiter": _POLISH_ITERS, "ftol": 1e-16}).x
         except _Polished as stop:
             x = stop.weights
     w = np.clip(x, 0.0, None)
@@ -725,18 +730,18 @@ def _x_state_entanglement(work: DensityMatrix, ssr: str, tol: float, max_iters: 
         converged=gap <= tol, diagnostics={"terms": terms, "sigma": sigma})
 
 
-def _superselected_entanglement(rho, ssr, tol, max_iters, inner_iters) -> EntanglementResult:
+def _superselected_entanglement(rho, ssr, tol, max_iters) -> EntanglementResult:
     """REE of rho under ``ssr`` ("P" or "N"): the exact X-state route where it
     applies (``_x_state_entanglement``), the Frank-Wolfe solver otherwise."""
     work = gpi_local(rho) if ssr == "P" else gn_local(rho)
     exact = _x_state_entanglement(work, ssr, tol, max_iters)
     if exact is not None:
         return exact
-    return ree_numeric(rho, ssr=ssr, tol=tol, max_iters=max_iters, inner_iters=inner_iters)
+    return ree_numeric(rho, ssr=ssr, tol=tol, max_iters=max_iters)
 
 
-def pssr_entanglement(rho: DensityMatrix, tol: float = 1e-7, max_iters: int = 5000,
-                      inner_iters: int = 400) -> EntanglementResult:
+def pssr_entanglement(rho: DensityMatrix, tol: float = 1e-7,
+                      max_iters: int = 5000) -> EntanglementResult:
     """Parity-superselected entanglement: REE of the parity-pinched state.
 
     When the pinched state commutes with total N and 2Sz and its two
@@ -749,11 +754,11 @@ def pssr_entanglement(rho: DensityMatrix, tol: float = 1e-7, max_iters: int = 50
     each group's term and sigma.  Every other input goes to the Frank-Wolfe
     solver ``ree_numeric``, whose gap is heuristic.
     """
-    return _superselected_entanglement(rho, "P", tol, max_iters, inner_iters)
+    return _superselected_entanglement(rho, "P", tol, max_iters)
 
 
-def nssr_entanglement_dm(rho: DensityMatrix, tol: float = 1e-7, max_iters: int = 5000,
-                         inner_iters: int = 400) -> EntanglementResult:
+def nssr_entanglement_dm(rho: DensityMatrix, tol: float = 1e-7,
+                         max_iters: int = 5000) -> EntanglementResult:
     """Number-superselected entanglement: REE of the number-pinched state.
 
     The same routes as :func:`pssr_entanglement`.  After the number pinch
@@ -762,4 +767,4 @@ def nssr_entanglement_dm(rho: DensityMatrix, tol: float = 1e-7, max_iters: int =
     corners, |up,up> and |down,down>, also carry equal weight, as in the
     tight-binding states.
     """
-    return _superselected_entanglement(rho, "N", tol, max_iters, inner_iters)
+    return _superselected_entanglement(rho, "N", tol, max_iters)

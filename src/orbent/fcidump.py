@@ -23,6 +23,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 _SYM_TOL = 1e-10
+# integrals at or below this magnitude are not written
+_WRITE_TOL = 1e-15
 
 
 class FcidumpError(ValueError):
@@ -125,11 +127,15 @@ def parse_fcidump(text: str) -> FcidumpData:
 
 
 def read_fcidump(path) -> FcidumpData:
-    with open(path) as fh:
-        return parse_fcidump(fh.read())
+    try:
+        with open(path, encoding="utf-8") as fh:
+            text = fh.read()
+    except UnicodeDecodeError as exc:
+        raise FcidumpError(f"not a UTF-8 text file: {exc}") from exc
+    return parse_fcidump(text)
 
 
-def serialize_fcidump(data: FcidumpData, tol: float = 1e-15) -> str:
+def serialize_fcidump(data: FcidumpData) -> str:
     """Emit FCIDUMP text that parses back to the same integrals."""
     lines = [f"&FCI NORB={data.norb},NELEC={data.nelec},MS2={data.ms2},", "&END"]
     n = data.norb
@@ -143,11 +149,11 @@ def serialize_fcidump(data: FcidumpData, tol: float = 1e-15) -> str:
                     value = float(data.eri[i, j, k, l])
                     for idx in _eightfold(i, j, k, l):
                         written[idx] = True
-                    if abs(value) > tol:
+                    if abs(value) > _WRITE_TOL:
                         lines.append(f"{value!r} {i + 1} {j + 1} {k + 1} {l + 1}")
     for i in range(n):
         for j in range(i + 1):
-            if abs(data.h[i, j]) > tol:
+            if abs(data.h[i, j]) > _WRITE_TOL:
                 lines.append(f"{float(data.h[i, j])!r} {i + 1} {j + 1} 0 0")
     lines.append(f"{float(data.core)!r} 0 0 0 0")
     return "\n".join(lines) + "\n"

@@ -19,7 +19,6 @@ Conventions, fixed globally and referenced by every sign computation:
 from __future__ import annotations
 
 import logging
-from typing import Union
 
 import numpy as np
 
@@ -55,19 +54,6 @@ class FockSpace:
             raise ValueError("spin must be 0 (up) or 1 (down)")
         return 2 * site + spin
 
-    def configs(self) -> np.ndarray:
-        return np.arange(self.dim, dtype=np.int64)
-
-    def config_n(self) -> np.ndarray:
-        """Total particle number of every configuration."""
-        return popcount(self.configs())
-
-    def config_sz2(self) -> np.ndarray:
-        """Twice the magnetization (n_up - n_down) of every configuration."""
-        up_mask = sum(1 << (2 * s) for s in range(self.n_spatial))
-        idx = self.configs()
-        return popcount(idx & up_mask) - popcount(idx & (up_mask << 1))
-
     def __eq__(self, other):
         return isinstance(other, FockSpace) and other.n_spatial == self.n_spatial
 
@@ -75,41 +61,14 @@ class FockSpace:
         return f"FockSpace(n_spatial={self.n_spatial})"
 
 
-class ManyBodyState:
-    """Complex amplitude vector over the occupation-number basis.
-
-    Operator images are allowed to be unnormalized (or zero); consumers
-    that require a unit state check ``norm`` explicitly.
-    """
-
-    def __init__(self, space: FockSpace, amps):
-        amps = np.asarray(amps, dtype=complex)
-        if amps.shape != (space.dim,):
-            raise ValueError(f"amplitude vector must have shape ({space.dim},)")
-        self.space = space
-        self.amps = amps
-
-    @property
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.amps))
-
-    def is_zero(self, tol: float = 0.0) -> bool:
-        return self.norm <= tol
-
-    def overlap(self, other: "ManyBodyState") -> complex:
-        return complex(np.vdot(self.amps, other.amps))
-
-    def support(self):
-        """Configurations with a nonzero amplitude, and those amplitudes."""
-        idx = np.flatnonzero(self.amps)
-        return idx, self.amps[idx]
-
-
 class SectorState:
-    """Amplitudes over a sorted list of configurations, e.g. one (N, 2Sz) sector.
+    """A many-body state: amplitudes over a sorted list of configurations.
 
-    Configurations outside ``basis`` carry zero amplitude, so nothing of the
-    Fock dimension is stored.
+    ``basis`` is typically one (N, 2Sz) sector, the domain of a ground state
+    from :func:`orbent.interacting.ground_state`.  Configurations outside
+    ``basis`` carry zero amplitude, so nothing of the Fock dimension is
+    stored; a state over the whole Fock space is the ``SectorState`` over
+    its nonzero configurations.
     """
 
     def __init__(self, space: FockSpace, basis: np.ndarray, amps):
@@ -124,71 +83,6 @@ class SectorState:
     def norm(self) -> float:
         return float(np.linalg.norm(self.amps))
 
-    def support(self):
-        """The sector's configurations and their amplitudes."""
-        return self.basis, self.amps
-
-
-def vacuum_state(space: FockSpace) -> ManyBodyState:
-    amps = np.zeros(space.dim, dtype=complex)
-    amps[0] = 1.0
-    return ManyBodyState(space, amps)
-
-
-def basis_state(space: FockSpace, config: int) -> ManyBodyState:
-    amps = np.zeros(space.dim, dtype=complex)
-    amps[config] = 1.0
-    return ManyBodyState(space, amps)
-
-
-def _jw_sign(idx: np.ndarray, p: int) -> np.ndarray:
-    below = popcount(idx & ((1 << p) - 1))
-    return 1.0 - 2.0 * (below & 1)
-
-
-def apply_create(state: ManyBodyState, p: int) -> ManyBodyState:
-    """f_p^dag acting on ``state`` (unnormalized image; zero if p occupied)."""
-    space = state.space
-    if not 0 <= p < space.n_modes:
-        raise ValueError(f"mode index {p} out of range (n_modes={space.n_modes})")
-    idx = space.configs()
-    empty = ((idx >> p) & 1) == 0
-    out = np.zeros(space.dim, dtype=complex)
-    src = idx[empty]
-    out[src | (1 << p)] = _jw_sign(src, p) * state.amps[src]
-    return ManyBodyState(space, out)
-
-
-def apply_annihilate(state: ManyBodyState, p: int) -> ManyBodyState:
-    """f_p acting on ``state`` (unnormalized image; zero if p empty)."""
-    space = state.space
-    if not 0 <= p < space.n_modes:
-        raise ValueError(f"mode index {p} out of range (n_modes={space.n_modes})")
-    idx = space.configs()
-    occ = ((idx >> p) & 1) == 1
-    out = np.zeros(space.dim, dtype=complex)
-    src = idx[occ]
-    out[src & ~(1 << p)] = _jw_sign(src, p) * state.amps[src]
-    return ManyBodyState(space, out)
-
-
-def apply_operator_string(ops, state: ManyBodyState) -> ManyBodyState:
-    """Apply a product of creation/annihilation operators.
-
-    ``ops`` lists the operators left to right in operator order, e.g.
-    ``[("create", 2), ("create", 0)]`` means f_2^dag f_0^dag, so the last
-    entry acts on the state first.  Returns the unnormalized image.
-    """
-    out = state
-    for kind, p in reversed(list(ops)):
-        if kind in ("create", "+"):
-            out = apply_create(out, p)
-        elif kind in ("annihilate", "-"):
-            out = apply_annihilate(out, p)
-        else:
-            raise ValueError(f"unknown operator kind {kind!r}")
-    return out
-
 
 # ---------------------------------------------------------------------------
 # density matrices
@@ -201,8 +95,8 @@ class DensityMatrix:
     significant).  The constructor always validates: eigenvalues slightly
     below zero but above the PSD floor are clipped to zero and the state
     renormalized (logged at debug level); anything below the floor is
-    rejected.  Partial traces and sector projections, exact maps of valid
-    states, build their results through ``_trusted`` without re-validating.
+    rejected.  Partial traces, exact maps of valid states, build their
+    results through ``_trusted`` without re-validating.
     """
 
     def __init__(self, mat, dims):
@@ -258,8 +152,8 @@ class DensityMatrix:
 
 
 def _trusted(mat: np.ndarray, dims) -> DensityMatrix:
-    """Wrap the exact image of a valid state under a partial trace or a sector
-    projection, skipping the eigen-validation of the constructor."""
+    """Wrap the exact image of a valid state under a partial trace, skipping
+    the eigen-validation of the constructor."""
     rho = object.__new__(DensityMatrix)
     rho.mat = mat
     rho.dims = tuple(dims)
@@ -283,39 +177,7 @@ def pure_state_dm(vec, dims) -> DensityMatrix:
 
 
 # ---------------------------------------------------------------------------
-# sector projection
-
-
-def sector_project(obj, n: int, sz2=None, *, tol: float = 1e-14):
-    """Project onto total particle number ``n`` (and 2*Sz = ``sz2`` if given).
-
-    Returns ``(projected, weight)``.  The projected object is renormalized;
-    a zero ``weight`` flags an empty sector and the returned object is the
-    zero state (states) or None (density matrices).
-    """
-    if isinstance(obj, ManyBodyState):
-        space = obj.space
-        if n > space.n_modes:
-            raise ValueError(f"particle number {n} exceeds mode count {space.n_modes}")
-        mask = space.config_n() == n
-        if sz2 is not None:
-            mask &= space.config_sz2() == sz2
-        amps = np.where(mask, obj.amps, 0.0)
-        weight = float(np.sum(np.abs(amps) ** 2))
-        if weight <= tol:
-            return ManyBodyState(space, np.zeros_like(amps)), 0.0
-        return ManyBodyState(space, amps / np.sqrt(weight)), weight
-    if isinstance(obj, DensityMatrix):
-        labels_n, labels_sz2 = _factor_labels(obj.dims)
-        mask = labels_n == n
-        if sz2 is not None:
-            mask &= labels_sz2 == sz2
-        mat = obj.mat * np.outer(mask, mask)
-        weight = float(np.trace(mat).real)
-        if weight <= tol:
-            return None, 0.0
-        return _trusted(mat / weight, obj.dims), weight
-    raise TypeError(f"cannot sector-project a {type(obj).__name__}")
+# sector labels
 
 
 # the one table of local sector labels (N and 2*Sz of each basis state of a
@@ -345,8 +207,7 @@ def _factor_labels(dims):
 # two-orbital reduced density matrix
 
 
-def two_orbital_rdm(state: Union[ManyBodyState, SectorState], l: int,
-                    lp: int) -> DensityMatrix:
+def two_orbital_rdm(state: SectorState, l: int, lp: int) -> DensityMatrix:
     """Reduced state of orbitals (l, lp) as a 16 x 16 density matrix.
 
     The two-orbital basis is |alpha>_l (x) |beta>_lp with alpha, beta in
@@ -356,11 +217,10 @@ def two_orbital_rdm(state: Union[ManyBodyState, SectorState], l: int,
     signs included).  Coherences between even and odd total subsystem
     parity are not fixed by parity-even observables and are set to zero.
 
-    Only the configurations of ``state.support()`` are visited (the sector
-    basis of a :class:`SectorState`, the nonzero amplitudes of a full-Fock
-    state), and the environment is indexed by the distinct environment
-    strings among them, so the cost of a sector state scales with the
-    sector dimension, not with the Fock dimension.
+    Only the configurations of ``state.basis`` are visited, and the
+    environment is indexed by the distinct environment strings among them,
+    so the cost scales with the size of the basis, not with the Fock
+    dimension.
     """
     space = state.space
     if l == lp:
@@ -375,7 +235,7 @@ def two_orbital_rdm(state: Union[ManyBodyState, SectorState], l: int,
                  space.mode(lp, UP), space.mode(lp, DOWN)]
     sub_mask = sum(1 << p for p in sub_modes)
 
-    idx, amps = state.support()
+    idx, amps = state.basis, state.amps
     bits = [(idx >> p) & 1 for p in sub_modes]
 
     # local index alpha = n_up + 2*n_down per orbital, flat = 4*alpha_l + alpha_lp

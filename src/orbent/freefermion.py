@@ -12,15 +12,13 @@ from __future__ import annotations
 
 import numpy as np
 
-from .fock import (
-    DensityMatrix,
-    FockSpace,
-    ManyBodyState,
-    apply_create,
-    vacuum_state,
-)
+from .fock import DensityMatrix
 
 _HERM_TOL = 1e-12
+# Fermi-level gap below which the ground state, and its 1RDM, are not unique
+_DEGENERACY_TOL = 1e-10
+# one spin-symmetric 1RDM describes both spin channels
+_SPIN_CHANNELS = 2
 
 
 class DegenerateFermiLevel(ValueError):
@@ -38,19 +36,19 @@ def diagonalize_one_body(h) -> tuple[np.ndarray, np.ndarray]:
     return energies, v.conj().T
 
 
-def slater_1rdm(h, n_occ: int, *, degeneracy_tol: float = 1e-10) -> np.ndarray:
+def slater_1rdm(h, n_occ: int) -> np.ndarray:
     """1RDM of the n_occ-fermion ground state of a one-body Hamiltonian.
 
     The result is idempotent with trace n_occ (one spin channel).  A Fermi
-    level degenerate within ``degeneracy_tol`` is rejected because the
-    ground state, and hence the 1RDM, is then not unique.
+    level degenerate within 1e-10 is rejected because the ground state, and
+    hence the 1RDM, is then not unique.
     """
     h = np.asarray(h, dtype=complex)
     d = h.shape[0]
     if not 0 <= n_occ <= d:
         raise ValueError(f"occupation {n_occ} outside [0, {d}]")
     energies, u = diagonalize_one_body(h)
-    if 0 < n_occ < d and energies[n_occ] - energies[n_occ - 1] < degeneracy_tol:
+    if 0 < n_occ < d and energies[n_occ] - energies[n_occ - 1] < _DEGENERACY_TOL:
         raise DegenerateFermiLevel(
             f"levels {n_occ - 1} and {n_occ} coincide "
             f"({energies[n_occ - 1]!r} vs {energies[n_occ]!r})")
@@ -59,40 +57,12 @@ def slater_1rdm(h, n_occ: int, *, degeneracy_tol: float = 1e-10) -> np.ndarray:
     return 0.5 * (gamma + gamma.conj().T)
 
 
-def slater_fock_state(h, n_per_spin: int, *, degeneracy_tol: float = 1e-10) -> ManyBodyState:
-    """Explicit Fock-space Slater determinant with both spin channels filled.
-
-    Brute-force companion to the Wick route: applies the occupied
-    eigenmode creation operators to the vacuum, one spin channel at a time.
-    """
-    h = np.asarray(h, dtype=complex)
-    d = h.shape[0]
-    energies, u = diagonalize_one_body(h)
-    if 0 < n_per_spin < d and energies[n_per_spin] - energies[n_per_spin - 1] < degeneracy_tol:
-        raise DegenerateFermiLevel("degenerate Fermi level: many-body ground state not unique")
-    space = FockSpace(d)
-    state = vacuum_state(space)
-    for spin in (0, 1):
-        for k in range(n_per_spin):
-            coeffs = u[k]  # c_k^dag = sum_j U_kj f_j^dag, same orbitals as slater_1rdm
-            acc = np.zeros(space.dim, dtype=complex)
-            for j in range(d):
-                if abs(coeffs[j]) < 1e-300:
-                    continue
-                acc += coeffs[j] * apply_create(state, space.mode(j, spin)).amps
-            state = ManyBodyState(space, acc)
-    norm = state.norm
-    if abs(norm - 1.0) > 1e-9:
-        raise RuntimeError(f"Slater construction lost normalization ({norm!r})")
-    return ManyBodyState(space, state.amps / norm)
-
-
-def peschel_block_entropy(gamma, orbitals, *, spin_channels: int = 2) -> float:
+def peschel_block_entropy(gamma, orbitals) -> float:
     """Block entropy from the restricted 1RDM spectrum.
 
     The reduced state of a Slater determinant is Gaussian, so its entropy
     is the binary-mixing entropy of the restricted 1RDM eigenvalues,
-    multiplied by the number of identical spin channels.
+    multiplied by the two identical spin channels.
     """
     orbitals = list(orbitals)
     if not orbitals:
@@ -105,7 +75,7 @@ def peschel_block_entropy(gamma, orbitals, *, spin_channels: int = 2) -> float:
     terms[pos] -= nu[pos] * np.log(nu[pos])
     hole = nu < 1
     terms[hole] -= (1 - nu[hole]) * np.log(1 - nu[hole])
-    return float(spin_channels * np.sum(terms))
+    return float(_SPIN_CHANNELS * np.sum(terms))
 
 
 def _two_mode_gaussian(occ_l: float, occ_lp: float, coh: complex) -> np.ndarray:

@@ -59,14 +59,15 @@ import numpy as np
 
 from . import entanglement as ent
 from .fcidump import FcidumpData
-from .fock import (DOWN, UP, FockSpace, ManyBodyState, SectorState, popcount,
-                   two_orbital_rdm)
+from .fock import DOWN, UP, FockSpace, SectorState, popcount, two_orbital_rdm
 from .tightbinding import ring_one_body
 
 if TYPE_CHECKING:
     import scipy.sparse as sps
 
 NNZ_CAP = 4_000_000
+# largest accepted |H v - E v| of a returned ground state
+_RESIDUAL_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -325,13 +326,12 @@ class GroundStateResult:
     residual: float
 
 
-def ground_state(op: ManyBodyOperator, *, dense_cutoff: int = 300,
-                 residual_tol: float = 1e-9) -> GroundStateResult:
+def ground_state(op: ManyBodyOperator, *, dense_cutoff: int = 300) -> GroundStateResult:
     """Lowest eigenpair of a sector Hamiltonian.
 
     Dense diagonalization up to ``dense_cutoff``, implicitly restarted
-    Lanczos from a fixed-seed start vector above it (residual pushed below
-    ``residual_tol``).  A spectral gap under 1e-9 flags a degenerate ground
+    Lanczos from a fixed-seed start vector above it.  An eigenpair whose
+    residual exceeds 1e-9 raises ``RuntimeError``.  A spectral gap under 1e-9 flags a degenerate ground
     level; the returned state is then just one ground vector.  The state is
     the sector vector over ``op.basis``, never lifted to the Fock space.
 
@@ -365,15 +365,16 @@ def ground_state(op: ManyBodyOperator, *, dense_cutoff: int = 300,
         energy, vec = float(evals[order[0]]), evecs[:, order[0]]
         gap = float(evals[order[1]] - evals[order[0]]) if k > 1 else np.inf
     residual = float(np.linalg.norm(h @ vec - energy * vec))
-    if residual > residual_tol:
-        raise RuntimeError(f"eigensolver residual {residual:.2e} above {residual_tol}")
+    if residual > _RESIDUAL_TOL:
+        raise RuntimeError(f"eigensolver residual {residual:.2e} above {_RESIDUAL_TOL}")
     return GroundStateResult(energy, SectorState(op.space, op.basis, vec),
                              bool(gap < 1e-9), gap, residual)
 
 
-def orbital_pair_entanglement(state: Union[SectorState, ManyBodyState], l: int, lp: int,
-                              ssr: str = "N", **solver_kwargs) -> ent.EntanglementResult:
-    """Accessible entanglement between two orbitals of a many-body state.
+def orbital_pair_entanglement(state: SectorState, l: int, lp: int, ssr: str = "N",
+                              **solver_kwargs) -> ent.EntanglementResult:
+    """Accessible entanglement between two orbitals of a many-body state,
+    such as the ground state of :func:`ground_state`.
 
     Both rules ("N" and "P") give the relative entropy of entanglement of
     the pinched pair state, by one route

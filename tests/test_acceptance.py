@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 from scipy.stats import spearmanr
 
+from fockref import block_entropy, slater_fock_state
 from orbent.channels import gn_local, gpi_local, run_swap_protocol
 from orbent.entanglement import (
     _REFLECTION,
@@ -24,7 +25,6 @@ from orbent.fock import DensityMatrix, two_orbital_rdm
 from orbent.freefermion import (
     peschel_block_entropy,
     slater_1rdm,
-    slater_fock_state,
     two_orbital_state_from_block,
     wick_two_orbital_rdm,
 )
@@ -258,15 +258,13 @@ def test_criterion_09_interacting_anchor():
 
 def test_criterion_10_peschel_consistency():
     """Correlation-spectrum block entropy equals the dense partial trace."""
-    from tests.test_freefermion import _block_entropy_brute_force
-
     h = ring_one_body(8)
     worst = 0.0
     for n_per_spin in (1, 3):
         gamma = slater_1rdm(h, n_per_spin)
         state = slater_fock_state(h, n_per_spin)
         for block in ([0], [3], [0, 1], [2, 6], [0, 1, 2], [1, 4, 6]):
-            direct = _block_entropy_brute_force(state, block)
+            direct = block_entropy(state, block)
             shortcut = peschel_block_entropy(gamma, block)
             worst = max(worst, abs(direct - shortcut))
     ok = worst < 1e-10

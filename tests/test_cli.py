@@ -206,10 +206,17 @@ class TestSwapDemo:
         assert report["erased_number_coherence"] == pytest.approx(np.sqrt(0.5))
         assert report["erased_orbital_coherence"] == pytest.approx(0.0, abs=1e-14)
 
-    def test_missing_state_file(self, capsys):
+    def test_missing_state_file(self, tmp_path, capsys):
         code, _, err = run_cli(capsys, "swap-demo", "--state", "/no/such/file")
         assert code == 2
         assert "cannot read" in err
+        # not JSON, a JSON non-object, a scalar matrix, not UTF-8
+        state_file = tmp_path / "state.json"
+        for content in (b"not json", b"[1, 2]", b'{"rho": 5}', b"\xff\xfe"):
+            state_file.write_bytes(content)
+            code, _, err = run_cli(capsys, "swap-demo", "--state", str(state_file))
+            assert code == 2, content
+            assert err.startswith("error: invalid state file: "), content
 
 
 class TestEd:
@@ -252,11 +259,16 @@ class TestEd:
         assert code == 0
         assert json.loads(out)["model"] == "fcidump"
 
-    def test_missing_file_exit_2(self, capsys):
+    def test_missing_file_exit_2(self, tmp_path, capsys):
         code, _, err = run_cli(capsys, "ed", "--fcidump", "/no/such/file",
                                "--orbitals", "0,1")
         assert code == 2
         assert "cannot read" in err
+        binary = tmp_path / "binary.fcidump"
+        binary.write_bytes(b"\xff\xfe")
+        code, _, err = run_cli(capsys, "ed", "--fcidump", str(binary), "--orbitals", "0,1")
+        assert code == 2
+        assert err.startswith("error: not a UTF-8 text file")
 
     def test_nnz_cap_exit_2(self, capsys):
         code, _, err = run_cli(capsys, "ed", "--hubbard", "16,4", "--nelec", "8",
