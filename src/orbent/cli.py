@@ -219,8 +219,8 @@ def cmd_ed(args) -> int:
         try:
             l_str, u_str = args.hubbard.split(",")
             params = interacting.HubbardParams(int(l_str), float(u_str))
-        except ValueError:
-            print("error: --hubbard expects 'L,U'", file=sys.stderr)
+        except ValueError as exc:
+            print(f"error: --hubbard expects 'L,U': {exc}", file=sys.stderr)
             return USAGE_ERROR
         data = params.integrals()
         model = {"model": "hubbard", "n_sites": params.n_sites, "u": params.u,

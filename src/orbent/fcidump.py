@@ -12,7 +12,7 @@ terminated by ``&END`` or ``/``, followed by whitespace-separated records
 electron integrals (ij|kl).  ``i j 0 0`` records are one-electron integrals,
 ``0 0 0 0`` the core energy.  Real orbitals give the integrals an 8-fold
 permutation symmetry, which is expanded on load; conflicting duplicate
-records are rejected.
+records and non-finite values are rejected.
 """
 
 from __future__ import annotations
@@ -36,7 +36,10 @@ class FcidumpData:
     """One- and two-electron integrals with header metadata.
 
     ``h[i, j]`` is the one-electron integral and ``eri[i, j, k, l]`` the
-    chemist-notation (ij|kl), both 0-based.
+    chemist-notation (ij|kl), both 0-based.  They must be finite, with the
+    symmetry of real orbitals: ``h`` symmetric and ``eri`` unchanged under
+    the generators (ji|kl), (ij|lk) and (kl|ij) of the 8-fold symmetry, so
+    that every Hamiltonian built from them is real symmetric.
     """
 
     norb: int
@@ -56,6 +59,13 @@ class FcidumpData:
             raise FcidumpError("one-electron block has the wrong shape")
         if self.eri.shape != (self.norb,) * 4:
             raise FcidumpError("two-electron block has the wrong shape")
+        if not all(np.isfinite(x).all() for x in (self.h, self.eri, self.core)):
+            raise FcidumpError("integrals must be finite")
+        if np.max(np.abs(self.h - self.h.T)) > _SYM_TOL:
+            raise FcidumpError("one-electron integrals are not symmetric")
+        for perm in ((1, 0, 2, 3), (0, 1, 3, 2), (2, 3, 0, 1)):
+            if np.max(np.abs(self.eri - self.eri.transpose(perm))) > _SYM_TOL:
+                raise FcidumpError(f"two-electron integrals change under transposition {perm}")
 
 
 def _eightfold(i, j, k, l):

@@ -92,15 +92,17 @@ class DensityMatrix:
     """Hermitian, PSD, unit-trace operator over a declared factor structure.
 
     ``dims`` lists the local dimensions in kron order (first factor most
-    significant).  The constructor always validates: eigenvalues slightly
-    below zero but above the PSD floor are clipped to zero and the state
-    renormalized (logged at debug level); anything below the floor is
-    rejected.  Partial traces, exact maps of valid states, build their
-    results through ``_trusted`` without re-validating.
+    significant).  The constructor always validates: entries must be finite;
+    eigenvalues slightly below zero but above the PSD floor are clipped to
+    zero and the state renormalized (logged at debug level); anything below
+    the floor is rejected.  States valid by construction, such as partial
+    traces, are built through ``_trusted`` without re-validating.
     """
 
     def __init__(self, mat, dims):
         mat = np.asarray(mat, dtype=complex)
+        if not np.isfinite(mat).all():
+            raise ValueError("density matrix entries must be finite")
         dims = tuple(int(d) for d in dims)
         if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
             raise ValueError("density matrix must be square")
@@ -152,8 +154,8 @@ class DensityMatrix:
 
 
 def _trusted(mat: np.ndarray, dims) -> DensityMatrix:
-    """Wrap the exact image of a valid state under a partial trace, skipping
-    the eigen-validation of the constructor."""
+    """Wrap a matrix that is a valid state by construction, skipping the
+    eigen-validation of the constructor."""
     rho = object.__new__(DensityMatrix)
     rho.mat = mat
     rho.dims = tuple(dims)
@@ -216,6 +218,8 @@ def two_orbital_rdm(state: SectorState, l: int, lp: int) -> DensityMatrix:
     to the front of the ordered creation string (fermionic reordering
     signs included).  Coherences between even and odd total subsystem
     parity are not fixed by parity-even observables and are set to zero.
+    psi psi^dag masked by parity is PSD by construction, so it is returned
+    unvalidated; the pinch that every entanglement route applies validates it.
 
     Only the configurations of ``state.basis`` are visited, and the
     environment is indexed by the distinct environment strings among them,
@@ -228,7 +232,7 @@ def two_orbital_rdm(state: SectorState, l: int, lp: int) -> DensityMatrix:
     for x in (l, lp):
         if not 0 <= x < space.n_spatial:
             raise ValueError(f"orbital {x} out of range for d={space.n_spatial}")
-    if abs(state.norm - 1.0) > 1e-10:
+    if not abs(state.norm - 1.0) <= 1e-10:
         raise ValueError("state must be normalized")
 
     sub_modes = [space.mode(l, UP), space.mode(l, DOWN),
@@ -260,9 +264,9 @@ def two_orbital_rdm(state: SectorState, l: int, lp: int) -> DensityMatrix:
     parity = _factor_labels((4, 4))[0] % 2
     rho *= np.equal.outer(parity, parity)
     rho = 0.5 * (rho + rho.conj().T)
-    # a state within the accepted norm tolerance may still miss the trace
-    # check of the constructor; the reduced state of |psi>/|psi| is rho/Tr rho
+    # within the norm tolerance, rho may still miss the trace check of the
+    # pinch that follows; the reduced state of |psi>/|psi| is rho/Tr rho
     tr = np.trace(rho).real
     if abs(tr - 1.0) > TRACE_TOL:
         rho /= tr
-    return DensityMatrix(rho, (4, 4))
+    return _trusted(rho, (4, 4))

@@ -138,20 +138,12 @@ def two_orbital_state_from_block(occ_l: float, occ_lp: float, coh: complex) -> D
     return DensityMatrix(rho, (4, 4))
 
 
-def wick_two_orbital_rdm(gamma, l: int, lp: int, gamma_down=None) -> DensityMatrix:
-    """Two-orbital reduced state of the Slater state with per-spin 1RDM gamma.
-
-    Requires identical spin channels; pass ``gamma_down`` only to assert
-    that, a differing channel is an error.
-    """
+def wick_two_orbital_rdm(gamma, l: int, lp: int) -> DensityMatrix:
+    """Two-orbital reduced state of the spin-symmetric Slater state whose
+    spin channels both have the 1RDM gamma."""
     gamma = np.asarray(gamma, dtype=complex)
     if l == lp:
         raise ValueError("orbital indices must differ")
-    if gamma_down is not None:
-        gamma_down = np.asarray(gamma_down, dtype=complex)
-        if gamma.shape != gamma_down.shape or np.max(np.abs(gamma - gamma_down)) > 1e-12:
-            raise ValueError("spin channels differ: the spin-symmetric Wick "
-                             "factorization does not apply")
     occ_l = float(gamma[l, l].real)
     occ_lp = float(gamma[lp, lp].real)
     # gamma[j, i] = <f_i^dag f_j>, so <f_l^dag f_lp> sits at [lp, l]

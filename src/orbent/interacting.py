@@ -68,6 +68,8 @@ if TYPE_CHECKING:
 NNZ_CAP = 4_000_000
 # largest accepted |H v - E v| of a returned ground state
 _RESIDUAL_TOL = 1e-9
+# largest sector diagonalized densely (see ground_state)
+_DENSE_CUTOFF = 300
 
 
 @dataclass(frozen=True)
@@ -81,6 +83,8 @@ class HubbardParams:
     def __post_init__(self):
         if self.n_sites < 2:
             raise ValueError("need at least two sites")
+        if not (np.isfinite(self.u) and np.isfinite(self.hopping)):
+            raise ValueError(f"u and hopping must be finite, got {self.u}, {self.hopping}")
 
     def integrals(self) -> FcidumpData:
         n = self.n_sites
@@ -137,21 +141,14 @@ def sector_basis(norb: int, n_elec: int, sz2: Optional[int] = None) -> np.ndarra
                                    in _sector_strings(norb, n_elec, sz2)]))
 
 
+@dataclass(frozen=True)
 class ManyBodyOperator:
-    """Sparse Hermitian operator on one symmetry sector of the Fock space."""
+    """Sparse Hermitian operator on one symmetry sector of the Fock space:
+    ``matrix`` in CSR over the sorted configurations ``basis``."""
 
-    def __init__(self, matrix: sps.spmatrix, basis: np.ndarray, space: FockSpace,
-                 n_elec: int, sz2: Optional[int], core: float = 0.0):
-        matrix = matrix.tocsr()
-        dev = abs(matrix - matrix.getH()).max()
-        if dev > 1e-10:
-            raise ValueError(f"sector Hamiltonian not Hermitian (deviation {dev:.2e})")
-        self.matrix = matrix
-        self.basis = basis
-        self.space = space
-        self.n_elec = n_elec
-        self.sz2 = sz2
-        self.core = core
+    matrix: sps.csr_matrix
+    basis: np.ndarray
+    space: FockSpace
 
     @property
     def dim(self) -> int:
@@ -176,10 +173,10 @@ def _string_generators(strings: np.ndarray, keys: np.ndarray, norb: int):
 
 
 def build_hamiltonian(source: Union[FcidumpData, HubbardParams], n_elec: int,
-                      sz2: int = 0, *, nnz_cap: int = NNZ_CAP) -> ManyBodyOperator:
+                      sz2: int = 0) -> ManyBodyOperator:
     """Sector-restricted sparse Hamiltonian from integrals or Hubbard parameters.
 
-    ``nnz_cap`` bounds the memory.  Let P_s be the union pattern of the
+    ``NNZ_CAP`` bounds the memory.  Let P_s be the union pattern of the
     spin-s string generators plus the diagonal, and n_s the number of spin-s
     strings.  H lies inside P_up (x) P_down, except for the same-spin double
     excitations, which lie in P_s @ P_s; so
@@ -188,8 +185,8 @@ def build_hamiltonian(source: Union[FcidumpData, HubbardParams], n_elec: int,
                               + (nnz(P_down @ P_down) - nnz(P_down)) n_up
 
     bounds its nonzeros.  The bound is computed from the strings and must
-    fit under the cap before anything of the sector's size is allocated;
-    the assembled matrix must fit too.  Either excess raises ``ValueError``.
+    fit under the cap before anything of the sector's size is allocated, or
+    ``ValueError`` is raised.  H is symmetric, as the integrals are.
     """
     import scipy.sparse as sps
 
@@ -218,9 +215,9 @@ def build_hamiltonian(source: Union[FcidumpData, HubbardParams], n_elec: int,
     (p_up, pp_up), (p_down, pp_down) = pattern_nnz(n_up, gens_up), pattern_nnz(n_down, gens_down)
     dim = n_up * n_down
     bound = p_up * p_down + (pp_up - p_up) * n_down + (pp_down - p_down) * n_up
-    if bound > nnz_cap:
+    if bound > NNZ_CAP:
         raise ValueError(f"sector of dimension {dim} may hold {bound} nonzeros, "
-                         f"over the {nnz_cap} nonzero cap")
+                         f"over the {NNZ_CAP} nonzero cap")
 
     configs = _interleave(space, up, down)
     order = np.argsort(configs)
@@ -229,9 +226,7 @@ def build_hamiltonian(source: Union[FcidumpData, HubbardParams], n_elec: int,
     ham = _assemble(rank.reshape(n_up, n_down), _interleave_sign(up, down, norb),
                     gens_up, gens_down, one_body[keys], eri2[np.ix_(keys, keys)], data.core)
     ham.eliminate_zeros()
-    if ham.nnz > nnz_cap:
-        raise ValueError(f"sector Hamiltonian exceeds the {nnz_cap} nonzero cap")
-    return ManyBodyOperator(ham, configs[order], space, n_elec, sz2, core=data.core)
+    return ManyBodyOperator(ham, configs[order], space)
 
 
 def _interleave_sign(up: np.ndarray, down: np.ndarray, norb: int) -> np.ndarray:
@@ -292,9 +287,7 @@ def _assemble(rank: np.ndarray, sign: np.ndarray, gens_up, gens_down,
 
     Each ((a'a), (b'b)) entry is the one entry ((a'b'), (ab)) of H, so the
     product holds no duplicates.  ``rank[a, b]`` places (a, b) in the sorted
-    basis and ``sign[a, b]`` is its interleaving sign.  Kept apart from
-    :func:`build_hamiltonian` so that its nonzero-sized temporaries are
-    freed before the Hermiticity check allocates its own.
+    basis and ``sign[a, b]`` is its interleaving sign.
     """
     import scipy.sparse as sps
 
@@ -326,17 +319,17 @@ class GroundStateResult:
     residual: float
 
 
-def ground_state(op: ManyBodyOperator, *, dense_cutoff: int = 300) -> GroundStateResult:
+def ground_state(op: ManyBodyOperator) -> GroundStateResult:
     """Lowest eigenpair of a sector Hamiltonian.
 
-    Dense diagonalization up to ``dense_cutoff``, implicitly restarted
-    Lanczos from a fixed-seed start vector above it.  An eigenpair whose
-    residual exceeds 1e-9 raises ``RuntimeError``.  A spectral gap under 1e-9 flags a degenerate ground
-    level; the returned state is then just one ground vector.  The state is
-    the sector vector over ``op.basis``, never lifted to the Fock space.
+    Dense diagonalization up to ``_DENSE_CUTOFF``, implicitly restarted
+    Lanczos from a fixed-seed start vector above it.  A residual over 1e-9,
+    or NaN, raises ``RuntimeError``.  A spectral gap under 1e-9 flags a
+    degenerate ground level; the returned state is then just one ground
+    vector, the sector vector over ``op.basis``.
 
-    The default cutoff is the measured crossover on Hubbard rings with one
-    BLAS thread: dense ``eigh`` costs O(dim**3) and is as fast as Lanczos at
+    The cutoff is the measured crossover on Hubbard rings with one BLAS
+    thread: dense ``eigh`` costs O(dim**3) and is as fast as Lanczos at
     dimension 225-300 (2-5 ms), but at 400 it takes 8-9 ms against 5-7 ms,
     at 784 about 45 ms against 4-8 ms and at 1225 about 180 ms against
     8-43 ms.  The two ground energies agree to 1e-14 there.  The crossover
@@ -351,7 +344,7 @@ def ground_state(op: ManyBodyOperator, *, dense_cutoff: int = 300) -> GroundStat
     h = op.matrix
     if op.dim == 1:
         energy, vec, gap = float(h[0, 0].real), np.ones(1), np.inf
-    elif op.dim <= dense_cutoff:
+    elif op.dim <= _DENSE_CUTOFF:
         evals, evecs = sla.eigh(h.toarray(), subset_by_index=[0, 1])
         energy, vec = float(evals[0]), evecs[:, 0]
         gap = float(evals[1] - evals[0])
@@ -365,7 +358,7 @@ def ground_state(op: ManyBodyOperator, *, dense_cutoff: int = 300) -> GroundStat
         energy, vec = float(evals[order[0]]), evecs[:, order[0]]
         gap = float(evals[order[1]] - evals[order[0]]) if k > 1 else np.inf
     residual = float(np.linalg.norm(h @ vec - energy * vec))
-    if residual > _RESIDUAL_TOL:
+    if not residual <= _RESIDUAL_TOL:
         raise RuntimeError(f"eigensolver residual {residual:.2e} above {_RESIDUAL_TOL}")
     return GroundStateResult(energy, SectorState(op.space, op.basis, vec),
                              bool(gap < 1e-9), gap, residual)
@@ -437,13 +430,13 @@ def compare_with_reference(data: FcidumpData, n_elec: int, r_sep: float,
     from the bundled table in both logarithm conventions, without asserting.
 
     Both values come from :func:`orbital_pair_entanglement`, and
-    ``solver_kwargs`` apply to the N and the P value alike.
-    The ground-state solve honors the nonzero cap of
-    :func:`build_hamiltonian`.  With dense 16-orbital integrals the N = 2
-    and 30 sectors (256 configurations, 65 536 nonzeros) fit under it;
-    N = 4 and 28 (14 400 configurations, a bound of 14.7M nonzeros) and
-    every sector between them are refused before anything of the sector's
-    size is allocated.
+    ``solver_kwargs`` apply to the N and the P value alike.  ``data``, like
+    every :class:`FcidumpData`, was checked to be finite and symmetric when
+    built.  The solve honors ``NNZ_CAP``: with dense 16-orbital integrals
+    the N = 2 and 30 sectors (256 configurations, 65 536 nonzeros) fit
+    under it; N = 4 and 28 (14 400 configurations, a bound of 14.7M
+    nonzeros) and every sector between them are refused before anything of
+    the sector's size is allocated.
     """
     op = build_hamiltonian(data, n_elec, n_elec % 2)
     gs = ground_state(op)

@@ -210,9 +210,11 @@ class TestSwapDemo:
         code, _, err = run_cli(capsys, "swap-demo", "--state", "/no/such/file")
         assert code == 2
         assert "cannot read" in err
-        # not JSON, a JSON non-object, a scalar matrix, not UTF-8
+        # not JSON, a JSON non-object, a scalar matrix, not UTF-8, and a
+        # NaN entry, which json.load accepts
+        nan_rho = b'{"rho": [[NaN, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 1]]}'
         state_file = tmp_path / "state.json"
-        for content in (b"not json", b"[1, 2]", b'{"rho": 5}', b"\xff\xfe"):
+        for content in (b"not json", b"[1, 2]", b'{"rho": 5}', b"\xff\xfe", nan_rho):
             state_file.write_bytes(content)
             code, _, err = run_cli(capsys, "swap-demo", "--state", str(state_file))
             assert code == 2, content
@@ -264,11 +266,21 @@ class TestEd:
                                "--orbitals", "0,1")
         assert code == 2
         assert "cannot read" in err
-        binary = tmp_path / "binary.fcidump"
-        binary.write_bytes(b"\xff\xfe")
-        code, _, err = run_cli(capsys, "ed", "--fcidump", str(binary), "--orbitals", "0,1")
+        bad = tmp_path / "bad.fcidump"
+        header = b"&FCI NORB=2,NELEC=2,MS2=0,\n&END\n-0.5 1 2 0 0\n"
+        for content, message in ((b"\xff\xfe", "not a UTF-8 text file"),
+                                 (header + b"nan 1 1 1 1\n", "integrals must be finite")):
+            bad.write_bytes(content)
+            code, _, err = run_cli(capsys, "ed", "--fcidump", str(bad), "--orbitals", "0,1")
+            assert code == 2, content
+            assert err.startswith(f"error: {message}"), content
+
+    @pytest.mark.parametrize("u", ["nan", "inf"])
+    def test_non_finite_hubbard_exit_2(self, capsys, u):
+        code, out, err = run_cli(capsys, "ed", "--hubbard", f"4,{u}", "--orbitals", "0,1")
         assert code == 2
-        assert err.startswith("error: not a UTF-8 text file")
+        assert out == ""
+        assert "must be finite" in err
 
     def test_nnz_cap_exit_2(self, capsys):
         code, _, err = run_cli(capsys, "ed", "--hubbard", "16,4", "--nelec", "8",

@@ -141,11 +141,6 @@ class TestWickTwoOrbital:
             pytest.approx(WICK_REF["E"], abs=1e-12)
         assert nssr_entanglement_dm(dm).value == pytest.approx(WICK_REF["E"], abs=1e-12)
 
-    def test_spin_asymmetric_rejected(self):
-        g = slater_1rdm(ring_one_body(8), 1)
-        with pytest.raises(ValueError):
-            wick_two_orbital_rdm(g, 0, 1, gamma_down=np.eye(8) - g)
-
     def test_same_orbital_rejected(self):
         g = slater_1rdm(ring_one_body(8), 1)
         with pytest.raises(ValueError):

@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 from functools import lru_cache
 
@@ -11,6 +12,7 @@ from scipy.stats import spearmanr
 
 import fockref
 from fockref import amplitudes, apply_operator_string, basis_state
+from orbent import interacting
 from orbent.fcidump import FcidumpData, FcidumpError, parse_fcidump, serialize_fcidump
 from orbent.fock import FockSpace, popcount
 from orbent.freefermion import diagonalize_one_body
@@ -58,6 +60,36 @@ class TestFcidump:
     def test_missing_header_rejected(self):
         with pytest.raises(FcidumpError):
             parse_fcidump("1.0 1 1 0 0\n")
+
+    def test_invalid_integrals_rejected(self):
+        rng = np.random.default_rng(2)
+        h = rng.normal(size=(3, 3))
+        h = h + h.T
+        eri = _eightfold(rng.normal(size=(3,) * 4))
+        FcidumpData(norb=3, nelec=2, ms2=0, h=h, eri=eri, core=0.5)
+        for bad in (np.nan, np.inf):
+            with pytest.raises(FcidumpError, match="finite"):
+                FcidumpData(norb=3, nelec=2, ms2=0, h=h, eri=eri, core=bad)
+            h_bad = h.copy()
+            h_bad[0, 0] = bad
+            with pytest.raises(FcidumpError, match="finite"):
+                FcidumpData(norb=3, nelec=2, ms2=0, h=h_bad, eri=eri)
+            eri_bad = eri.copy()
+            eri_bad[0, 0, 0, 0] = bad
+            with pytest.raises(FcidumpError, match="finite"):
+                FcidumpData(norb=3, nelec=2, ms2=0, h=h, eri=eri_bad)
+        h_bad = h.copy()
+        h_bad[0, 1] += 1e-6
+        with pytest.raises(FcidumpError, match="one-electron integrals are not symmetric"):
+            FcidumpData(norb=3, nelec=2, ms2=0, h=h_bad, eri=eri)
+        # the first generating transposition that moves each entry is the
+        # one named: (10|22) -> (01|22), (00|21) -> (00|12), (00|11) -> (11|00)
+        for idx, perm in (((1, 0, 2, 2), (1, 0, 2, 3)), ((0, 0, 2, 1), (0, 1, 3, 2)),
+                          ((0, 0, 1, 1), (2, 3, 0, 1))):
+            eri_bad = eri.copy()
+            eri_bad[idx] += 1e-6
+            with pytest.raises(FcidumpError, match=re.escape(f"transposition {perm}")):
+                FcidumpData(norb=3, nelec=2, ms2=0, h=h, eri=eri_bad)
 
     def test_missing_field_rejected(self):
         with pytest.raises(FcidumpError):
@@ -228,6 +260,8 @@ class TestBuildHamiltonian:
                + data.core * np.eye(one.shape[-1]))
         built = build_hamiltonian(data, n_elec, sz2).matrix.toarray()
         assert np.max(np.abs(built - ref)) < 1e-12
+        # symmetric integrals give a symmetric H, with no check on H itself
+        assert abs(built - built.T).max() <= 1e-12
 
     @pytest.mark.parametrize("n_elec,sz2", [(2, 0), (3, 1), (3, -1), (4, 0)])
     def test_matches_grouped_reference_dense(self, n_elec, sz2):
@@ -249,8 +283,10 @@ class TestBuildHamiltonian:
     def _assert_bound_covers_nnz(source, n_elec, sz2):
         # the pre-assembly check refuses every cap below the assembled nnz
         nnz = build_hamiltonian(source, n_elec, sz2).matrix.nnz
-        with pytest.raises(ValueError, match="may hold"):
-            build_hamiltonian(source, n_elec, sz2, nnz_cap=nnz - 1)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(interacting, "NNZ_CAP", nnz - 1)
+            with pytest.raises(ValueError, match="may hold"):
+                build_hamiltonian(source, n_elec, sz2)
 
     @settings(max_examples=30, deadline=None)
     @given(_integrals())
@@ -277,8 +313,8 @@ class TestBuildHamiltonian:
 
     def test_dense_assembly_peak_memory(self):
         # the 784-dim N = 4 sector of a dense 8-orbital set holds 156 016
-        # nonzeros (1.9 MB in CSR); assembly and the Hermiticity check stay
-        # under 12 MB of Python-visible allocations
+        # nonzeros (1.9 MB in CSR); assembly stays under 12 MB of
+        # Python-visible allocations, with no copy of H made to check it
         data = _dense_integrals(8, seed=11)
         build_hamiltonian(data, 2, 0)  # first call: lazy imports and caches
         tracemalloc.start()
@@ -290,9 +326,11 @@ class TestBuildHamiltonian:
         assert op.matrix.nnz == 156016
         assert peak < 12e6
 
-    def test_nnz_cap(self):
-        with pytest.raises(ValueError, match="nonzero cap"):
-            build_hamiltonian(HubbardParams(6, 4.0), 6, 0, nnz_cap=100)
+    def test_nnz_cap(self, monkeypatch):
+        with monkeypatch.context() as mp:
+            mp.setattr(interacting, "NNZ_CAP", 100)
+            with pytest.raises(ValueError, match="nonzero cap"):
+                build_hamiltonian(HubbardParams(6, 4.0), 6, 0)
         rng = np.random.default_rng(11)
         h = rng.normal(size=(8, 8))
         data = FcidumpData(norb=8, nelec=4, ms2=0, h=h + h.T,
@@ -364,18 +402,11 @@ class TestBuildHamiltonian:
                 assert basis.dtype == expected.dtype
                 assert np.array_equal(basis, expected)
 
-    def test_hermiticity_guard(self):
-        basis = sector_basis(2, 1, 1)
-        bad = sps.csr_matrix(np.array([[0.0, 1.0], [0.0, 0.0]]))
-        with pytest.raises(ValueError):
-            ManyBodyOperator(bad, basis, FockSpace(2), 1, 1)
-
 
 class TestGroundState:
     def test_diagonal_matrix(self):
         basis = sector_basis(2, 1, 1)
-        op = ManyBodyOperator(sps.csr_matrix(np.diag([3.0, -2.0])), basis,
-                              FockSpace(2), 1, 1)
+        op = ManyBodyOperator(sps.csr_matrix(np.diag([3.0, -2.0])), basis, FockSpace(2))
         gs = ground_state(op)
         assert gs.energy == -2.0
         assert not gs.degenerate
@@ -387,22 +418,26 @@ class TestGroundState:
 
     def test_degenerate_ground_flagged(self):
         basis = sector_basis(2, 1, 1)
-        op = ManyBodyOperator(sps.csr_matrix(np.eye(2)), basis, FockSpace(2), 1, 1)
+        op = ManyBodyOperator(sps.csr_matrix(np.eye(2)), basis, FockSpace(2))
         assert ground_state(op).degenerate
 
-    def test_iterative_path_agrees_with_dense(self):
+    def test_iterative_path_agrees_with_dense(self, monkeypatch):
         op = build_hamiltonian(HubbardParams(6, 4.0), 6, 0)
-        dense = ground_state(op, dense_cutoff=4000)
-        sparse = ground_state(op, dense_cutoff=10)
+        monkeypatch.setattr(interacting, "_DENSE_CUTOFF", 4000)
+        dense = ground_state(op)
+        monkeypatch.setattr(interacting, "_DENSE_CUTOFF", 10)
+        sparse = ground_state(op)
         assert isinstance(sparse, GroundStateResult)
         assert sparse.energy == pytest.approx(dense.energy, abs=1e-8)
         assert sparse.residual < 1e-9
 
     @pytest.mark.parametrize("n_sites,n_elec", [(6, 4), (6, 6), (8, 4)])
-    def test_default_cutoff_agrees_with_dense(self, n_sites, n_elec):
+    def test_default_cutoff_agrees_with_dense(self, n_sites, n_elec, monkeypatch):
         # sector dimensions 225 (dense by default), 400 and 784 (Lanczos)
         op = build_hamiltonian(HubbardParams(n_sites, 4.0), n_elec, 0)
-        default, dense = ground_state(op), ground_state(op, dense_cutoff=10**6)
+        default = ground_state(op)
+        monkeypatch.setattr(interacting, "_DENSE_CUTOFF", 10**6)
+        dense = ground_state(op)
         assert not dense.degenerate
         assert default.energy == pytest.approx(dense.energy, abs=1e-12)
         for lp in range(1, n_sites):
