@@ -19,18 +19,22 @@ import sys
 import numpy as np
 
 from . import channels, entanglement, fcidump, interacting, tightbinding
-from .fock import DensityMatrix, pure_state_dm
+from .fock import DensityMatrix, check_orbital_pair, pure_state_dm
 
 USAGE_ERROR, NUMERICAL_ERROR = 2, 3
 
 
-def _emit_json(record, out=None):
-    text = json.dumps(record, indent=2, sort_keys=True)
+def _write_text(text, out=None):
+    """``text`` and a newline, to the file ``out`` or to stdout."""
     if out:
         with open(out, "w") as fh:
             fh.write(text + "\n")
     else:
         print(text)
+
+
+def _emit_json(record, out=None):
+    _write_text(json.dumps(record, indent=2, sort_keys=True), out)
 
 
 def _matrix_json(mat):
@@ -48,6 +52,23 @@ def _log_base_value(result_value: float, base: str) -> float:
     return result_value / entanglement.LN2 if base == "2" else result_value
 
 
+def _solver_fields(res, base: str) -> dict:
+    """The record fields of one solver result, value and gap in ``base``."""
+    return {"value": _log_base_value(res.value, base), "method": res.method,
+            "gap": _log_base_value(res.gap, base), "iterations": res.iterations,
+            "converged": res.converged}
+
+
+def _error(message, code: int = USAGE_ERROR) -> int:
+    """Print ``error: message`` to stderr and return the exit code."""
+    print(f"error: {message}", file=sys.stderr)
+    return code
+
+
+def _uncertified() -> int:
+    return _error("minimization did not certify the requested gap", NUMERICAL_ERROR)
+
+
 # ---------------------------------------------------------------------------
 # subcommands
 
@@ -56,8 +77,7 @@ def cmd_tb(args) -> int:
     try:
         query = tightbinding.TbQuery(eta=args.eta, d=args.d, n_sites=args.finite_l)
     except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return USAGE_ERROR
+        return _error(exc)
     closed = tightbinding.tb_entanglement(query)
     record = {
         "model": "tightbinding",
@@ -77,18 +97,10 @@ def cmd_tb(args) -> int:
         record.update(value=_log_base_value(closed.e_nssr, args.log_base),
                       entangled=closed.entangled, method="closed-form")
     else:
-        res = tightbinding.pssr_point(args.eta, args.d, args.finite_l, tol=args.ree_tol,
-                                      max_iters=args.ree_max_iters)
-        record.update(value=_log_base_value(res.value, args.log_base),
-                      method=res.method, gap=_log_base_value(res.gap, args.log_base),
-                      iterations=res.iterations, converged=res.converged)
-        if not res.converged:
-            _emit_json(record)
-            print("error: minimization did not certify the requested gap",
-                  file=sys.stderr)
-            return NUMERICAL_ERROR
+        res = tightbinding.pssr_point(query, tol=args.ree_tol, max_iters=args.ree_max_iters)
+        record.update(_solver_fields(res, args.log_base))
     _emit_json(record)
-    return 0
+    return 0 if record.get("converged", True) else _uncertified()
 
 
 def _write_csv(path, header, rows):
@@ -103,31 +115,26 @@ def cmd_tb_scan(args) -> int:
     try:
         d_list = [int(tok) for tok in args.d_list.split(",") if tok]
     except ValueError:
-        print("error: --d-list must be comma-separated integers", file=sys.stderr)
-        return USAGE_ERROR
+        return _error("--d-list must be comma-separated integers")
     points = args.points if args.points is not None else \
         (2001 if args.scale == "linear" else 200)
     try:
         rows = tightbinding.scan_entanglement(d_list, args.eta_min, args.eta_max,
                                       points, args.scale)
     except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return USAGE_ERROR
+        return _error(exc)
     header = ["eta", "d", "E_nssr"]
     table = [[row["eta"], row["d"], row["E_nssr"]] for row in rows]
     failed = False
     if args.pssr:
         header.append("E_pssr")
         for line, row in zip(table, rows):
-            res = tightbinding.pssr_point(row["eta"], row["d"], tol=args.ree_tol,
-                                          max_iters=args.ree_max_iters)
+            res = tightbinding.pssr_point(tightbinding.TbQuery(row["eta"], row["d"]),
+                                          tol=args.ree_tol, max_iters=args.ree_max_iters)
             line.append(res.value)
             failed |= not res.converged
     _write_csv(args.out, header, table)
-    if failed:
-        print("error: minimization did not certify the requested gap", file=sys.stderr)
-        return NUMERICAL_ERROR
-    return 0
+    return _uncertified() if failed else 0
 
 
 def cmd_dmin_scan(args) -> int:
@@ -135,8 +142,7 @@ def cmd_dmin_scan(args) -> int:
         rows = tightbinding.scan_dmin(args.eta_min, args.eta_max, args.points,
                                       args.scale)
     except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return USAGE_ERROR
+        return _error(exc)
     _write_csv(args.out, ["eta", "dmin_exact", "dmin_asymptotic"],
                [[row["eta"], row["dmin_exact"], row["dmin_asymptotic"]] for row in rows])
     return 0
@@ -160,11 +166,9 @@ def cmd_swap_demo(args) -> int:
         with open(args.state) as fh:
             payload = json.load(fh)
     except OSError as exc:
-        print(f"error: cannot read state file: {exc}", file=sys.stderr)
-        return USAGE_ERROR
+        return _error(f"cannot read state file: {exc}")
     except ValueError as exc:  # not JSON, or not text
-        print(f"error: invalid state file: {exc}", file=sys.stderr)
-        return USAGE_ERROR
+        return _error(f"invalid state file: {exc}")
     try:
         if not isinstance(payload, dict):
             raise ValueError("expected a JSON object with a 'rho' entry")
@@ -180,8 +184,7 @@ def cmd_swap_demo(args) -> int:
             ground[0] = 1.0
             sigma = pure_state_dm(ground, dims)
     except (KeyError, ValueError) as exc:
-        print(f"error: invalid state file: {exc}", file=sys.stderr)
-        return USAGE_ERROR
+        return _error(f"invalid state file: {exc}")
     result = channels.run_swap_protocol(rho, sigma)
     gn = channels.gn_local(rho)
     _emit_json({
@@ -200,40 +203,26 @@ def cmd_swap_demo(args) -> int:
 
 def cmd_ed(args) -> int:
     if (args.fcidump is None) == (args.hubbard is None):
-        print("error: give exactly one of --fcidump or --hubbard", file=sys.stderr)
-        return USAGE_ERROR
+        return _error("give exactly one of --fcidump or --hubbard")
     if (args.orbitals is None) == (not args.all_pairs):
-        print("error: give exactly one of --orbitals or --all-pairs", file=sys.stderr)
-        return USAGE_ERROR
+        return _error("give exactly one of --orbitals or --all-pairs")
     if args.fcidump is not None:
         try:
             data = fcidump.read_fcidump(args.fcidump)
         except OSError as exc:
-            print(f"error: cannot read FCIDUMP: {exc}", file=sys.stderr)
-            return USAGE_ERROR
+            return _error(f"cannot read FCIDUMP: {exc}")
         except fcidump.FcidumpError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return USAGE_ERROR
+            return _error(exc)
         model = {"model": "fcidump", "source": args.fcidump, "norb": data.norb}
     else:
         try:
             l_str, u_str = args.hubbard.split(",")
             params = interacting.HubbardParams(int(l_str), float(u_str))
         except ValueError as exc:
-            print(f"error: --hubbard expects 'L,U': {exc}", file=sys.stderr)
-            return USAGE_ERROR
+            return _error(f"--hubbard expects 'L,U': {exc}")
         data = params.integrals()
         model = {"model": "hubbard", "n_sites": params.n_sites, "u": params.u,
-                 "hopping": params.hopping}
-    n_elec = args.nelec if args.nelec is not None else data.nelec
-    ms2 = args.ms2 if args.ms2 is not None else (data.ms2 if args.fcidump else n_elec % 2)
-    try:
-        op = interacting.build_hamiltonian(data, n_elec, ms2)
-        gs = interacting.ground_state(op)
-    except (ValueError, RuntimeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return USAGE_ERROR if isinstance(exc, ValueError) else NUMERICAL_ERROR
-
+                 "hopping": tightbinding.HOPPING}
     if args.all_pairs:
         pairs = [(0, lp) for lp in range(1, data.norb)]
     else:
@@ -241,20 +230,24 @@ def cmd_ed(args) -> int:
             l_str, lp_str = args.orbitals.split(",")
             pairs = [(int(l_str), int(lp_str))]
         except ValueError:
-            print("error: --orbitals expects 'i,j' (0-based)", file=sys.stderr)
-            return USAGE_ERROR
-
+            return _error("--orbitals expects 'i,j' (0-based)")
+        try:
+            check_orbital_pair(data.norb, *pairs[0])
+        except ValueError as exc:
+            return _error(exc)
+    n_elec = args.nelec if args.nelec is not None else data.nelec
+    ms2 = args.ms2 if args.ms2 is not None else (data.ms2 if args.fcidump else n_elec % 2)
     try:
-        results = [interacting.orbital_pair_entanglement(
-            gs.state, l, lp, ssr=args.ssr, tol=args.ree_tol, max_iters=args.ree_max_iters)
-            for l, lp in pairs]
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return USAGE_ERROR
+        op = interacting.build_hamiltonian(data, n_elec, ms2)
+        gs = interacting.ground_state(op)
+    except (ValueError, RuntimeError) as exc:
+        return _error(exc, USAGE_ERROR if isinstance(exc, ValueError) else NUMERICAL_ERROR)
 
     lines = []
     failed = False
-    for (l, lp), res in zip(pairs, results):
+    for l, lp in pairs:
+        res = interacting.orbital_pair_entanglement(
+            gs.state, l, lp, ssr=args.ssr, tol=args.ree_tol, max_iters=args.ree_max_iters)
         d = abs(l - lp)
         if model["model"] == "hubbard":
             d = min(d, params.n_sites - d)
@@ -263,21 +256,11 @@ def cmd_ed(args) -> int:
                       degenerate_ground=gs.degenerate, sector_dim=op.dim,
                       residual=gs.residual, l=l, lp=lp, d=d,
                       ssr=args.ssr, log_base=args.log_base,
-                      value=_log_base_value(res.value, args.log_base),
-                      method=res.method, gap=_log_base_value(res.gap, args.log_base),
-                      iterations=res.iterations, converged=res.converged)
+                      **_solver_fields(res, args.log_base))
         failed |= not res.converged
         lines.append(json.dumps(record, sort_keys=True))
-    text = "\n".join(lines)
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text + "\n")
-    else:
-        print(text)
-    if failed:
-        print("error: minimization did not certify the requested gap", file=sys.stderr)
-        return NUMERICAL_ERROR
-    return 0
+    _write_text("\n".join(lines), args.out)
+    return _uncertified() if failed else 0
 
 
 # ---------------------------------------------------------------------------

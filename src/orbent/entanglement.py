@@ -68,12 +68,16 @@ def _as_matrix(rho):
     return rho.mat if isinstance(rho, DensityMatrix) else np.asarray(rho, dtype=complex)
 
 
+def _tr_rho_ln_rho(rho) -> float:
+    """Tr[rho ln rho] of a Hermitian matrix or a stack of blocks, with 0 ln 0 = 0."""
+    p = np.clip(np.linalg.eigvalsh(rho), 0.0, None)
+    p = p[p > 0]
+    return float(np.sum(p * np.log(p)))
+
+
 def von_neumann_entropy(rho) -> float:
     """-Tr[rho ln rho] with the 0 ln 0 = 0 convention."""
-    evals = np.linalg.eigvalsh(_as_matrix(rho))
-    evals = np.clip(evals.real, 0.0, None)
-    pos = evals[evals > 0.0]
-    return float(-np.sum(pos * np.log(pos)))
+    return -_tr_rho_ln_rho(_as_matrix(rho))
 
 
 _KERNEL_TOL = 1e-14
@@ -87,22 +91,13 @@ def _kernel(q) -> np.ndarray:
 def relative_entropy(rho, sigma) -> float:
     """Tr[rho (ln rho - ln sigma)]; +inf when rho has weight on ker(sigma).
 
-    Eigenvalues of sigma below 1e-14 times its largest one count as
-    kernel; the state is declared infinitely distinguishable when rho puts
-    more than 1e-12 weight there.
+    The objective of the solver (``_objective_and_grad``) on one block:
+    eigenvalues of sigma below 1e-14 times its largest one count as
+    kernel, and the state is declared infinitely distinguishable when rho
+    puts more than 1e-12 weight there.
     """
     r = _as_matrix(rho)
-    s = _as_matrix(sigma)
-    p = np.clip(np.linalg.eigvalsh(r).real, 0.0, None)
-    tr_rho_ln_rho = float(np.sum(p[p > 0] * np.log(p[p > 0])))
-    q, v = np.linalg.eigh(s)
-    q = np.clip(q.real, 0.0, None)
-    weights = np.einsum("ji,jk,ki->i", v.conj(), r, v).real
-    kernel = _kernel(q)
-    if float(np.sum(weights[kernel])) > 1e-12:
-        return float("inf")
-    on = ~kernel & (weights > 0)
-    return tr_rho_ln_rho - float(np.sum(weights[on] * np.log(q[on])))
+    return _objective_and_grad(r[None], _tr_rho_ln_rho(r), _as_matrix(sigma)[None])[0]
 
 
 # ---------------------------------------------------------------------------
@@ -149,13 +144,6 @@ class EntanglementResult:
     def __post_init__(self):
         self.value = max(float(self.value), 0.0)
 
-    def in_base(self, base: str) -> float:
-        if base in ("e", "nat", "nats"):
-            return self.value
-        if base in ("2", 2, "bit", "bits"):
-            return self.value / LN2
-        raise ValueError(f"unknown log base {base!r}")
-
 
 def _objective_and_grad(rho, tr_rho_ln_rho, sigma):
     """S(rho||sigma) and the Frechet derivative G of Tr[rho ln sigma], blockwise.
@@ -163,9 +151,10 @@ def _objective_and_grad(rho, tr_rho_ln_rho, sigma):
     ``rho`` and ``sigma`` are (k, s, s) stacks of the diagonal blocks of two
     block-diagonal matrices, and G comes back as the same stack.  Padding
     entries carry sigma = rho = 0, so they add nothing to the value or to G.
-    The support of sigma follows the kernel rule of ``relative_entropy``
-    (``_kernel``); directions orthogonal to it are masked (rho carries no
-    genuine weight there while the iterate stays interior).
+    The support of sigma follows one kernel rule (``_kernel``); directions
+    orthogonal to it are masked (rho carries no genuine weight there while
+    the iterate stays interior), and more than 1e-12 of rho's weight on
+    them makes the value infinite.
     """
     s, v = np.linalg.eigh(sigma)
     vh = v.conj().transpose(0, 2, 1)
@@ -188,10 +177,11 @@ def _objective_and_grad(rho, tr_rho_ln_rho, sigma):
     return val, grad
 
 
-def _best_product(g4, a, sweeps: int = 80, tol: float = 1e-14):
-    """Locally maximize <a,b|G|a,b> by alternating top-eigenvector updates from a."""
+def _best_product(g4, a):
+    """Locally maximize <a,b|G|a,b> by alternating top-eigenvector updates from a,
+    at most 80 sweeps, until a sweep gains at most 1e-14 relative."""
     value = -np.inf
-    for _ in range(sweeps):
+    for _ in range(80):
         mb = np.einsum("i,ikjl,j->kl", a.conj(), g4, a)
         w, vecs = np.linalg.eigh(mb)
         b = vecs[:, -1]
@@ -199,15 +189,17 @@ def _best_product(g4, a, sweeps: int = 80, tol: float = 1e-14):
         w, vecs = np.linalg.eigh(ma)
         a = vecs[:, -1]
         new = float(w[-1].real)
-        if new - value <= tol * max(1.0, abs(new)):
+        if new - value <= 1e-14 * max(1.0, abs(new)):
             value = new
             break
         value = new
     return value, a, b
 
 
-def _bloch_grid(n_theta: int = 12, n_phi: int = 24) -> np.ndarray:
-    """Qubit states (cos(theta/2), e^{i phi} sin(theta/2)) on a fixed grid."""
+def _bloch_grid() -> np.ndarray:
+    """Qubit states (cos(theta/2), e^{i phi} sin(theta/2)) on a fixed grid:
+    13 polar angles in [0, pi] by 24 phases."""
+    n_theta, n_phi = 12, 24
     theta = np.linspace(0.0, np.pi, n_theta + 1)[:, None]
     phase = np.exp(2j * np.pi * np.arange(n_phi) / n_phi)[None, :]
     a0 = np.broadcast_to(np.cos(theta / 2), (n_theta + 1, n_phi))
@@ -442,8 +434,7 @@ def ree_numeric(rho: DensityMatrix, ssr: str = "none", tol: float = 1e-7,
     dtype = float if real else complex
     rho_b = np.zeros(pair.shape, dtype=dtype)
     rho_b[pair] = mat[rows, cols].real if real else mat[rows, cols]
-    p = np.clip(np.linalg.eigvalsh(rho_b), 0.0, None)
-    tr_rho_ln_rho = float(np.sum(p[p > 0] * np.log(p[p > 0])))
+    tr_rho_ln_rho = _tr_rho_ln_rho(rho_b)
     sectors_a, sectors_b = _local_sectors(da, ssr_key), _local_sectors(db, ssr_key)
 
     def compress(v):

@@ -1,4 +1,4 @@
-"""FCIDUMP reading and writing.
+"""FCIDUMP parsing and serialization.
 
 The format is the free-form quantum-chemistry interchange: a namelist header
 
@@ -22,6 +22,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .fock import MAX_ORBITALS
+
 _SYM_TOL = 1e-10
 # integrals at or below this magnitude are not written
 _WRITE_TOL = 1e-15
@@ -29,6 +31,11 @@ _WRITE_TOL = 1e-15
 
 class FcidumpError(ValueError):
     pass
+
+
+def _check_norb(norb: int) -> None:
+    if not 1 <= norb <= MAX_ORBITALS:
+        raise FcidumpError(f"NORB must be in [1, {MAX_ORBITALS}], got {norb}")
 
 
 @dataclass
@@ -51,8 +58,7 @@ class FcidumpData:
     extras: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        if self.norb < 1:
-            raise FcidumpError(f"NORB must be positive, got {self.norb}")
+        _check_norb(self.norb)
         self.h = np.asarray(self.h, dtype=float)
         self.eri = np.asarray(self.eri, dtype=float)
         if self.h.shape != (self.norb, self.norb):
@@ -93,6 +99,7 @@ def parse_fcidump(text: str) -> FcidumpData:
         ms2 = int(fields.pop("MS2"))
     except ValueError as exc:
         raise FcidumpError(f"malformed header field: {exc}") from exc
+    _check_norb(norb)  # before anything of size norb**4 is allocated
 
     h = np.zeros((norb, norb))
     eri = np.zeros((norb,) * 4)
@@ -167,8 +174,3 @@ def serialize_fcidump(data: FcidumpData) -> str:
                 lines.append(f"{float(data.h[i, j])!r} {i + 1} {j + 1} 0 0")
     lines.append(f"{float(data.core)!r} 0 0 0 0")
     return "\n".join(lines) + "\n"
-
-
-def write_fcidump(data: FcidumpData, path) -> None:
-    with open(path, "w") as fh:
-        fh.write(serialize_fcidump(data))

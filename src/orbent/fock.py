@@ -29,6 +29,9 @@ TRACE_TOL = 1e-12
 PSD_FLOOR = -1e-10
 
 UP, DOWN = 0, 1
+# most spinful orbitals of a FockSpace, and so of any integrals or ring that
+# reaches exact diagonalization (a 4**16 Fock space, 32 modes per configuration)
+MAX_ORBITALS = 16
 
 
 def popcount(x):
@@ -40,8 +43,8 @@ class FockSpace:
     """Basis bookkeeping for ``n_spatial`` spinful orbitals (dimension 4**d)."""
 
     def __init__(self, n_spatial: int):
-        if not 1 <= n_spatial <= 16:
-            raise ValueError(f"n_spatial must be in [1, 16], got {n_spatial}")
+        if not 1 <= n_spatial <= MAX_ORBITALS:
+            raise ValueError(f"n_spatial must be in [1, {MAX_ORBITALS}], got {n_spatial}")
         self.n_spatial = n_spatial
         self.n_modes = 2 * n_spatial
         self.dim = 4**n_spatial
@@ -209,6 +212,15 @@ def _factor_labels(dims):
 # two-orbital reduced density matrix
 
 
+def check_orbital_pair(n_spatial: int, l: int, lp: int) -> None:
+    """Raise ``ValueError`` unless l and lp are two different orbitals of n_spatial."""
+    if l == lp:
+        raise ValueError("orbital indices must differ")
+    for x in (l, lp):
+        if not 0 <= x < n_spatial:
+            raise ValueError(f"orbital {x} out of range for d={n_spatial}")
+
+
 def two_orbital_rdm(state: SectorState, l: int, lp: int) -> DensityMatrix:
     """Reduced state of orbitals (l, lp) as a 16 x 16 density matrix.
 
@@ -227,11 +239,7 @@ def two_orbital_rdm(state: SectorState, l: int, lp: int) -> DensityMatrix:
     dimension.
     """
     space = state.space
-    if l == lp:
-        raise ValueError("orbital indices must differ")
-    for x in (l, lp):
-        if not 0 <= x < space.n_spatial:
-            raise ValueError(f"orbital {x} out of range for d={space.n_spatial}")
+    check_orbital_pair(space.n_spatial, l, lp)
     if not abs(state.norm - 1.0) <= 1e-10:
         raise ValueError("state must be normalized")
 

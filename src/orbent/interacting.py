@@ -53,13 +53,13 @@ import csv
 import importlib.resources
 import itertools
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Optional, Union
+from typing import TYPE_CHECKING, Union
 
 import numpy as np
 
 from . import entanglement as ent
 from .fcidump import FcidumpData
-from .fock import DOWN, UP, FockSpace, SectorState, popcount, two_orbital_rdm
+from .fock import DOWN, MAX_ORBITALS, UP, FockSpace, SectorState, popcount, two_orbital_rdm
 from .tightbinding import ring_one_body
 
 if TYPE_CHECKING:
@@ -74,31 +74,25 @@ _DENSE_CUTOFF = 300
 
 @dataclass(frozen=True)
 class HubbardParams:
-    """Periodic ring Hubbard model; its hopping is the tight-binding ring's."""
+    """Periodic ring Hubbard model; its hopping is the tight-binding ring's,
+    ``tightbinding.HOPPING``."""
 
     n_sites: int
     u: float
-    hopping: float = 0.5
 
     def __post_init__(self):
-        if self.n_sites < 2:
-            raise ValueError("need at least two sites")
-        if not (np.isfinite(self.u) and np.isfinite(self.hopping)):
-            raise ValueError(f"u and hopping must be finite, got {self.u}, {self.hopping}")
+        if not 2 <= self.n_sites <= MAX_ORBITALS:
+            raise ValueError(f"need 2 to {MAX_ORBITALS} sites, got {self.n_sites}")
+        if not np.isfinite(self.u):
+            raise ValueError(f"u must be finite, got {self.u}")
 
     def integrals(self) -> FcidumpData:
         n = self.n_sites
         eri = np.zeros((n,) * 4)
         for a in range(n):
             eri[a, a, a, a] = self.u
-        return FcidumpData(norb=n, nelec=n, ms2=0, h=ring_one_body(n, self.hopping),
+        return FcidumpData(norb=n, nelec=n, ms2=0, h=ring_one_body(n),
                            eri=eri)
-
-
-def _up_counts(norb: int, n_elec: int, sz2: Optional[int]) -> list[int]:
-    """Up-spin electron counts of the (N, 2Sz) sector, all of them if sz2 is None."""
-    return [n_up for n_up in range(norb + 1)
-            if 0 <= n_elec - n_up <= norb and sz2 in (None, 2 * n_up - n_elec)]
 
 
 def _strings(norb: int, k: int) -> np.ndarray:
@@ -108,13 +102,12 @@ def _strings(norb: int, k: int) -> np.ndarray:
                      for occ in itertools.combinations(range(norb), k)], dtype=np.int64)
 
 
-def _sector_strings(norb: int, n_elec: int, sz2: Optional[int]) -> list:
-    """(up strings, down strings) of every up-spin count of the (N, 2Sz) sector."""
-    blocks = [(_strings(norb, n_up), _strings(norb, n_elec - n_up))
-              for n_up in _up_counts(norb, n_elec, sz2)]
-    if not blocks:
+def _sector_strings(norb: int, n_elec: int, sz2: int) -> tuple[np.ndarray, np.ndarray]:
+    """(up strings, down strings) of the (N, 2Sz) sector."""
+    n_up, odd = divmod(n_elec + sz2, 2)
+    if odd or not (0 <= n_up <= norb and 0 <= n_elec - n_up <= norb):
         raise ValueError(f"empty sector N={n_elec}, 2Sz={sz2} for {norb} orbitals")
-    return blocks
+    return _strings(norb, n_up), _strings(norb, n_elec - n_up)
 
 
 def _interleave(space: FockSpace, up: np.ndarray, down: np.ndarray) -> np.ndarray:
@@ -129,16 +122,14 @@ def _interleave(space: FockSpace, up: np.ndarray, down: np.ndarray) -> np.ndarra
     return (modes(up, UP)[:, None] | modes(down, DOWN)[None, :]).ravel()
 
 
-def sector_basis(norb: int, n_elec: int, sz2: Optional[int] = None) -> np.ndarray:
+def sector_basis(norb: int, n_elec: int, sz2: int) -> np.ndarray:
     """Sorted configuration integers with the requested (N, 2Sz).
 
     Each configuration is an up-spin string interleaved with a down-spin
     string, both enumerated as combinations of occupied sites, so the cost
     is the sector's size, not the Fock dimension.
     """
-    space = FockSpace(norb)
-    return np.sort(np.concatenate([_interleave(space, up, down) for up, down
-                                   in _sector_strings(norb, n_elec, sz2)]))
+    return np.sort(_interleave(FockSpace(norb), *_sector_strings(norb, n_elec, sz2)))
 
 
 @dataclass(frozen=True)
@@ -201,9 +192,7 @@ def build_hamiltonian(source: Union[FcidumpData, HubbardParams], n_elec: int,
     touched = np.abs(eri2) > 1e-14
     keys = np.nonzero((np.abs(one_body) > 1e-14) | touched.any(axis=0)
                       | touched.any(axis=1))[0]
-    if sz2 is None:
-        raise ValueError("build_hamiltonian needs one 2Sz sector, got sz2=None")
-    (up, down), = _sector_strings(norb, n_elec, sz2)
+    up, down = _sector_strings(norb, n_elec, sz2)
     n_up, n_down = up.size, down.size
     gens_up, gens_down = (_string_generators(s, keys, norb) for s in (up, down))
 

@@ -19,22 +19,27 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .entanglement import nssr_entanglement
+from .entanglement import nssr_entanglement, pssr_entanglement
+from .freefermion import two_orbital_state_from_block
 
 SQRT2 = math.sqrt(2.0)
+# nearest-neighbor hopping of the ring, the unit of the dispersion -cos k
+HOPPING = 0.5
+# separations the disentangling scan of ``dmin_exact`` may visit
+_DMIN_SCAN_CAP = 10_000_000
 
 
-def ring_one_body(n_sites: int, hopping: float = 0.5) -> np.ndarray:
-    """One-body matrix of the periodic chain, -hopping on nearest-neighbor bonds."""
+def ring_one_body(n_sites: int) -> np.ndarray:
+    """One-body matrix of the periodic chain, -HOPPING on nearest-neighbor bonds."""
     if n_sites < 2:
         raise ValueError("need at least two sites")
     h = np.zeros((n_sites, n_sites))
     for l in range(n_sites - 1):
-        h[l, l + 1] -= hopping
-        h[l + 1, l] -= hopping
+        h[l, l + 1] -= HOPPING
+        h[l + 1, l] -= HOPPING
     if n_sites > 2:
-        h[0, n_sites - 1] -= hopping
-        h[n_sites - 1, 0] -= hopping
+        h[0, n_sites - 1] -= HOPPING
+        h[n_sites - 1, 0] -= HOPPING
     return h
 
 
@@ -116,14 +121,17 @@ class TbResult:
     provenance: str
 
 
+def _query_kernel(query: TbQuery) -> tuple[float, str]:
+    """The query's 1RDM kernel W, thermodynamic or on its finite ring, and
+    which of the two it is."""
+    if query.n_sites is None:
+        return w_kernel(query.d, query.eta), "thermodynamic"
+    return w_kernel_finite(query.d, query.n_elec, query.n_sites), "finite-L"
+
+
 def tb_entanglement(query: TbQuery) -> TbResult:
     """Closed-form number-superselected entanglement between two orbitals."""
-    if query.n_sites is None:
-        w = w_kernel(query.d, query.eta)
-        provenance = "thermodynamic"
-    else:
-        w = w_kernel_finite(query.d, query.n_elec, query.n_sites)
-        provenance = "finite-L"
+    w, provenance = _query_kernel(query)
     a = (query.eta**2 - query.eta - w * w) ** 2
     b = w * w
     r, t = 3.0 * (a - b), a + b
@@ -163,11 +171,22 @@ def dmin_exact(eta: float) -> DminExact:
     the scan keeps going until the envelope |W| <= 1/(pi d) guarantees
     separability for every larger separation.  At eta = 0 or 1 every pair
     is separable and the result 1 is flagged.
+
+    With q = eta (1 - eta) and x = 1/(pi d), the envelope test is
+    x^2 - sqrt(2) x + q >= 0, so the scan stops at the first d with x at
+    or below the smaller root x- = 2q/(sqrt2 + sqrt(2 - 4q)), that is at
+    d = ceil(1/(pi x-)).  Fillings whose scan would pass 10^7 separations
+    (eta below about 4.5e-8) raise ``ValueError`` before it starts.
     """
     if not 0.0 <= eta <= 1.0:
         raise ValueError("filling fraction must lie in [0, 1]")
     if eta == 0.0 or eta == 1.0:
         return DminExact(1, True)
+    q = eta * (1.0 - eta)
+    last_scanned = math.ceil((SQRT2 + math.sqrt(2.0 - 4.0 * q)) / (2.0 * math.pi * q))
+    if last_scanned > _DMIN_SCAN_CAP:
+        raise ValueError(f"filling {eta!r} needs a disentangling scan over "
+                         f"{last_scanned} separations, above the cap of {_DMIN_SCAN_CAP}")
     last_entangled = 0
     d = 1
     while True:
@@ -177,7 +196,7 @@ def dmin_exact(eta: float) -> DminExact:
         if envelope >= 0.0:
             break
         d += 1
-        if d > 10_000_000:
+        if d > _DMIN_SCAN_CAP:
             raise RuntimeError("disentangling scan failed to terminate")
     return DminExact(last_entangled + 1, False)
 
@@ -213,20 +232,16 @@ def scan_entanglement(d_list, eta_min: float = 1e-4, eta_max: float = 1.0 - 1e-4
     return rows
 
 
-def pssr_point(eta: float, d: int, n_sites: Optional[int] = None, **solver_kwargs):
-    """Parity-superselected entanglement of one tight-binding orbital pair.
+def pssr_point(query: TbQuery, **solver_kwargs):
+    """Parity-superselected entanglement of one tight-binding orbital pair,
+    on the kernel of :func:`tb_entanglement`.
 
     Returns the solver's :class:`~orbent.entanglement.EntanglementResult`, so
     that callers see its gap and whether it converged.
     """
-    from .entanglement import pssr_entanglement
-    from .freefermion import two_orbital_state_from_block
-
-    if n_sites is None:
-        w = w_kernel(d, eta)
-    else:
-        w = w_kernel_finite(d, round(2 * n_sites * eta), n_sites)
-    return pssr_entanglement(two_orbital_state_from_block(eta, eta, w), **solver_kwargs)
+    w, _ = _query_kernel(query)
+    return pssr_entanglement(two_orbital_state_from_block(query.eta, query.eta, w),
+                             **solver_kwargs)
 
 
 def scan_dmin(eta_min: float = 1e-3, eta_max: float = 0.5, points: int = 60,

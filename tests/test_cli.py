@@ -3,11 +3,13 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
 
 import orbent
+from orbent import interacting
 from orbent.cli import main
 
 
@@ -164,6 +166,13 @@ class TestDminScan:
         assert int(row["dmin_exact"]) == 23
         assert float(row["dmin_asymptotic"]) == pytest.approx(22.967253, abs=1e-5)
 
+    def test_filling_beyond_scan_cap_exit_2(self, tmp_path, capsys):
+        # the scan would pass 10^7 separations; it is refused before it starts
+        code, _, err = run_cli(capsys, "dmin-scan", "--eta-min", "1e-8", "--eta-max", "1e-8",
+                               "--points", "1", "--out", str(tmp_path / "x.csv"))
+        assert code == 2
+        assert err.startswith("error:")
+
 
 class TestSwapDemo:
     def test_default_demo_reaches_maximally_mixed(self, capsys):
@@ -281,6 +290,33 @@ class TestEd:
         assert code == 2
         assert out == ""
         assert "must be finite" in err
+
+    def test_orbital_limit_checked_before_allocating(self, tmp_path, capsys):
+        # 60 orbitals: the integrals alone would take 60**4 doubles (104 MB)
+        header_only = tmp_path / "big.fcidump"
+        header_only.write_text("&FCI NORB=60,NELEC=4,MS2=0,\n&END\n")
+        for source in (["--fcidump", str(header_only)], ["--hubbard", "60,4"]):
+            tracemalloc.start()
+            try:
+                code, _, err = run_cli(capsys, "ed", *source, "--orbitals", "0,1")
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert code == 2, source
+            assert err.startswith("error:") and "16" in err, source
+            assert peak < 5e6, source
+
+    def test_orbitals_checked_before_solving(self, capsys, monkeypatch):
+        def unreachable(*args, **kwargs):
+            raise AssertionError("the sector was built before --orbitals was checked")
+
+        monkeypatch.setattr(interacting, "build_hamiltonian", unreachable)
+        monkeypatch.setattr(interacting, "ground_state", unreachable)
+        for bad in ("0,x", "3", "0,16", "-1,2", "2,2"):
+            code, out, err = run_cli(capsys, "ed", "--hubbard", "16,4", "--nelec", "4",
+                                     f"--orbitals={bad}")
+            assert code == 2, bad
+            assert out == "" and err.startswith("error:"), bad
 
     def test_nnz_cap_exit_2(self, capsys):
         code, _, err = run_cli(capsys, "ed", "--hubbard", "16,4", "--nelec", "8",

@@ -392,7 +392,6 @@ def test_nssr_entanglement_dm_wrapper():
     assert res.method == "x-state" and res.ssr == "N" and res.gap <= 1e-15
     assert res.diagnostics["terms"]["ee"] == 0.0
     assert res.value == pytest.approx(ETA_HALF_D1["E"], abs=1e-12)
-    assert res.in_base("2") == pytest.approx(res.value / LN2)
 
 
 # ---------------------------------------------------------------------------

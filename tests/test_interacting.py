@@ -33,6 +33,14 @@ from orbent.tightbinding import TbQuery, ring_one_body, tb_entanglement
 
 
 class TestFcidump:
+    def test_orbital_limit(self):
+        with pytest.raises(FcidumpError, match="16"):
+            parse_fcidump("&FCI NORB=17,NELEC=2,MS2=0,\n&END\n")
+        with pytest.raises(FcidumpError, match="16"):
+            FcidumpData(norb=17, nelec=2, ms2=0, h=np.zeros((17, 17)), eri=np.zeros((17,) * 4))
+        with pytest.raises(ValueError, match="16"):
+            HubbardParams(17, 1.0)
+
     def test_minimal_single_orbital(self):
         data = parse_fcidump("&FCI NORB=1,NELEC=1,MS2=1,\n&END\n-1.0 1 1 0 0\n")
         assert data.norb == 1
@@ -380,8 +388,6 @@ class TestBuildHamiltonian:
             sector_basis(2, 3, 3)
         with pytest.raises(ValueError, match="empty sector"):
             build_hamiltonian(HubbardParams(4, 1.0), 4, 1)
-        with pytest.raises(ValueError, match="one 2Sz sector"):
-            build_hamiltonian(HubbardParams(4, 1.0), 2, None)
 
     @pytest.mark.parametrize("norb", range(1, 7))
     def test_sector_basis_matches_fock_mask(self, norb):
@@ -389,10 +395,9 @@ class TestBuildHamiltonian:
         # empty sectors included
         space = FockSpace(norb)
         for n_elec in range(2 * norb + 1):
-            for sz2 in [None, *range(-norb - 1, norb + 2)]:
+            for sz2 in range(-norb - 1, norb + 2):
                 mask = fockref.config_n(space) == n_elec
-                if sz2 is not None:
-                    mask &= fockref.config_sz2(space) == sz2
+                mask &= fockref.config_sz2(space) == sz2
                 expected = fockref.configs(space)[mask]
                 if expected.size == 0:
                     with pytest.raises(ValueError, match="empty sector"):

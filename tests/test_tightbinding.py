@@ -179,6 +179,11 @@ class TestDmin:
         for eta in (0.05, 0.23, 0.4):
             assert dmin_exact(eta).value == dmin_exact(1 - eta).value
 
+    def test_scan_beyond_cap_refused_before_it_starts(self):
+        # the scan would stop near d = 4.5e7, past its 10^7 cap
+        with pytest.raises(ValueError, match="cap"):
+            dmin_exact(1e-8)
+
     def test_band_edges_flagged(self):
         assert dmin_exact(0.0) == DminExact(1, True)
         assert dmin_exact(1.0) == DminExact(1, True)
