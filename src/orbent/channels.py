@@ -16,39 +16,25 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fock import DensityMatrix, _local_n, _permute_factors
-
-
-def _labels(dim: int, kind: str) -> np.ndarray:
-    """Local parity ("P") or particle-number ("N") label of each basis state."""
-    n = _local_n(dim)
-    return n % 2 if kind == "P" else n
+from .fock import DensityMatrix, _factor_labels, _permute_factors
 
 
 def parity_projectors(dim: int):
     """Orthogonal projectors (P_plus, P_minus) on one local factor."""
-    labels = _labels(dim, "P")
+    labels = _factor_labels((dim,), "P")[:, 0]
     return np.diag((labels == 0).astype(float)), np.diag((labels == 1).astype(float))
 
 
 def number_projectors(dim: int):
     """Complete orthogonal family P_n, n = 0..max occupation, on one factor."""
-    labels = _labels(dim, "N")
+    labels = _factor_labels((dim,), "N")[:, 0]
     return [np.diag((labels == n).astype(float)) for n in range(labels.max() + 1)]
 
 
 def _pinch(rho: DensityMatrix, factors, kind: str) -> DensityMatrix:
-    """Zero matrix elements between differing sector labels of ``factors``."""
-    factors = range(len(rho.dims)) if factors is None else tuple(factors)
-    for f in factors:
-        if not 0 <= f < len(rho.dims):
-            raise ValueError(f"factor index {f} out of range for dims {rho.dims}")
-    key = np.zeros(1, dtype=np.int64)
-    for i, d in enumerate(rho.dims):
-        local = _labels(d, kind) if i in factors else np.zeros(d, dtype=np.int64)
-        key = key[:, None] * (local.max() + 1) + local[None, :]
-        key = key.ravel()
-    mat = rho.mat * np.equal.outer(key, key)
+    """Zero matrix elements between basis states whose labels differ on ``factors``."""
+    labels = _factor_labels(rho.dims, kind, None if factors is None else tuple(factors))
+    mat = rho.mat * (labels[:, None, :] == labels[None, :, :]).all(axis=-1)
     return DensityMatrix(mat, rho.dims)
 
 

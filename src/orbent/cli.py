@@ -14,6 +14,7 @@ import argparse
 import csv
 import functools
 import json
+import math
 import sys
 
 import numpy as np
@@ -183,7 +184,7 @@ def cmd_swap_demo(args) -> int:
             ground = np.zeros(rho.dim)
             ground[0] = 1.0
             sigma = pure_state_dm(ground, dims)
-    except (KeyError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         return _error(f"invalid state file: {exc}")
     result = channels.run_swap_protocol(rho, sigma)
     gn = channels.gn_local(rho)
@@ -267,11 +268,22 @@ def cmd_ed(args) -> int:
 # parser
 
 
+def _at_least(convert, low):
+    """An argparse type: ``convert``, then refuse values below ``low`` or not finite."""
+    def parse(text):
+        value = convert(text)
+        if not low <= value < math.inf:
+            raise argparse.ArgumentTypeError(f"must be finite and at least {low}, got {text}")
+        return value
+    parse.__name__ = convert.__name__  # argparse names it in "invalid float value"
+    return parse
+
+
 def _add_ree_flags(parser):
-    parser.add_argument("--ree-tol", type=float, default=1e-7,
+    parser.add_argument("--ree-tol", type=_at_least(float, 0.0), default=1e-7,
                         help="duality-gap tolerance of the minimization, in nats "
                              "whatever --log-base is")
-    parser.add_argument("--ree-max-iters", type=int, default=5000,
+    parser.add_argument("--ree-max-iters", type=_at_least(int, 1), default=5000,
                         help="iteration cap of the minimization (Frank-Wolfe "
                              "steps, or bisection steps on the exact route)")
 

@@ -56,8 +56,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .channels import _labels, gn_local, gpi_local
-from .fock import _LOCAL_N, DensityMatrix, _factor_labels
+from .channels import gn_local, gpi_local
+from .fock import DensityMatrix, _factor_labels
 
 logger = logging.getLogger(__name__)
 
@@ -233,7 +233,7 @@ def _local_sectors(d: int, ssr_key: str):
     """Basis indices of each local superselection sector of one factor."""
     if ssr_key == "none":
         return [np.arange(d)]
-    labels = _labels(d, ssr_key)
+    labels = _factor_labels((d,), ssr_key)[:, 0]
     return [np.flatnonzero(labels == x) for x in np.unique(labels)]
 
 
@@ -316,11 +316,10 @@ _SPIN_FLIP_4 = np.array([
 
 def reflection_operator() -> np.ndarray:
     """Fermionic exchange of the two orbitals, |a,b> -> (-1)^(N_a N_b) |b,a>."""
+    parity = _factor_labels((4, 4), "P")
+    flat = np.arange(16)
     r = np.zeros((16, 16))
-    for a in range(4):
-        for b in range(4):
-            sign = -1.0 if (_LOCAL_N[4][a] * _LOCAL_N[4][b]) % 2 else 1.0
-            r[4 * b + a, 4 * a + b] = sign
+    r[4 * (flat % 4) + flat // 4, flat] = 1.0 - 2.0 * parity[:, 0] * parity[:, 1]
     return r
 
 
@@ -337,11 +336,11 @@ def _detect_symmetries(mat, dims):
     sym = {}
     if np.max(np.abs(mat.imag)) < 1e-12:
         sym["real"] = True
-    try:
-        n_tot, sz2_tot = _factor_labels(dims)
-    except ValueError:
-        return sym
-    for name, labels in (("n", n_tot), ("sz", sz2_tot)):
+    for name, kind in (("n", "N"), ("sz", "Sz")):
+        try:
+            labels = _factor_labels(dims, kind).sum(axis=1)
+        except ValueError:
+            return sym
         if _commutes(mat, labels):
             sym[name] = labels
     if dims == (4, 4):
@@ -359,12 +358,11 @@ def _block_key(dims, ssr_key: str, sym) -> np.ndarray:
     Total labels enter only where rho commutes with them (``sym``).  States
     with equal rows form one block of the pinched problem.
     """
-    da, db = dims
-    cols = [np.zeros(da * db, dtype=np.int64)]
+    cols = [np.zeros(math.prod(dims), dtype=np.int64)]
     if ssr_key != "none":
-        cols += [np.repeat(_labels(da, ssr_key), db), np.tile(_labels(db, ssr_key), da)]
+        cols.append(_factor_labels(dims, ssr_key))
     cols += [sym[name] for name in ("n", "sz") if name in sym]
-    return np.stack(cols, axis=1)
+    return np.column_stack(cols)
 
 
 def _block_layout(key):
@@ -407,8 +405,10 @@ def ree_numeric(rho: DensityMatrix, ssr: str = "none", tol: float = 1e-7,
     Returns an upper bound on the entanglement whose distance to the optimum
     is the reported Frank-Wolfe duality ``gap`` when the product-state oracle
     finds its global maximum.  Non-convergence within ``max_iters`` outer
-    iterations is flagged rather than raised.
+    iterations is flagged rather than raised; ``max_iters`` must be at least 1.
     """
+    if max_iters < 1:
+        raise ValueError(f"max_iters must be at least 1, got {max_iters}")
     ssr_key = str(ssr).upper() if str(ssr).lower() != "none" else "none"
     if ssr_key == "P":
         work = gpi_local(rho)
@@ -686,8 +686,8 @@ def _x_state_entanglement(work: DensityMatrix, ssr: str, tol: float, max_iters: 
     N-SSR only "oo" is coherent, and the "ee" term is 0.
     """
     mat = work.mat
-    if work.dims != (4, 4) or not all(_commutes(mat, labels)
-                                      for labels in _factor_labels(work.dims)):
+    if work.dims != (4, 4) or not all(
+            _commutes(mat, _factor_labels(work.dims, kind).sum(axis=1)) for kind in ("N", "Sz")):
         return None
     groups = _X_GROUPS if ssr == "P" else _X_GROUPS[1:]
     diag = np.diag(mat).real.tolist()

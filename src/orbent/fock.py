@@ -18,7 +18,9 @@ Conventions, fixed globally and referenced by every sign computation:
 
 from __future__ import annotations
 
+import functools
 import logging
+import math
 
 import numpy as np
 
@@ -191,21 +193,26 @@ _LOCAL_N = {2: np.array([0, 1]), 4: np.array([0, 1, 1, 2])}
 _LOCAL_SZ2 = {2: np.array([0, 0]), 4: np.array([0, 1, -1, 0])}
 
 
-def _local_n(d: int) -> np.ndarray:
-    """Occupation label of each basis state of one 2- or 4-dim Fock factor."""
-    if d not in _LOCAL_N:
-        raise ValueError(f"no occupation labels for local dimension {d}")
-    return _LOCAL_N[d]
+@functools.lru_cache(maxsize=None)
+def _factor_labels(dims, kind: str, factors=None) -> np.ndarray:
+    """Sector label of each listed factor (all by default) at each flat kron index.
 
-
-def _factor_labels(dims):
-    """Total (N, 2*Sz) labels of the flat kron index for 2/4-dim Fock factors."""
-    n = np.zeros(1, dtype=np.int64)
-    sz2 = np.zeros(1, dtype=np.int64)
-    for d in dims:
-        n = (n[:, None] + _local_n(d)[None, :]).ravel()
-        sz2 = (sz2[:, None] + _LOCAL_SZ2[d][None, :]).ravel()
-    return n, sz2
+    ``kind`` is "N" (occupation), "P" (parity, N % 2) or "Sz" (2*Sz).  One
+    column per listed factor; only those need a 2- or 4-dim Fock factor.
+    The result is cached per argument tuple and read-only.
+    """
+    factors = range(len(dims)) if factors is None else factors
+    local = np.unravel_index(np.arange(math.prod(dims)), dims)
+    labels = np.empty((math.prod(dims), len(factors)), dtype=np.int64)
+    for col, f in enumerate(factors):
+        if not 0 <= f < len(dims):
+            raise ValueError(f"factor index {f} out of range for dims {dims}")
+        if dims[f] not in _LOCAL_N:
+            raise ValueError(f"no occupation labels for local dimension {dims[f]}")
+        column = (_LOCAL_SZ2 if kind == "Sz" else _LOCAL_N)[dims[f]][local[f]]
+        labels[:, col] = column % 2 if kind == "P" else column
+    labels.flags.writeable = False
+    return labels
 
 
 # ---------------------------------------------------------------------------
@@ -269,7 +276,7 @@ def two_orbital_rdm(state: SectorState, l: int, lp: int) -> DensityMatrix:
     psi[sub_idx, env_col] = sign * amps
     rho = psi @ psi.conj().T
 
-    parity = _factor_labels((4, 4))[0] % 2
+    parity = _factor_labels((4, 4), "P").sum(axis=1) % 2
     rho *= np.equal.outer(parity, parity)
     rho = 0.5 * (rho + rho.conj().T)
     # within the norm tolerance, rho may still miss the trace check of the

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .fock import DensityMatrix
+from .fock import DensityMatrix, check_orbital_pair
 
 _HERM_TOL = 1e-12
 # Fermi-level gap below which the ground state, and its 1RDM, are not unique
@@ -142,8 +142,7 @@ def wick_two_orbital_rdm(gamma, l: int, lp: int) -> DensityMatrix:
     """Two-orbital reduced state of the spin-symmetric Slater state whose
     spin channels both have the 1RDM gamma."""
     gamma = np.asarray(gamma, dtype=complex)
-    if l == lp:
-        raise ValueError("orbital indices must differ")
+    check_orbital_pair(gamma.shape[0], l, lp)
     occ_l = float(gamma[l, l].real)
     occ_lp = float(gamma[lp, lp].real)
     # gamma[j, i] = <f_i^dag f_j>, so <f_l^dag f_lp> sits at [lp, l]

@@ -167,38 +167,32 @@ def dmin_exact(eta: float) -> DminExact:
     at value - 1 is entangled, and every pair at value or beyond is
     separable.  The sudden-death point, where the separability inequality
     turns over as a function of a real separation, therefore lies in the
-    half-open interval (value - 1, value].  The kernel oscillates in d, so
-    the scan keeps going until the envelope |W| <= 1/(pi d) guarantees
-    separability for every larger separation.  At eta = 0 or 1 every pair
-    is separable and the result 1 is flagged.
+    half-open interval (value - 1, value].  The kernel oscillates in d, but
+    its envelope |W| <= 1/(pi d) guarantees separability from a known
+    separation on, so the scan runs backward from there and stops at the
+    first entangled separation.  At eta = 0 or 1 every pair is separable
+    and the result 1 is flagged.
 
     With q = eta (1 - eta) and x = 1/(pi d), the envelope test is
-    x^2 - sqrt(2) x + q >= 0, so the scan stops at the first d with x at
-    or below the smaller root x- = 2q/(sqrt2 + sqrt(2 - 4q)), that is at
-    d = ceil(1/(pi x-)).  Fillings whose scan would pass 10^7 separations
-    (eta below about 4.5e-8) raise ``ValueError`` before it starts.
+    x^2 - sqrt(2) x + q >= 0, which holds from the first d with x at or
+    below the smaller root x- = 2q/(sqrt2 + sqrt(2 - 4q)), that is from
+    d = ceil(1/(pi x-)) on; the scan starts there.  Fillings whose start
+    lies beyond 10^7 separations (eta below about 4.5e-8) raise
+    ``ValueError``.
     """
     if not 0.0 <= eta <= 1.0:
         raise ValueError("filling fraction must lie in [0, 1]")
     if eta == 0.0 or eta == 1.0:
         return DminExact(1, True)
     q = eta * (1.0 - eta)
-    last_scanned = math.ceil((SQRT2 + math.sqrt(2.0 - 4.0 * q)) / (2.0 * math.pi * q))
-    if last_scanned > _DMIN_SCAN_CAP:
+    start = math.ceil((SQRT2 + math.sqrt(2.0 - 4.0 * q)) / (2.0 * math.pi * q))
+    if start > _DMIN_SCAN_CAP:
         raise ValueError(f"filling {eta!r} needs a disentangling scan over "
-                         f"{last_scanned} separations, above the cap of {_DMIN_SCAN_CAP}")
-    last_entangled = 0
-    d = 1
-    while True:
+                         f"{start} separations, above the cap of {_DMIN_SCAN_CAP}")
+    for d in range(start, 0, -1):
         if not separable(eta, d):
-            last_entangled = d
-        envelope = eta - eta * eta + (math.pi * d) ** -2 - SQRT2 / (math.pi * d)
-        if envelope >= 0.0:
-            break
-        d += 1
-        if d > _DMIN_SCAN_CAP:
-            raise RuntimeError("disentangling scan failed to terminate")
-    return DminExact(last_entangled + 1, False)
+            return DminExact(d + 1, False)
+    return DminExact(1, False)
 
 
 def dmin_asymptotic(eta: float) -> float:

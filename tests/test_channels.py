@@ -107,6 +107,22 @@ def test_number_refines_parity():
         assert np.allclose(b, c, atol=1e-15)
 
 
+def test_pinch_labels_only_the_pinched_factors():
+    # a factor without Fock labels may sit beside the pinched one, and
+    # pinching it is refused
+    rng = np.random.default_rng(12)
+    dm = random_dm((4, 3), rng)
+    for channel in (gpi_local, gn_local):
+        out = channel(dm, (0,))
+        assert out.dims == (4, 3)
+        local = np.array([0, 1, 1, 2]) % (2 if channel is gpi_local else 3)
+        key = np.repeat(local, 3)
+        assert np.array_equal(out.mat, dm.mat * np.equal.outer(key, key))
+        for factors in ((1,), None):
+            with pytest.raises(ValueError, match="no occupation labels for local dimension 3"):
+                channel(dm, factors)
+
+
 class TestSwap:
     def test_product_states_swap(self):
         rng = np.random.default_rng(1)

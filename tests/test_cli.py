@@ -223,7 +223,9 @@ class TestSwapDemo:
         # NaN entry, which json.load accepts
         nan_rho = b'{"rho": [[NaN, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 1]]}'
         state_file = tmp_path / "state.json"
-        for content in (b"not json", b"[1, 2]", b'{"rho": 5}', b"\xff\xfe", nan_rho):
+        for content in (b"not json", b"[1, 2]", b'{"rho": 5}', b"\xff\xfe", nan_rho,
+                        # entries numpy cannot convert, which raise TypeError
+                        b'{"rho": {"real": {"a": 1}}}', b'{"rho": [[{}]]}'):
             state_file.write_bytes(content)
             code, _, err = run_cli(capsys, "swap-demo", "--state", str(state_file))
             assert code == 2, content
@@ -406,6 +408,27 @@ class TestEd:
         record = json.loads(out)
         assert record["method"] == "x-state" and record["converged"] is False
         assert record["iterations"] == 1 and record["gap"] > 1e-13
+
+    @pytest.mark.parametrize("flag,value", [
+        ("--ree-max-iters", "0"), ("--ree-max-iters", "-2"), ("--ree-tol", "-0.5"),
+        ("--ree-tol", "nan"), ("--ree-tol", "inf")])
+    def test_solver_flags_checked_by_the_parser(self, capsys, flag, value):
+        # zero iterations once printed "value": Infinity, which is not JSON
+        code, out, err = run_cli(capsys, "ed", "--hubbard", "6,4", "--nelec", "3",
+                                 "--orbitals", "0,1", "--ssr", "p", flag, value)
+        assert code == 2
+        assert out == ""
+        assert f"error: argument {flag}: " in err
+
+    def test_one_configuration_sector(self, capsys):
+        code, out, _ = run_cli(capsys, "ed", "--hubbard", "4,2", "--nelec", "0",
+                               "--all-pairs")
+        assert code == 0
+        records = [json.loads(line) for line in out.splitlines()]
+        assert [r["lp"] for r in records] == [1, 2, 3]
+        for r in records:
+            assert r["sector_dim"] == 1 and r["energy"] == 0.0 and r["residual"] == 0.0
+            assert r["value"] == 0.0 and r["degenerate_ground"] is False
 
     def test_nonconvergence_exit_3(self, capsys):
         code, _, err = run_cli(capsys, "ed", "--hubbard", "4,2", "--nelec", "2",

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from orbent.channels import _labels, gn_local, gpi_local
+from orbent.channels import gn_local, gpi_local
 from orbent.entanglement import (
     _local_sectors,
     _objective_and_grad,
@@ -245,6 +245,12 @@ class TestReeNumeric:
         assert not res.converged
         assert res.gap > 0
 
+    def test_iteration_cap_below_one_rejected(self):
+        # zero iterations once returned value and gap inf
+        dm = two_orbital_state_from_block(0.5, 0.5, ETA_HALF_D1["W"])
+        with pytest.raises(ValueError, match="max_iters"):
+            ree_numeric(dm, ssr="P", max_iters=0)
+
 
 class TestPvsN:
     def test_practically_indistinguishable_at_d2(self):
@@ -397,7 +403,7 @@ def test_nssr_entanglement_dm_wrapper():
 # ---------------------------------------------------------------------------
 # blockwise objective and local-sector oracle against dense references
 
-_N_TOT, _SZ2_TOT = _factor_labels((4, 4))
+_N_TOT, _SZ2_TOT = (_factor_labels((4, 4), kind).sum(axis=1) for kind in ("N", "Sz"))
 
 
 def _two_orbital_key(kind):
@@ -406,13 +412,13 @@ def _two_orbital_key(kind):
         return np.zeros((16, 1), dtype=int)
     cols = [_N_TOT, _SZ2_TOT]
     if kind in ("P", "N"):
-        local = _labels(4, kind)
+        local = _factor_labels((4,), kind)[:, 0]
         cols += [np.repeat(local, 4), np.tile(local, 4)]
     return np.stack(cols, axis=1)
 
 
 def _local_key(kind):
-    local = _labels(4, kind)
+    local = _factor_labels((4,), kind)[:, 0]
     return np.stack([np.repeat(local, 4), np.tile(local, 4)], axis=1)
 
 
@@ -518,7 +524,7 @@ class TestSectorOracle:
         if kind == "none-NSz":
             # G commutes with total N and 2Sz, so alternating updates alone
             # never leave the local-N sectors they start in
-            g = g * _same_block(np.stack(_factor_labels((4, 4)), axis=1))
+            g = g * _same_block(np.stack([_N_TOT, _SZ2_TOT], axis=1))
             kind = "none"
         elif kind != "none":
             g = g * _same_block(_local_key(kind))

@@ -158,7 +158,7 @@ class TestTwoOrbitalRdm:
                         rng.normal(size=sp.dim) + 1j * rng.normal(size=sp.dim), 0.0)
         st = fock_state(sp, amps / np.linalg.norm(amps))
         rho = gpi_local(two_orbital_rdm(st, 0, 2))
-        labels = fock._factor_labels((4, 4))[0]
+        labels = fock._factor_labels((4, 4), "N").sum(axis=1)
         for n in range(5):
             proj = np.diag((labels == n).astype(float))
             comm = proj @ rho.mat - rho.mat @ proj
@@ -197,7 +197,7 @@ def _full_fock_two_orbital_rdm(state, l, lp):
     psi[sub_idx, env_idx] = sign * amplitudes(state)
     rho = psi @ psi.conj().T
 
-    parity = fock._factor_labels((4, 4))[0] % 2
+    parity = fock._factor_labels((4, 4), "P").sum(axis=1) % 2
     rho *= np.equal.outer(parity, parity)
     rho = 0.5 * (rho + rho.conj().T)
     tr = np.trace(rho).real
@@ -262,6 +262,19 @@ class TestDensityMatrix:
     def test_psd_floor(self):
         m = np.diag([1.1, -0.1, 0.0, 0.0])
         with pytest.raises(ValueError):
+            DensityMatrix(m, (2, 2))
+
+    def test_small_negative_eigenvalue_clipped(self):
+        # above the floor the eigenvalue is set to zero and the trace
+        # renormalized; below it the state is rejected
+        u = np.linalg.qr(np.random.default_rng(4).normal(size=(4, 4)))[0]
+        m = u @ np.diag([0.6 + 1e-12, 0.4, 0.0, -1e-12]) @ u.T
+        dm = DensityMatrix(m, (2, 2))
+        assert np.trace(dm.mat).real == pytest.approx(1.0, abs=1e-15)
+        assert np.linalg.eigvalsh(dm.mat)[0] > -1e-15
+        assert np.allclose(dm.mat, u @ np.diag([0.6, 0.4, 0.0, 0.0]) @ u.T, atol=1e-14)
+        m = u @ np.diag([0.6 + 1e-9, 0.4, 0.0, -1e-9]) @ u.T
+        with pytest.raises(ValueError, match="below PSD floor"):
             DensityMatrix(m, (2, 2))
 
     def test_partial_trace_of_product(self):

@@ -146,6 +146,13 @@ class TestWickTwoOrbital:
         with pytest.raises(ValueError):
             wick_two_orbital_rdm(g, 2, 2)
 
+    def test_orbital_out_of_range_rejected(self):
+        # (-1, 0) once read the pair (5, 0), and (0, 6) escaped as IndexError
+        g = slater_1rdm(ring_one_body(6), 1)
+        for l, lp in ((-1, 0), (0, 6)):
+            with pytest.raises(ValueError, match="out of range for d=6"):
+                wick_two_orbital_rdm(g, l, lp)
+
     @pytest.mark.parametrize("n_sites,n_per_spin", [(4, 1), (4, 3), (8, 1), (8, 3)])
     def test_matches_brute_force_partial_trace(self, n_sites, n_per_spin):
         h = ring_one_body(n_sites)

@@ -110,6 +110,24 @@ class TestFcidump:
     def test_inconsistent_duplicate_rejected(self):
         with pytest.raises(FcidumpError):
             parse_fcidump("&FCI NORB=2,NELEC=2,MS2=0,&END\n1.0 1 2 0 0\n2.0 2 1 0 0\n")
+        with pytest.raises(FcidumpError, match=re.escape("two-electron entry (2,1,1,1)")):
+            parse_fcidump("&FCI NORB=2,NELEC=2,MS2=0,&END\n1.0 1 2 1 1\n2.0 2 1 1 1\n")
+
+    @pytest.mark.parametrize("body,message", [
+        ("&FCI NORB=two,NELEC=2,MS2=0,&END\n", "malformed header field"),
+        ("&FCI NORB=2,NELEC=2,MS2=0,&END\n1.0 1 1 0\n", "five-tuples"),
+        ("&FCI NORB=2,NELEC=2,MS2=0,&END\n1.0 1 x 0 0\n", "malformed record at token 0"),
+        ("&FCI NORB=2,NELEC=2,MS2=0,&END\n1.0 1 0 1 1\n", "invalid mixed record"),
+    ])
+    def test_malformed_records_rejected(self, body, message):
+        with pytest.raises(FcidumpError, match=message):
+            parse_fcidump(body)
+
+    def test_orbital_energy_records_skipped(self):
+        data = parse_fcidump("&FCI NORB=2,NELEC=2,MS2=0,&END\n-0.5 1 0 0 0\n"
+                             "-0.25 2 0 0 0\n1.0 1 2 0 0\n")
+        assert np.array_equal(data.h, [[0.0, 1.0], [1.0, 0.0]])
+        assert data.core == 0.0
 
     def test_round_trip(self):
         rng = np.random.default_rng(4)

@@ -1,5 +1,9 @@
+import math
+
 import numpy as np
 import pytest
+
+from orbent import tightbinding
 
 from orbent.entanglement import nssr_entanglement
 from orbent.freefermion import slater_1rdm
@@ -24,6 +28,19 @@ LN2 = np.log(2.0)
 # independently computed (50-digit arithmetic) references
 E_HALF_D1 = 0.045549554081600035
 DMIN_REF = {0.01: 45, 0.02: 23, 0.05: 10, 0.1: 5, 0.2: 3, 0.3: 2, 0.5: 2}
+
+
+def _forward_dmin(eta):
+    """The forward scan ``dmin_exact`` replaced, kept as the reference: every
+    separation from 1 on, until the envelope |W| <= 1/(pi d) guarantees
+    separability."""
+    last_entangled, d = 0, 1
+    while True:
+        if not separable(eta, d):
+            last_entangled = d
+        if eta - eta * eta + (math.pi * d) ** -2 - math.sqrt(2.0) / (math.pi * d) >= 0.0:
+            return last_entangled + 1
+        d += 1
 
 
 class TestDispersion:
@@ -174,6 +191,24 @@ class TestDmin:
             dmin = dmin_exact(eta).value
             assert not separable(eta, dmin - 1)  # entangled just below
             assert all(separable(eta, d) for d in range(dmin, 4 * dmin))
+
+    def test_backward_scan_matches_forward_scan(self):
+        etas = np.concatenate([np.geomspace(1e-4, 0.5, 400), np.linspace(0.5, 0.9999, 200),
+                               np.random.default_rng(5).uniform(1e-3, 1.0, 100)])
+        for eta in etas:
+            assert dmin_exact(float(eta)) == DminExact(_forward_dmin(float(eta)), False), eta
+
+    def test_backward_scan_stops_at_last_entangled_separation(self, monkeypatch):
+        # the forward scan made 450 159 separability calls at this filling
+        calls = []
+
+        def counting(eta, d):
+            calls.append(d)
+            return separable(eta, d)
+
+        monkeypatch.setattr(tightbinding, "separable", counting)
+        assert dmin_exact(1e-6).value == _forward_dmin(1e-6)
+        assert len(calls) < 20_000
 
     def test_particle_hole_symmetric(self):
         for eta in (0.05, 0.23, 0.4):
