@@ -25,17 +25,21 @@ from .fock import DensityMatrix, check_orbital_pair, pure_state_dm
 USAGE_ERROR, NUMERICAL_ERROR = 2, 3
 
 
-def _write_text(text, out=None):
-    """``text`` and a newline, to the file ``out`` or to stdout."""
-    if out:
+def _write_text(text, out=None) -> int:
+    """``text`` and a newline, to the file ``out`` or to stdout; the exit code."""
+    if not out:
+        print(text)
+        return 0
+    try:
         with open(out, "w") as fh:
             fh.write(text + "\n")
-    else:
-        print(text)
+    except OSError as exc:
+        return _error(f"cannot write {out}: {exc}")
+    return 0
 
 
-def _emit_json(record, out=None):
-    _write_text(json.dumps(record, indent=2, sort_keys=True), out)
+def _emit_json(record, out=None) -> int:
+    return _write_text(json.dumps(record, indent=2, sort_keys=True), out)
 
 
 def _matrix_json(mat):
@@ -104,12 +108,17 @@ def cmd_tb(args) -> int:
     return 0 if record.get("converged", True) else _uncertified()
 
 
-def _write_csv(path, header, rows):
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([repr(x) if isinstance(x, float) else x for x in row])
+def _write_csv(path, header, rows) -> int:
+    """The table as CSV to the file ``path``; the exit code."""
+    try:
+        with open(path, "w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(header)
+            for row in rows:
+                writer.writerow([repr(x) if isinstance(x, float) else x for x in row])
+    except OSError as exc:
+        return _error(f"cannot write {path}: {exc}")
+    return 0
 
 
 def cmd_tb_scan(args) -> int:
@@ -134,8 +143,7 @@ def cmd_tb_scan(args) -> int:
                                           tol=args.ree_tol, max_iters=args.ree_max_iters)
             line.append(res.value)
             failed |= not res.converged
-    _write_csv(args.out, header, table)
-    return _uncertified() if failed else 0
+    return _write_csv(args.out, header, table) or (_uncertified() if failed else 0)
 
 
 def cmd_dmin_scan(args) -> int:
@@ -144,9 +152,9 @@ def cmd_dmin_scan(args) -> int:
                                       args.scale)
     except ValueError as exc:
         return _error(exc)
-    _write_csv(args.out, ["eta", "dmin_exact", "dmin_asymptotic"],
-               [[row["eta"], row["dmin_exact"], row["dmin_asymptotic"]] for row in rows])
-    return 0
+    return _write_csv(args.out, ["eta", "dmin_exact", "dmin_asymptotic"],
+                      [[row["eta"], row["dmin_exact"], row["dmin_asymptotic"]]
+                       for row in rows])
 
 
 def cmd_swap_demo(args) -> int:
@@ -156,13 +164,12 @@ def cmd_swap_demo(args) -> int:
         rho = pure_state_dm(np.kron(plus, plus), (2, 2))
         out = channels.superselected_swap(rho, orbital=0, qubit=1)
         erased = float(np.linalg.norm(rho.mat - channels.gpi_local(rho, (0,)).mat))
-        _emit_json({
+        return _emit_json({
             "mode": "single-superselected-swap",
             "input": _matrix_json(rho.mat),
             "output": _matrix_json(out.mat),
             "erased_coherence_norm": erased,
         }, args.out)
-        return 0
     try:
         with open(args.state) as fh:
             payload = json.load(fh)
@@ -188,7 +195,7 @@ def cmd_swap_demo(args) -> int:
         return _error(f"invalid state file: {exc}")
     result = channels.run_swap_protocol(rho, sigma)
     gn = channels.gn_local(rho)
-    _emit_json({
+    return _emit_json({
         "mode": "protocol",
         "rho_in": _matrix_json(rho.mat),
         "sigma_in": _matrix_json(sigma.mat),
@@ -199,7 +206,6 @@ def cmd_swap_demo(args) -> int:
         "erased_number_coherence": float(np.linalg.norm(rho.mat - gn.mat)),
         "simulation_residual": result.simulation_residual,
     }, args.out)
-    return 0
 
 
 def cmd_ed(args) -> int:
@@ -225,6 +231,8 @@ def cmd_ed(args) -> int:
         model = {"model": "hubbard", "n_sites": params.n_sites, "u": params.u,
                  "hopping": tightbinding.HOPPING}
     if args.all_pairs:
+        if data.norb < 2:
+            return _error(f"--all-pairs needs at least two orbitals, got {data.norb}")
         pairs = [(0, lp) for lp in range(1, data.norb)]
     else:
         try:
@@ -260,8 +268,7 @@ def cmd_ed(args) -> int:
                       **_solver_fields(res, args.log_base))
         failed |= not res.converged
         lines.append(json.dumps(record, sort_keys=True))
-    _write_text("\n".join(lines), args.out)
-    return _uncertified() if failed else 0
+    return _write_text("\n".join(lines), args.out) or (_uncertified() if failed else 0)
 
 
 # ---------------------------------------------------------------------------
@@ -284,8 +291,9 @@ def _add_ree_flags(parser):
                         help="duality-gap tolerance of the minimization, in nats "
                              "whatever --log-base is")
     parser.add_argument("--ree-max-iters", type=_at_least(int, 1), default=5000,
-                        help="iteration cap of the minimization (Frank-Wolfe "
-                             "steps, or bisection steps on the exact route)")
+                        help="iteration cap of the minimization on each block "
+                             "of the pinched state (Frank-Wolfe steps, or "
+                             "bisection steps on the exact route)")
 
 
 @functools.cache

@@ -25,24 +25,25 @@ linear oracle for the product state most aligned with the current gradient,
 and the mixture weights are re-optimized by sequential quadratic
 programming (SLSQP).
 
-The problem is solved on symmetry blocks.  Each basis state gets a key: the
-local sector labels of the pinch on each factor, plus total N and 2Sz where
-rho commutes with them.  Pinching by this key is an average over product
-unitaries, so it fixes rho and maps separable states to separable states;
-by data processing, the minimum over the pinched separable set equals the
-minimum over all separable states.  Every sigma, every atom and the
-gradient are then block diagonal, and the objective runs on one padded
-stack of blocks (no block is larger than 2 x 2 for the tight-binding P-SSR
-states).  For real rho the atoms are kept real: S(rho||conj sigma) =
+Under a superselection rule the pinched state is a direct sum of blocks,
+one per pair of local sectors.  The pinch keeps separable states
+separable, and between direct sums with block weights p_g and q_g the
+relative entropy is sum_g p_g [S(rho_g||sigma_g) + ln(p_g/q_g)], so E =
+sum_g p_g E(rho_g/p_g) (Vedral & Plenio, PRA 57, 1619 (1998)).  A block
+with a one-state local sector is a product state; every other block is
+solved on its own, on symmetry blocks keyed by total N and 2Sz where rho
+commutes with them (a local basis index is the label inside a sector).
+Pinching by the key averages over local phases: it fixes rho and keeps
+separable states separable, so by data processing it keeps the minimum,
+and every sigma, atom and gradient is block diagonal, one padded stack of
+blocks.  For real rho the atoms are kept real: S(rho||conj sigma) =
 S(rho||sigma), so by joint convexity the real part of sigma, a separable
-state, is never worse.  The gradient is block diagonal in both local
-labels, so the oracle searches each pair of local sectors on its own,
-deterministically.
+state, is never worse.
 
 The Frank-Wolfe duality gap bounds the distance of the returned upper bound
 to the optimum when the oracle finds the global product-state maximum.  The
-oracle is exact for 1-dim sectors and a grid-seeded local search otherwise,
-so the gap is a heuristic bound, not a proven one.
+oracle is a deterministic grid-seeded local search, so the gap is a
+heuristic bound, not a proven one.
 """
 
 from __future__ import annotations
@@ -57,7 +58,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .channels import gn_local, gpi_local
-from .fock import DensityMatrix, _factor_labels
+from .fock import DensityMatrix, _factor_labels, _trusted
 
 logger = logging.getLogger(__name__)
 
@@ -177,18 +178,27 @@ def _objective_and_grad(rho, tr_rho_ln_rho, sigma):
     return val, grad
 
 
+def _top_eigenpair(m):
+    """Largest eigenvalue of a Hermitian matrix and a unit eigenvector; in
+    closed form for 2 x 2, where an eigh call costs several times more."""
+    if len(m) != 2:
+        w, vecs = np.linalg.eigh(m)
+        return float(w[-1]), vecs[:, -1]
+    p, r, q = m[0, 0].real, m[1, 1].real, complex(m[0, 1])
+    d = 0.5 * (p - r)
+    top = float(r + d + math.hypot(d, abs(q)))
+    v = np.array([top - r, q.conjugate()]) if d >= 0 else np.array([q, top - p])
+    norm = math.hypot(abs(v[0]), abs(v[1]))
+    return top, (v / norm if norm > 0 else np.array([0.0, 1.0]))
+
+
 def _best_product(g4, a):
     """Locally maximize <a,b|G|a,b> by alternating top-eigenvector updates from a,
     at most 80 sweeps, until a sweep gains at most 1e-14 relative."""
     value = -np.inf
     for _ in range(80):
-        mb = np.einsum("i,ikjl,j->kl", a.conj(), g4, a)
-        w, vecs = np.linalg.eigh(mb)
-        b = vecs[:, -1]
-        ma = np.einsum("k,ikjl,l->ij", b.conj(), g4, b)
-        w, vecs = np.linalg.eigh(ma)
-        a = vecs[:, -1]
-        new = float(w[-1].real)
+        b = _top_eigenpair(np.einsum("i,ikjl,j->kl", a.conj(), g4, a))[1]
+        new, a = _top_eigenpair(np.einsum("k,ikjl,l->ij", b.conj(), g4, b))
         if new - value <= 1e-14 * max(1.0, abs(new)):
             value = new
             break
@@ -229,81 +239,53 @@ def _superposition_grid(n: int) -> np.ndarray:
     return np.array(states)
 
 
-def _local_sectors(d: int, ssr_key: str):
-    """Basis indices of each local superselection sector of one factor."""
-    if ssr_key == "none":
-        return [np.arange(d)]
-    labels = _factor_labels((d,), ssr_key)[:, 0]
+def _local_sectors(d: int, kind: str):
+    """Basis indices of each local sector of one factor under the pinch ``kind``."""
+    labels = _factor_labels((d,), kind)[:, 0]
     return [np.flatnonzero(labels == x) for x in np.unique(labels)]
 
 
-def _sector_oracle(g, sectors_a, sectors_b, previous=None):
-    """Product state maximizing <a,b|G|a,b> for G block diagonal in both local labels.
+def _product_oracle(g, dims, previous=None):
+    """Product state maximizing <a,b|G|a,b>; both factors hold 2 or more states.
 
-    <ab|G|ab> is then a convex combination of the values of the normalized
-    sector components of a and b, so the maximum is attained with each
-    factor inside one local sector.  Per sector pair: a 1-dim factor leaves
-    the top eigenvector of the pair's block, which is exact; a 2-dim factor
-    is scanned over a fixed Bloch-sphere grid and the best point refined;
-    larger sectors are searched from the Schmidt factors of the top
-    eigenvector, the ``previous`` best product, the local basis states and
-    the six best points of a fixed superposition grid for a, each scored
-    with the exact best b.  The grid matters when G commutes with total N
-    (``ssr="none"`` on a number-conserving state): alternating updates then
-    keep a and b inside fixed local-N sectors, and every other start is
-    inside one already.
-    Returns the value, the factors as full-dimension vectors and the number
-    of local searches run.
+    A 2-dim factor is scanned over a fixed Bloch-sphere grid, and one point
+    of each of the two best distinct scores is refined (one can stop in the
+    lower of two local maxima).  Larger factors start from the Schmidt
+    factors of the top eigenvector, the ``previous`` best product, the basis
+    states and one point of each of the six best distinct scores of a
+    superposition grid, needed where G commutes with total N (alternating
+    updates then stay inside local-N sectors).
+    Returns the value, the factors and the number of local searches run.
     """
-    da = sum(len(ia) for ia in sectors_a)
-    db = sum(len(ib) for ib in sectors_b)
-    best_val, best_ab, searches = -np.inf, None, 0
-    for ia in sectors_a:
-        for ib in sectors_b:
-            sa, sb = len(ia), len(ib)
-            flat = (ia[:, None] * db + ib[None, :]).ravel()
-            block = g[np.ix_(flat, flat)]
-            g4 = block.reshape(sa, sb, sa, sb)
-            if min(sa, sb) == 1:
-                w, vecs = np.linalg.eigh(block)
-                top = vecs[:, -1].reshape(sa, sb)
-                val = float(w[-1])
-                a, b = (top[:, 0], np.ones(1)) if sb == 1 else (np.ones(1), top[0])
-            elif 2 in (sa, sb):
-                swap = sa != 2  # scan the 2-dim factor
-                if swap:
-                    g4 = g4.transpose(1, 0, 3, 2)
-                scan = np.einsum("ni,ikjl,nj->nkl", _BLOCH_GRID.conj(), g4, _BLOCH_GRID)
-                n = int(np.argmax(np.linalg.eigvalsh(scan)[:, -1]))
-                val, a, b = _best_product(g4, _BLOCH_GRID[n])
-                searches += 1
-                if swap:
-                    a, b = b, a
-            else:
-                _, vecs = np.linalg.eigh(block)
-                u, _, _ = np.linalg.svd(vecs[:, -1].reshape(sa, sb))
-                grid = _superposition_grid(sa)
-                scan = np.einsum("ni,ikjl,nj->nkl", grid.conj(), g4, grid)
-                # symmetry-equivalent points share a score, so refine one
-                # point of each of the six best distinct scores
-                score = np.round(np.linalg.eigvalsh(scan)[:, -1], 9)
-                _, first = np.unique(-score, return_index=True)
-                top = first[:6]
-                starts = [u[:, 0], *np.eye(sa), *grid[top]]
-                if previous is not None and np.linalg.norm(previous[0][ia]) > 0:
-                    starts.insert(1, previous[0][ia] / np.linalg.norm(previous[0][ia]))
-                val = -np.inf
-                for a0 in starts:
-                    cand, ca, cb = _best_product(g4, a0)
-                    searches += 1
-                    if cand > val:
-                        val, a, b = cand, ca, cb
-            if val > best_val:
-                full_a = np.zeros(da, dtype=complex)
-                full_b = np.zeros(db, dtype=complex)
-                full_a[ia], full_b[ib] = a, b
-                best_val, best_ab = val, (full_a, full_b)
-    return best_val, best_ab, searches
+    da, db = dims
+    g4 = g.reshape(da, db, da, db)
+    swap = da != 2 and db == 2  # scan the 2-dim factor
+    if swap:
+        g4 = g4.transpose(1, 0, 3, 2)
+    if 2 in dims:
+        grid, n_best, starts = _BLOCH_GRID, 2, []
+    else:
+        u, _, _ = np.linalg.svd(_top_eigenpair(g)[1].reshape(da, db))
+        grid, n_best = _superposition_grid(da), 6
+        starts = [u[:, 0], *([] if previous is None else [previous[0]]), *np.eye(da)]
+    # <a|G|a> on the other factor at each grid point a, and its top eigenvalue
+    scan = np.tensordot(grid.conj()[:, :, None] * grid[:, None, :], g4, axes=([1, 2], [0, 2]))
+    if scan.shape[-1] == 2:  # closed form, several times faster than eigvalsh
+        d = 0.5 * (scan[:, 0, 0] - scan[:, 1, 1]).real
+        top = scan[:, 1, 1].real + d + np.hypot(d, np.abs(scan[:, 0, 1]))
+    else:
+        top = np.linalg.eigvalsh(scan)[:, -1]
+    # symmetry-equivalent points share a score, so refine one point of each
+    # of the best distinct scores
+    score = np.round(top, 9)
+    _, first = np.unique(-score, return_index=True)
+    starts += list(grid[first[:n_best]])
+    val = -np.inf
+    for a0 in starts:
+        cand, ca, cb = _best_product(g4, a0)
+        if cand > val:
+            val, a, b = cand, ca, cb
+    return val, ((b, a) if swap else (a, b)), len(starts)
 
 
 _SPIN_FLIP_4 = np.array([
@@ -352,21 +334,12 @@ def _detect_symmetries(mat, dims):
     return sym
 
 
-def _block_key(dims, ssr_key: str, sym) -> np.ndarray:
-    """One key row per basis state: local labels of the pinch, total N and 2Sz.
-
-    Total labels enter only where rho commutes with them (``sym``).  States
-    with equal rows form one block of the pinched problem.
-    """
-    cols = [np.zeros(math.prod(dims), dtype=np.int64)]
-    if ssr_key != "none":
-        cols.append(_factor_labels(dims, ssr_key))
-    cols += [sym[name] for name in ("n", "sz") if name in sym]
-    return np.column_stack(cols)
-
-
-def _block_layout(key):
-    """Padded block index (k, s_max) of a key, and the mask of its real entries."""
+def _block_layout(dims, sym):
+    """Padded index (k, s_max) of the symmetry blocks, and the mask of its real
+    entries.  A block is the basis states of equal total N and 2Sz, each
+    where rho commutes with it (``sym``)."""
+    key = np.column_stack([np.zeros(math.prod(dims), dtype=np.int64),
+                           *(sym[name] for name in ("n", "sz") if name in sym)])
     _, block = np.unique(key, axis=0, return_inverse=True)
     sizes = np.bincount(block.ravel())
     valid = np.arange(sizes.max())[None, :] < sizes[:, None]
@@ -375,7 +348,7 @@ def _block_layout(key):
     return index, valid
 
 
-def _candidate_atoms(a, b, dims, sym, compress):
+def _candidate_atoms(a, b, sym, compress):
     """Separable atoms derived from one product state via rho's symmetry group.
 
     Products are mapped by the symmetries of rho and then pinched by the
@@ -389,7 +362,7 @@ def _candidate_atoms(a, b, dims, sym, compress):
     vecs = [(a, b)]
     if "spinflip" in sym:
         vecs.append((_SPIN_FLIP_4 @ a, _SPIN_FLIP_4 @ b))
-    if "reflect" in sym and dims[0] == dims[1]:
+    if "reflect" in sym:
         vecs.extend([(bb, aa) for aa, bb in list(vecs)])
     vecs.extend([(aa.conj(), bb.conj()) for aa, bb in list(vecs)])
     return np.stack([compress(np.kron(aa, bb)) for aa, bb in vecs])
@@ -399,33 +372,52 @@ def ree_numeric(rho: DensityMatrix, ssr: str = "none", tol: float = 1e-7,
                 max_iters: int = 5000) -> EntanglementResult:
     """Relative entropy of entanglement by Frank-Wolfe over the separable set.
 
-    The requested superselection pinch is applied to rho first ('P', 'N', or
-    'none'); minimization then runs over the separable states pinched by the
-    block key, which has the same minimum as the whole separable set.
-    Returns an upper bound on the entanglement whose distance to the optimum
-    is the reported Frank-Wolfe duality ``gap`` when the product-state oracle
-    finds its global maximum.  Non-convergence within ``max_iters`` outer
-    iterations is flagged rather than raised; ``max_iters`` must be at least 1.
+    rho is pinched first ('P', 'N', or 'none'); value and gap are weighted
+    sums over the pinch's blocks, counts plain sums.  ``converged`` flags,
+    without raising, whether every block converged within ``max_iters`` >= 1
+    outer iterations.  The value is an upper bound, within ``gap`` of the
+    optimum when the product-state oracle finds its global maxima.
     """
     if max_iters < 1:
         raise ValueError(f"max_iters must be at least 1, got {max_iters}")
     ssr_key = str(ssr).upper() if str(ssr).lower() != "none" else "none"
-    if ssr_key == "P":
-        work = gpi_local(rho)
-    elif ssr_key == "N":
-        work = gn_local(rho)
-    elif ssr_key == "none":
-        work = rho
-    else:
+    if ssr_key not in ("P", "N", "none"):
         raise ValueError(f"unknown superselection kind {ssr!r}")
-    if len(work.dims) != 2:
+    if len(rho.dims) != 2:
         raise ValueError("REE solver expects a bipartite density matrix")
 
-    da, db = work.dims
-    dim = da * db
+    if ssr_key == "none":
+        blocks = [(rho.mat, rho.dims)]
+    else:
+        work = gpi_local(rho) if ssr_key == "P" else gn_local(rho)
+        db = work.dims[1]
+        blocks = []
+        for ia, ib in itertools.product(*(_local_sectors(d, ssr_key) for d in work.dims)):
+            flat = (ia[:, None] * db + ib).ravel()
+            blocks.append((work.mat[np.ix_(flat, flat)], (len(ia), len(ib))))
+
+    # (weight, result) of each block with weight that is not a product state
+    weights = [float(np.trace(mat).real) for mat, _ in blocks]
+    parts = [(p, _ree_frank_wolfe(_trusted(mat / p, dims), tol, max_iters))
+             for p, (mat, dims) in zip(weights, blocks) if p > 0.0 and min(dims) >= 2]
+    counts = {name: sum(r.diagnostics[name] for _, r in parts)
+              for name in ("atoms", "objective_evals", "oracle_calls")}
+    return EntanglementResult(
+        value=math.fsum(p * r.value for p, r in parts), ssr=ssr_key, method="numeric-ree",
+        iterations=sum(r.iterations for _, r in parts),
+        gap=math.fsum(p * r.gap for p, r in parts),
+        converged=all(r.converged for _, r in parts),
+        diagnostics={**counts, "block_sizes": [n for _, r in parts
+                                               for n in r.diagnostics["block_sizes"]]})
+
+
+def _ree_frank_wolfe(work: DensityMatrix, tol: float, max_iters: int) -> EntanglementResult:
+    """Frank-Wolfe minimum of S(work||sigma) over the separable states pinched
+    by the block key; both factors hold 2 or more states."""
+    dim = work.dim
     mat = 0.5 * (work.mat + work.mat.conj().T)
     sym = _detect_symmetries(mat, work.dims)
-    index, valid = _block_layout(_block_key(work.dims, ssr_key, sym))
+    index, valid = _block_layout(work.dims, sym)
     k, s = index.shape
     pair = valid[:, :, None] & valid[:, None, :]
     rows = np.broadcast_to(index[:, :, None], pair.shape)[pair]
@@ -435,7 +427,6 @@ def ree_numeric(rho: DensityMatrix, ssr: str = "none", tol: float = 1e-7,
     rho_b = np.zeros(pair.shape, dtype=dtype)
     rho_b[pair] = mat[rows, cols].real if real else mat[rows, cols]
     tr_rho_ln_rho = _tr_rho_ln_rho(rho_b)
-    sectors_a, sectors_b = _local_sectors(da, ssr_key), _local_sectors(db, ssr_key)
 
     def compress(v):
         """Block entries of the key pinch of |v><v| (its real part for real rho)."""
@@ -463,7 +454,7 @@ def ree_numeric(rho: DensityMatrix, ssr: str = "none", tol: float = 1e-7,
 
     def result(iterations, gap, converged):
         return EntanglementResult(
-            value=value, ssr=ssr_key, method="numeric-ree", iterations=iterations,
+            value=value, ssr="none", method="numeric-ree", iterations=iterations,
             gap=float(gap), converged=converged,
             diagnostics={"atoms": len(stack), **counts,
                          "block_sizes": [int(x) for x in valid.sum(axis=1)]})
@@ -475,7 +466,7 @@ def ree_numeric(rho: DensityMatrix, ssr: str = "none", tol: float = 1e-7,
         value, grad, atom_scores = evaluate(stack, weights)
         g = np.zeros((dim, dim), dtype=dtype)
         g[rows, cols] = grad[pair]
-        best_val, best_ab, searches = _sector_oracle(g, sectors_a, sectors_b, best_ab)
+        best_val, best_ab, searches = _product_oracle(g, work.dims, best_ab)
         counts["oracle_calls"] += searches
 
         sigma_score = float(weights @ atom_scores)
@@ -486,7 +477,7 @@ def ree_numeric(rho: DensityMatrix, ssr: str = "none", tol: float = 1e-7,
         # merge the oracle's atoms into the set: refresh a nearby existing
         # atom in place (keeping its weight) so directions can track the
         # optimum instead of piling up near-duplicates
-        candidates = _candidate_atoms(*best_ab, work.dims, sym, compress)
+        candidates = _candidate_atoms(*best_ab, sym, compress)
         for atom in candidates:
             dists = np.max(np.abs(stack - atom), axis=1)
             j = int(np.argmin(dists))

@@ -19,8 +19,8 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
+from . import freefermion
 from .entanglement import nssr_entanglement, pssr_entanglement
-from .freefermion import two_orbital_state_from_block
 
 SQRT2 = math.sqrt(2.0)
 # nearest-neighbor hopping of the ring, the unit of the dispersion -cos k
@@ -234,8 +234,8 @@ def pssr_point(query: TbQuery, **solver_kwargs):
     that callers see its gap and whether it converged.
     """
     w, _ = _query_kernel(query)
-    return pssr_entanglement(two_orbital_state_from_block(query.eta, query.eta, w),
-                             **solver_kwargs)
+    state = freefermion.two_orbital_state_from_block(query.eta, query.eta, w)
+    return pssr_entanglement(state, **solver_kwargs)
 
 
 def scan_dmin(eta_min: float = 1e-3, eta_max: float = 0.5, points: int = 60,

@@ -68,7 +68,7 @@ def _requests(tmp_path):
     # each request with the layers (span names) it must reach
     return [
         (["tb", "--eta", "0.3", "--d", "2", "--ssr", "p"],
-         ["channels.pinch", "fock.DensityMatrix"]),
+         ["channels.pinch", "fock.DensityMatrix", "freefermion.two_orbital_state_from_block"]),
         (["ed", "--hubbard", "6,4", "--nelec", "3", "--orbitals", "0,1", "--ssr", "p"],
          ["entanglement.ree_numeric", "entanglement.objective", "entanglement.oracle",
           "entanglement.polish", "interacting.build_hamiltonian", "interacting.ground_state",
@@ -109,3 +109,10 @@ def test_traced_requests_report_every_metric(tracing, tmp_path):
     for tag, (argv, layers) in enumerate(requests):
         reached = {span.name for span in tracer.spans if span.request == tag}
         assert set(layers) <= reached, (argv[0], set(layers) - reached)
+
+    # one solver span per Frank-Wolfe call, whose blocks are not counted again
+    fw_tag = 1
+    spans = [span for span in tracer.spans if span.request == fw_tag]
+    assert [span.name for span in spans].count("entanglement.ree_numeric") == 1
+    iters = tracer.metrics(spans)[0]["entanglement.ree_numeric.outer_iters"]
+    assert iters == json.loads(traced[fw_tag][1])["iterations"]

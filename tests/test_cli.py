@@ -320,6 +320,17 @@ class TestEd:
             assert code == 2, bad
             assert out == "" and err.startswith("error:"), bad
 
+    def test_all_pairs_of_one_orbital_exit_2(self, tmp_path, capsys, monkeypatch):
+        def unreachable(*args, **kwargs):
+            raise AssertionError("the sector was built before --all-pairs was checked")
+
+        monkeypatch.setattr(interacting, "build_hamiltonian", unreachable)
+        path = tmp_path / "one.fcidump"
+        path.write_text("&FCI NORB=1,NELEC=1,MS2=1,\n&END\n-1.0 1 1 0 0\n")
+        code, out, err = run_cli(capsys, "ed", "--fcidump", str(path), "--all-pairs")
+        assert code == 2
+        assert out == "" and err.startswith("error: --all-pairs needs at least two orbitals")
+
     def test_nnz_cap_exit_2(self, capsys):
         code, _, err = run_cli(capsys, "ed", "--hubbard", "16,4", "--nelec", "8",
                                "--orbitals", "0,1")
@@ -446,6 +457,20 @@ class TestEd:
         lines = out.read_text().strip().splitlines()
         assert len(lines) == 5
         assert all(json.loads(line)["n_elec"] == 6 for line in lines)
+
+
+@pytest.mark.parametrize("argv", [
+    ["tb-scan", "--d-list", "1", "--points", "3"],
+    ["dmin-scan", "--points", "3"],
+    ["swap-demo"],
+    ["ed", "--hubbard", "4,2", "--nelec", "2", "--orbitals", "0,1"],
+])
+def test_unwritable_out_exit_2(tmp_path, capsys, argv):
+    out = tmp_path / "missing" / "out.txt"
+    code, stdout, err = run_cli(capsys, *argv, "--out", str(out))
+    assert code == 2
+    assert stdout == "" and err.startswith(f"error: cannot write {out}: ")
+    assert not out.parent.exists()
 
 
 def test_import_leaves_scipy_optimize_unloaded():

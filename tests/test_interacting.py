@@ -537,6 +537,21 @@ class TestPairEntanglement:
         assert res_p.converged
         assert res_p.value >= res_n.value - 1e-7
 
+    # Frank-Wolfe values of the solver that searched every pair of local
+    # sectors in one 4 x 4 problem (one BLAS thread): (value, gap)
+    @pytest.mark.parametrize("n_sites,n_elec,pair,ssr,ref", [
+        (6, 3, (0, 1), "P", (0.04433018835894709, 9.1e-8)),
+        (6, 3, (0, 1), "N", (0.04411422768702744, 2.6e-8)),
+        (6, 3, (0, 2), "P", (0.11789997879370562, 3.7e-8)),
+        (8, 5, (0, 1), "P", (0.12856456221626034, 8.1e-8)),
+        (8, 5, (0, 2), "P", (0.004807321342011228, 5.3e-8)),
+    ])
+    def test_blockwise_solver_matches_one_problem(self, n_sites, n_elec, pair, ssr, ref):
+        gs = ground_state(build_hamiltonian(HubbardParams(n_sites, 4.0), n_elec, n_elec % 2))
+        res = orbital_pair_entanglement(gs.state, *pair, ssr=ssr)
+        assert res.method == "numeric-ree" and res.converged
+        assert abs(res.value - ref[0]) <= ref[1] + res.gap
+
     def test_symmetry_violation_propagates(self):
         # (upup + downdown)/sqrt2 leaves an Sz-breaking coherence in the RDM
         sp = FockSpace(2)
