@@ -178,27 +178,14 @@ def _objective_and_grad(rho, tr_rho_ln_rho, sigma):
     return val, grad
 
 
-def _top_eigenpair(m):
-    """Largest eigenvalue of a Hermitian matrix and a unit eigenvector; in
-    closed form for 2 x 2, where an eigh call costs several times more."""
-    if len(m) != 2:
-        w, vecs = np.linalg.eigh(m)
-        return float(w[-1]), vecs[:, -1]
-    p, r, q = m[0, 0].real, m[1, 1].real, complex(m[0, 1])
-    d = 0.5 * (p - r)
-    top = float(r + d + math.hypot(d, abs(q)))
-    v = np.array([top - r, q.conjugate()]) if d >= 0 else np.array([q, top - p])
-    norm = math.hypot(abs(v[0]), abs(v[1]))
-    return top, (v / norm if norm > 0 else np.array([0.0, 1.0]))
-
-
 def _best_product(g4, a):
     """Locally maximize <a,b|G|a,b> by alternating top-eigenvector updates from a,
     at most 80 sweeps, until a sweep gains at most 1e-14 relative."""
     value = -np.inf
     for _ in range(80):
-        b = _top_eigenpair(np.einsum("i,ikjl,j->kl", a.conj(), g4, a))[1]
-        new, a = _top_eigenpair(np.einsum("k,ikjl,l->ij", b.conj(), g4, b))
+        b = np.linalg.eigh(np.einsum("i,ikjl,j->kl", a.conj(), g4, a))[1][:, -1]
+        w, vecs = np.linalg.eigh(np.einsum("k,ikjl,l->ij", b.conj(), g4, b))
+        new, a = float(w[-1]), vecs[:, -1]
         if new - value <= 1e-14 * max(1.0, abs(new)):
             value = new
             break
@@ -265,19 +252,14 @@ def _product_oracle(g, dims, previous=None):
     if 2 in dims:
         grid, n_best, starts = _BLOCH_GRID, 2, []
     else:
-        u, _, _ = np.linalg.svd(_top_eigenpair(g)[1].reshape(da, db))
+        u, _, _ = np.linalg.svd(np.linalg.eigh(g)[1][:, -1].reshape(da, db))
         grid, n_best = _superposition_grid(da), 6
         starts = [u[:, 0], *([] if previous is None else [previous[0]]), *np.eye(da)]
     # <a|G|a> on the other factor at each grid point a, and its top eigenvalue
     scan = np.tensordot(grid.conj()[:, :, None] * grid[:, None, :], g4, axes=([1, 2], [0, 2]))
-    if scan.shape[-1] == 2:  # closed form, several times faster than eigvalsh
-        d = 0.5 * (scan[:, 0, 0] - scan[:, 1, 1]).real
-        top = scan[:, 1, 1].real + d + np.hypot(d, np.abs(scan[:, 0, 1]))
-    else:
-        top = np.linalg.eigvalsh(scan)[:, -1]
     # symmetry-equivalent points share a score, so refine one point of each
     # of the best distinct scores
-    score = np.round(top, 9)
+    score = np.round(np.linalg.eigvalsh(scan)[:, -1], 9)
     _, first = np.unique(-score, return_index=True)
     starts += list(grid[first[:n_best]])
     val = -np.inf
@@ -373,10 +355,11 @@ def ree_numeric(rho: DensityMatrix, ssr: str = "none", tol: float = 1e-7,
     """Relative entropy of entanglement by Frank-Wolfe over the separable set.
 
     rho is pinched first ('P', 'N', or 'none'); value and gap are weighted
-    sums over the pinch's blocks, counts plain sums.  ``converged`` flags,
-    without raising, whether every block converged within ``max_iters`` >= 1
-    outer iterations.  The value is an upper bound, within ``gap`` of the
-    optimum when the product-state oracle finds its global maxima.
+    sums over the pinch's blocks, counts plain sums.  Each block runs at
+    most ``max_iters`` >= 1 outer iterations, and ``converged`` flags,
+    without raising, whether the summed gap is at most ``tol``.  The value
+    is an upper bound, within ``gap`` of the optimum when the product-state
+    oracle finds its global maxima.
     """
     if max_iters < 1:
         raise ValueError(f"max_iters must be at least 1, got {max_iters}")
@@ -402,11 +385,12 @@ def ree_numeric(rho: DensityMatrix, ssr: str = "none", tol: float = 1e-7,
              for p, (mat, dims) in zip(weights, blocks) if p > 0.0 and min(dims) >= 2]
     counts = {name: sum(r.diagnostics[name] for _, r in parts)
               for name in ("atoms", "objective_evals", "oracle_calls")}
+    gap = math.fsum(p * r.gap for p, r in parts)
+    if gap > tol:
+        logger.warning("REE solver hit the iteration cap with gap %.3e", gap)
     return EntanglementResult(
         value=math.fsum(p * r.value for p, r in parts), ssr=ssr_key, method="numeric-ree",
-        iterations=sum(r.iterations for _, r in parts),
-        gap=math.fsum(p * r.gap for p, r in parts),
-        converged=all(r.converged for _, r in parts),
+        iterations=sum(r.iterations for _, r in parts), gap=gap, converged=gap <= tol,
         diagnostics={**counts, "block_sizes": [n for _, r in parts
                                                for n in r.diagnostics["block_sizes"]]})
 
@@ -452,10 +436,10 @@ def _ree_frank_wolfe(work: DensityMatrix, tol: float, max_iters: int) -> Entangl
     weights = 0.9 * np.clip(np.diag(mat).real, 0.0, None) + 0.1 / dim
     weights /= weights.sum()
 
-    def result(iterations, gap, converged):
+    def result(iterations, gap):
         return EntanglementResult(
             value=value, ssr="none", method="numeric-ree", iterations=iterations,
-            gap=float(gap), converged=converged,
+            gap=float(gap),
             diagnostics={"atoms": len(stack), **counts,
                          "block_sizes": [int(x) for x in valid.sum(axis=1)]})
 
@@ -472,7 +456,7 @@ def _ree_frank_wolfe(work: DensityMatrix, tol: float, max_iters: int) -> Entangl
         sigma_score = float(weights @ atom_scores)
         gap = max(best_val, float(atom_scores.max())) - sigma_score
         if gap <= tol:
-            return result(iteration, max(float(gap), 0.0), True)
+            return result(iteration, max(float(gap), 0.0))
 
         # merge the oracle's atoms into the set: refresh a nearby existing
         # atom in place (keeping its weight) so directions can track the
@@ -498,8 +482,7 @@ def _ree_frank_wolfe(work: DensityMatrix, tol: float, max_iters: int) -> Entangl
 
         stack, weights = _polish_weights(stack, weights, evaluate, dim, gap)
 
-    logger.warning("REE solver hit the iteration cap with gap %.3e", gap)
-    return result(max_iters, gap, False)
+    return result(max_iters, gap)
 
 
 # SLSQP iteration cap of one weight polish; the atom-set gap stop below

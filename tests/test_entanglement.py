@@ -8,7 +8,6 @@ from orbent.entanglement import (
     _local_sectors,
     _objective_and_grad,
     _product_oracle,
-    _top_eigenpair,
     _x_state_ree,
     nssr_entanglement,
     nssr_entanglement_dm,
@@ -267,6 +266,16 @@ class TestReeNumeric:
         res = ree_numeric(dm, ssr="N", tol=1e-13, max_iters=1)
         assert not res.converged
         assert res.gap > 0
+
+    def test_converged_reads_the_summed_gap(self):
+        # (1 - eps)|0,0> + eps |psi+>: only the one-electron-each block is
+        # solved, and one iteration leaves its own gap at 0.05
+        for eps, converged in ((1e-9, True), (0.5, False)):
+            m = eps * np.outer(_PSI_PLUS, _PSI_PLUS)
+            m[0, 0] += 1.0 - eps
+            res = ree_numeric(DensityMatrix(m, (4, 4)), ssr="N", max_iters=1)
+            assert res.iterations == 1 and res.gap > 0
+            assert res.converged is converged is (res.gap <= 1e-7)
 
     def test_iteration_cap_below_one_rejected(self):
         # zero iterations once returned value and gap inf
@@ -534,21 +543,6 @@ def test_zero_row_of_sigma_is_kernel_in_objective():
         val, _ = _objective_and_grad(rho[None], float(np.sum(p * np.log(p))), sigma[None])
         assert val == np.inf
         assert relative_entropy(rho, sigma) == np.inf
-
-
-def test_top_eigenpair_closed_form_matches_eigh():
-    rng = np.random.default_rng(8)
-    # degenerate, diagonal both ways round, and nearly degenerate
-    mats = [np.eye(2), np.diag([1.0, 3.0]), np.diag([3.0, 1.0]),
-            np.array([[1.0, 1e-300], [1e-300, 1.0]])]
-    for _ in range(200):
-        x = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
-        mats += [x + x.conj().T, (x + x.conj().T).real]
-    for m in mats:
-        top, v = _top_eigenpair(m)
-        assert abs(top - np.linalg.eigvalsh(m)[-1]) < 1e-12
-        assert abs(np.linalg.norm(v) - 1.0) < 1e-12
-        assert np.max(np.abs(m @ v - top * v)) < 1e-12
 
 
 def _sector_search(g, sectors):
