@@ -5,13 +5,13 @@ fermion parity (P) or particle number (N); only the entanglement surviving
 the corresponding pinching channels can be extracted and used.  This package
 builds the pinched two-orbital states of free and interacting electron
 systems and quantifies their entanglement, in closed form for tight-binding
-states and by convex minimization otherwise.  The N-SSR and P-SSR values of
-a state that commutes with total N and Sz and has equal diagonals on its
-coherent pairs take one exact route, from two-qubit X-state problems (one
-after the number pinch, two after the parity pinch), with a proven gap;
-every other state goes to a Frank-Wolfe minimization whose duality gap is
-exact only when its product-state oracle finds the global maximum, so it is
-a heuristic bound.
+states and by convex minimization otherwise.  The N-SSR and P-SSR values
+take one route: the pinched state splits into two-qubit blocks, each
+solved on its own.  Diagonal blocks and X states with equal middle
+diagonals (those of states with N, Sz and orbital exchange symmetry) are
+solved in closed form with a proven gap; every other block goes to a
+Frank-Wolfe minimization whose duality gap is exact only when its
+product-state oracle finds the global maximum, so it is a heuristic bound.
 """
 
 from .channels import (

@@ -5,40 +5,31 @@ number-superselected entanglement formula in terms of the sector
 parameters (r, t) of a symmetric state, which the tight-binding results use.
 Natural logarithm throughout; convert to bits by dividing by ln 2.
 
-Superselected entanglement of a two-orbital state that commutes with total
-N and 2Sz, one route for both rules: after the parity pinch only two
-coherences survive, |0,updown> <-> |updown,0> ("ee") and |up,down> <->
-|down,up> ("oo"), and the number pinch also removes the "ee" one.  Each
-coherent group is a two-qubit X state, for which separable <=> PPT (Peres
-1996; Horodecki 1996), so the separable set is |c|^2 <= a d on each group
-and the problem splits into scalar root problems from the KKT conditions
-(``pssr_entanglement``, ``nssr_entanglement_dm``).  The returned gap is the
-Frank-Wolfe gap at the returned sigma with the linear maximization over
-separable X states done exactly (closed form), so it is a proven bound.
-States whose coherent groups have unequal diagonals, and every other input,
-go to the numerical solver.
+Superselected entanglement (``ree_numeric``; ``pssr_entanglement`` and
+``nssr_entanglement_dm`` call it) is the relative entropy of entanglement of
+the state pinched by the local parity (P) or particle number (N), a direct
+sum of blocks, one per pair of local sectors.  The pinch keeps separable
+states separable, and between direct sums with block weights p_g and q_g
+the relative entropy is sum_g p_g [S(rho_g||sigma_g) + ln(p_g/q_g)], so E =
+sum_g p_g E(rho_g/p_g) (Vedral & Plenio, PRA 57, 1619 (1998)).  A block
+with a one-state local sector is a product state; every other block is two
+qubits, where separable <=> PPT (Peres 1996; Horodecki 1996).  A diagonal
+block adds 0.  An X block with equal middle diagonals has the separable set
+|c|^2 <= a d and its minimum is one scalar root of the KKT conditions; its
+gap is the Frank-Wolfe gap with the linear maximization over separable X
+states done exactly, a proven bound.  Every other block goes to Frank-Wolfe.
 
-Numerical piece: a relative-entropy-of-entanglement solver that minimizes
-S(rho || sigma) over the separable set by Frank-Wolfe iteration.  sigma is
+Frank-Wolfe minimizes S(rho || sigma) over the separable set.  sigma is
 maintained as a convex mixture of product states; each outer step asks a
 linear oracle for the product state most aligned with the current gradient,
 and the mixture weights are re-optimized by sequential quadratic
-programming (SLSQP).
-
-Under a superselection rule the pinched state is a direct sum of blocks,
-one per pair of local sectors.  The pinch keeps separable states
-separable, and between direct sums with block weights p_g and q_g the
-relative entropy is sum_g p_g [S(rho_g||sigma_g) + ln(p_g/q_g)], so E =
-sum_g p_g E(rho_g/p_g) (Vedral & Plenio, PRA 57, 1619 (1998)).  A block
-with a one-state local sector is a product state; every other block is
-solved on its own, on symmetry blocks keyed by total N and 2Sz where rho
-commutes with them (a local basis index is the label inside a sector).
-Pinching by the key averages over local phases: it fixes rho and keeps
-separable states separable, so by data processing it keeps the minimum,
-and every sigma, atom and gradient is block diagonal, one padded stack of
-blocks.  For real rho the atoms are kept real: S(rho||conj sigma) =
-S(rho||sigma), so by joint convexity the real part of sigma, a separable
-state, is never worse.
+programming (SLSQP).  Inside a block it works on symmetry blocks keyed by
+total N and 2Sz where rho commutes with them.  Pinching by the key averages
+over local phases: it fixes rho and keeps separable states separable, so by
+data processing it keeps the minimum, and every sigma, atom and gradient is
+block diagonal, one padded stack of blocks.  For real rho the atoms are
+kept real: S(rho||conj sigma) = S(rho||sigma), so by joint convexity the
+real part of sigma, a separable state, is never worse.
 
 The Frank-Wolfe duality gap bounds the distance of the returned upper bound
 to the optimum when the oracle finds the global product-state maximum.  The
@@ -350,54 +341,12 @@ def _candidate_atoms(a, b, sym, compress):
     return np.stack([compress(np.kron(aa, bb)) for aa, bb in vecs])
 
 
-def ree_numeric(rho: DensityMatrix, ssr: str = "none", tol: float = 1e-7,
-                max_iters: int = 5000) -> EntanglementResult:
-    """Relative entropy of entanglement by Frank-Wolfe over the separable set.
-
-    rho is pinched first ('P', 'N', or 'none'); value and gap are weighted
-    sums over the pinch's blocks, counts plain sums.  Each block runs at
-    most ``max_iters`` >= 1 outer iterations, and ``converged`` flags,
-    without raising, whether the summed gap is at most ``tol``.  The value
-    is an upper bound, within ``gap`` of the optimum when the product-state
-    oracle finds its global maxima.
-    """
-    if max_iters < 1:
-        raise ValueError(f"max_iters must be at least 1, got {max_iters}")
-    ssr_key = str(ssr).upper() if str(ssr).lower() != "none" else "none"
-    if ssr_key not in ("P", "N", "none"):
-        raise ValueError(f"unknown superselection kind {ssr!r}")
-    if len(rho.dims) != 2:
-        raise ValueError("REE solver expects a bipartite density matrix")
-
-    if ssr_key == "none":
-        blocks = [(rho.mat, rho.dims)]
-    else:
-        work = gpi_local(rho) if ssr_key == "P" else gn_local(rho)
-        db = work.dims[1]
-        blocks = []
-        for ia, ib in itertools.product(*(_local_sectors(d, ssr_key) for d in work.dims)):
-            flat = (ia[:, None] * db + ib).ravel()
-            blocks.append((work.mat[np.ix_(flat, flat)], (len(ia), len(ib))))
-
-    # (weight, result) of each block with weight that is not a product state
-    weights = [float(np.trace(mat).real) for mat, _ in blocks]
-    parts = [(p, _ree_frank_wolfe(_trusted(mat / p, dims), tol, max_iters))
-             for p, (mat, dims) in zip(weights, blocks) if p > 0.0 and min(dims) >= 2]
-    counts = {name: sum(r.diagnostics[name] for _, r in parts)
-              for name in ("atoms", "objective_evals", "oracle_calls")}
-    gap = math.fsum(p * r.gap for p, r in parts)
-    if gap > tol:
-        logger.warning("REE solver hit the iteration cap with gap %.3e", gap)
-    return EntanglementResult(
-        value=math.fsum(p * r.value for p, r in parts), ssr=ssr_key, method="numeric-ree",
-        iterations=sum(r.iterations for _, r in parts), gap=gap, converged=gap <= tol,
-        diagnostics={**counts, "block_sizes": [n for _, r in parts
-                                               for n in r.diagnostics["block_sizes"]]})
-
-
 def _ree_frank_wolfe(work: DensityMatrix, tol: float, max_iters: int) -> EntanglementResult:
     """Frank-Wolfe minimum of S(work||sigma) over the separable states pinched
-    by the block key; both factors hold 2 or more states."""
+    by the block key; both factors hold 2 or more states.  ``diagnostics``
+    carries the iterate sigma whose value and gap are returned; at the
+    iteration cap the loop stops there, before a merge and polish whose
+    value it would not report."""
     dim = work.dim
     mat = 0.5 * (work.mat + work.mat.conj().T)
     sym = _detect_symmetries(mat, work.dims)
@@ -436,15 +385,6 @@ def _ree_frank_wolfe(work: DensityMatrix, tol: float, max_iters: int) -> Entangl
     weights = 0.9 * np.clip(np.diag(mat).real, 0.0, None) + 0.1 / dim
     weights /= weights.sum()
 
-    def result(iterations, gap):
-        return EntanglementResult(
-            value=value, ssr="none", method="numeric-ree", iterations=iterations,
-            gap=float(gap),
-            diagnostics={"atoms": len(stack), **counts,
-                         "block_sizes": [int(x) for x in valid.sum(axis=1)]})
-
-    gap = np.inf
-    value = np.inf
     best_ab = None
     for iteration in range(1, max_iters + 1):
         value, grad, atom_scores = evaluate(stack, weights)
@@ -455,8 +395,8 @@ def _ree_frank_wolfe(work: DensityMatrix, tol: float, max_iters: int) -> Entangl
 
         sigma_score = float(weights @ atom_scores)
         gap = max(best_val, float(atom_scores.max())) - sigma_score
-        if gap <= tol:
-            return result(iteration, max(float(gap), 0.0))
+        if gap <= tol or iteration == max_iters:
+            break
 
         # merge the oracle's atoms into the set: refresh a nearby existing
         # atom in place (keeping its weight) so directions can track the
@@ -482,7 +422,13 @@ def _ree_frank_wolfe(work: DensityMatrix, tol: float, max_iters: int) -> Entangl
 
         stack, weights = _polish_weights(stack, weights, evaluate, dim, gap)
 
-    return result(max_iters, gap)
+    sigma = np.zeros((dim, dim), dtype=complex)
+    sigma[rows, cols] = (weights @ stack).reshape(pair.shape)[pair]
+    return EntanglementResult(
+        value=value, ssr="none", method="numeric-ree", iterations=iteration,
+        gap=max(float(gap), 0.0),
+        diagnostics={"atoms": len(stack), **counts, "sigma": sigma,
+                     "block_sizes": [int(x) for x in valid.sum(axis=1)]})
 
 
 # SLSQP iteration cap of one weight polish; the atom-set gap stop below
@@ -552,15 +498,7 @@ def _polish_weights(stack, weights, evaluate, n_basis, gap):
 
 
 # ---------------------------------------------------------------------------
-# exact superselected REE of N- and Sz-symmetric two-orbital states
-
-# basis indices (corner, middle, middle, corner) of the two coherent groups
-# that the parity pinch leaves in an N- and Sz-symmetric two-orbital state:
-# local qubits {0, updown} x {0, updown} ("ee") and {up, down} x {up, down}
-# ("oo"); the coherence joins the two middle states.  The number pinch also
-# removes the "ee" coherence, which joins different local particle numbers.
-_X_GROUPS = (("ee", (0, 3, 12, 15)), ("oo", (5, 6, 9, 10)))
-
+# exact REE of a two-qubit X state with equal middle diagonals
 
 def _x_kkt_point(r00, r11, p_plus, p_minus, s):
     """Unnormalized sigma weights (a, d, u, v) of the KKT system at sqrt(a d) = s.
@@ -647,89 +585,147 @@ def _x_state_ree(r00, r11, p_plus, p_minus, max_iters):
     return value, sigma_w, max(gap, 0.0), iterations
 
 
-def _x_state_entanglement(work: DensityMatrix, ssr: str, tol: float, max_iters: int):
-    """Exact REE of a pinched two-orbital state, or None where it does not apply.
+# ---------------------------------------------------------------------------
+# superselected REE: pinch once, then solve block by block
 
-    ``work`` is rho after the local pinch of ``ssr`` ("P" or "N").  The
-    route applies when ``work`` commutes with total N and 2Sz (the test of
-    ``_detect_symmetries``) and each of its coherent groups has equal
-    middle diagonals to 1e-12 (they are averaged).  The separable set then
-    splits into the groups, the optimal sigma gives each group rho's weight
-    p_g, and every other basis state contributes 0, so
-    E = sum_g p_g E_X(rho_g / p_g), and the gap is sum_g p_g gap_g.  Under
-    N-SSR only "oo" is coherent, and the "ee" term is 0.
+# off-diagonal entries of a 2 x 2 block other than the middle coherence
+# between |01> and |10>
+_NOT_X = ~np.eye(4, dtype=bool)
+_NOT_X[1, 2] = _NOT_X[2, 1] = False
+
+
+@functools.lru_cache(maxsize=None)
+def _solved_blocks(dims, kind):
+    """Local label pair, flat basis indices (one row each) and dims of every
+    block of the pinch ``kind`` that is not a product state.
+
+    A block with a one-state local sector is a product state and is left
+    out.  A local sector holds at most two states, so every block listed is
+    2 x 2; without a pinch ("none") the one block is the whole state.  The
+    result is cached per argument tuple and read-only.
     """
-    mat = work.mat
-    if work.dims != (4, 4) or not all(
-            _commutes(mat, _factor_labels(work.dims, kind).sum(axis=1)) for kind in ("N", "Sz")):
-        return None
-    groups = _X_GROUPS if ssr == "P" else _X_GROUPS[1:]
-    diag = np.diag(mat).real.tolist()
-    if any(abs(diag[i1] - diag[i2]) >= 1e-12 for _, (_, i1, i2, _) in groups):
-        return None
+    if kind == "none":
+        keys, flat, block_dims = ((),), np.arange(math.prod(dims))[None, :], dims
+    else:
+        labels = [_factor_labels((d,), kind)[:, 0] for d in dims]
+        pairs = [(ia, ib) for ia, ib in itertools.product(*(_local_sectors(d, kind) for d in dims))
+                 if min(len(ia), len(ib)) >= 2]
+        keys = tuple((int(labels[0][ia[0]]), int(labels[1][ib[0]])) for ia, ib in pairs)
+        flat = np.array([(ia[:, None] * dims[1] + ib).ravel() for ia, ib in pairs],
+                        dtype=np.intp).reshape(len(pairs), 4)
+        block_dims = (2, 2)
+    flat.flags.writeable = False
+    return keys, flat, block_dims
 
-    sigma = np.diag(diag).astype(complex)
-    value = gap = 0.0
-    iterations = 0
-    terms = {name: 0.0 for name, _ in _X_GROUPS}
-    for name, (i0, i1, i2, i3) in groups:
-        weight = diag[i0] + diag[i1] + diag[i2] + diag[i3]
-        if weight <= 0.0:
+
+def _x_block(block, p, max_iters):
+    """``_x_state_ree`` on one unnormalized 2 x 2 X block of weight p with
+    equal middle diagonals: p E, p gap, steps and p sigma."""
+    d0, d1, d2, d3 = np.diagonal(block).real.tolist()
+    z = complex(block[1, 2])
+    mid = 0.5 * (d1 + d2)
+    val, (a, d, u, v), gap, its = _x_state_ree(
+        d0 / p, d3 / p, (mid + abs(z)) / p, max(mid - abs(z), 0.0) / p, max_iters)
+    m, c = p * 0.5 * (u + v), p * 0.5 * (u - v) * (z / abs(z))
+    sigma = np.array([[p * a, 0, 0, 0], [0, m, c, 0], [0, c.conjugate(), m, 0], [0, 0, 0, p * d]])
+    return p * val, p * gap, its, sigma
+
+
+def ree_numeric(rho: DensityMatrix, ssr: str = "none", tol: float = 1e-7,
+                max_iters: int = 5000) -> EntanglementResult:
+    """Relative entropy of entanglement of rho pinched by ``ssr`` ('P', 'N' or
+    'none': then the one block is rho), split once into ``_solved_blocks``.
+
+    A 2 x 2 block whose off-diagonal entries above 1e-12 all join its two
+    middle states is closed-form: diagonal (it adds 0) or, with middle
+    diagonals equal to 1e-12, an X state (``_x_state_ree``).  Every other
+    block goes to ``_ree_frank_wolfe``.  Value and gap are p-weighted sums,
+    ``iterations`` (bisection steps plus Frank-Wolfe iterations) and the
+    Frank-Wolfe counts plain sums.  ``method`` is "x-state", and the gap
+    proven, when no block needed Frank-Wolfe.  Each block runs at most
+    ``max_iters`` >= 1 iterations; ``converged`` flags, without raising,
+    whether the summed gap is at most ``tol``, and a warning is logged when
+    not, whichever solver hit its cap.  ``diagnostics`` also carries
+    ``terms``, each block's p E keyed by its local label pair, and
+    ``sigma``, the direct sum of the blocks' sigma.
+    """
+    if max_iters < 1:
+        raise ValueError(f"max_iters must be at least 1, got {max_iters}")
+    ssr_key = str(ssr).upper() if str(ssr).lower() != "none" else "none"
+    if ssr_key not in ("P", "N", "none"):
+        raise ValueError(f"unknown superselection kind {ssr!r}")
+    if len(rho.dims) != 2:
+        raise ValueError("REE solver expects a bipartite density matrix")
+
+    work = rho if ssr_key == "none" else (gpi_local if ssr_key == "P" else gn_local)(rho)
+    keys, flat, dims = _solved_blocks(work.dims, ssr_key)
+    blocks = work.mat[flat[:, :, None], flat[:, None, :]]
+    diag = np.diagonal(blocks, axis1=1, axis2=2).real
+    # weights summed left to right; np.trace pairs the terms, which moves
+    # the last bit of X-state values
+    weights = np.cumsum(diag, axis=1)[:, -1].tolist()
+    if dims == (2, 2):
+        x_shaped = np.abs(blocks[:, _NOT_X]).max(axis=1) < 1e-12
+        diagonal = (x_shaped & (np.abs(blocks[:, 1, 2]) < 1e-12)).tolist()
+        closed = (x_shaped & (np.abs(diag[:, 1] - diag[:, 2]) < 1e-12)).tolist()
+    else:
+        diagonal = closed = [False] * len(keys)
+    sigmas = blocks.copy()  # a product or diagonal block is its own sigma
+    terms, gaps, its, frank_wolfe = {}, [], 0, []
+    for g, key in enumerate(keys):
+        terms[key] = 0.0
+        p = weights[g]
+        if p <= 0.0 or diagonal[g]:
             continue
-        z = complex(mat[i1, i2])
-        mid = 0.5 * (diag[i1] + diag[i2])
-        val, (a, d, u, v), g, its = _x_state_ree(
-            diag[i0] / weight, diag[i3] / weight, (mid + abs(z)) / weight,
-            max(mid - abs(z), 0.0) / weight, max_iters)
-        phase = z / abs(z) if z != 0 else 1.0
-        sigma[i0, i0], sigma[i3, i3] = weight * a, weight * d
-        sigma[i1, i1] = sigma[i2, i2] = weight * 0.5 * (u + v)
-        sigma[i1, i2] = weight * 0.5 * (u - v) * phase
-        sigma[i2, i1] = np.conj(sigma[i1, i2])
-        terms[name] = weight * val
-        value += weight * val
-        gap += weight * g
-        iterations += its
+        if closed[g]:
+            terms[key], gap, steps, sigmas[g] = _x_block(blocks[g], p, max_iters)
+        else:
+            res = _ree_frank_wolfe(_trusted(blocks[g] / p, dims), tol, max_iters)
+            terms[key], gap, steps = p * res.value, p * res.gap, res.iterations
+            sigmas[g] = p * res.diagnostics["sigma"]
+            frank_wolfe.append(res)
+        gaps.append(gap)
+        its += steps
+    sigma = work.mat.copy()
+    sigma[flat[:, :, None], flat[:, None, :]] = sigmas
+
+    gap = math.fsum(gaps)
+    if gap > tol:
+        logger.warning("REE solver hit the iteration cap with gap %.3e", gap)
+    counts = {name: sum(r.diagnostics[name] for r in frank_wolfe)
+              for name in ("atoms", "objective_evals", "oracle_calls")}
     return EntanglementResult(
-        value=value, ssr=ssr, method="x-state", iterations=iterations, gap=gap,
-        converged=gap <= tol, diagnostics={"terms": terms, "sigma": sigma})
-
-
-def _superselected_entanglement(rho, ssr, tol, max_iters) -> EntanglementResult:
-    """REE of rho under ``ssr`` ("P" or "N"): the exact X-state route where it
-    applies (``_x_state_entanglement``), the Frank-Wolfe solver otherwise."""
-    work = gpi_local(rho) if ssr == "P" else gn_local(rho)
-    exact = _x_state_entanglement(work, ssr, tol, max_iters)
-    if exact is not None:
-        return exact
-    return ree_numeric(rho, ssr=ssr, tol=tol, max_iters=max_iters)
+        value=math.fsum(terms.values()), ssr=ssr_key,
+        method="numeric-ree" if frank_wolfe else "x-state", iterations=its, gap=gap,
+        converged=gap <= tol,
+        diagnostics={**counts, "block_sizes": [n for r in frank_wolfe
+                                               for n in r.diagnostics["block_sizes"]],
+                     "terms": terms, "sigma": sigma})
 
 
 def pssr_entanglement(rho: DensityMatrix, tol: float = 1e-7,
                       max_iters: int = 5000) -> EntanglementResult:
-    """Parity-superselected entanglement: REE of the parity-pinched state.
+    """Parity-superselected entanglement: ``ree_numeric(rho, "P", ...)``.
 
-    When the pinched state commutes with total N and 2Sz and its two
-    coherent groups have equal diagonals, which holds for tight-binding
-    states and for orbital pairs of (N, Sz) eigenstates with an exchange
-    symmetry, the value is exact (method "x-state"): two two-qubit X-state
-    problems, each one bisection on a scalar.  ``iterations`` counts
-    bisection steps, at most ``max_iters`` per group, and ``gap`` is a
-    proven bound on the distance to the minimum; ``diagnostics`` carries
-    each group's term and sigma.  Every other input goes to the Frank-Wolfe
-    solver ``ree_numeric``, whose gap is heuristic.
+    The parity pinch leaves four 2 x 2 blocks.  A state that commutes with
+    total N and 2Sz has diagonal mixed-parity blocks and X states in the
+    others; with equal middle diagonals, as for tight-binding states and
+    orbital pairs of (N, Sz) eigenstates with an exchange symmetry, the
+    value is exact: method "x-state", a proven gap, ``iterations``
+    counting bisection steps.  Other blocks take Frank-Wolfe, whose gap is
+    heuristic and whose iterations ``iterations`` adds to the bisection
+    steps; the iteration-cap warning covers both solvers.
     """
-    return _superselected_entanglement(rho, "P", tol, max_iters)
+    return ree_numeric(rho, "P", tol, max_iters)
 
 
 def nssr_entanglement_dm(rho: DensityMatrix, tol: float = 1e-7,
                          max_iters: int = 5000) -> EntanglementResult:
-    """Number-superselected entanglement: REE of the number-pinched state.
+    """Number-superselected entanglement: ``ree_numeric(rho, "N", ...)``.
 
-    The same routes as :func:`pssr_entanglement`.  After the number pinch
-    only the "oo" group is coherent, so the exact value is one X-state
-    problem; it equals ``nssr_entanglement(r, t)`` where that group's
-    corners, |up,up> and |down,down>, also carry equal weight, as in the
-    tight-binding states.
+    After the number pinch only the one-electron-each block is not a
+    product state.  On an X state the value equals ``nssr_entanglement(r,
+    t)`` where its corners, |up,up> and |down,down>, carry equal weight, as
+    in the tight-binding states.
     """
-    return _superselected_entanglement(rho, "N", tol, max_iters)
+    return ree_numeric(rho, "N", tol, max_iters)

@@ -359,13 +359,12 @@ def orbital_pair_entanglement(state: SectorState, l: int, lp: int, ssr: str = "N
     such as the ground state of :func:`ground_state`.
 
     Both rules ("N" and "P") give the relative entropy of entanglement of
-    the pinched pair state, by one route
-    (:func:`~orbent.entanglement.nssr_entanglement_dm`,
-    :func:`~orbent.entanglement.pssr_entanglement`): exact, with a proven
-    gap, when the pair's state has the N and Sz symmetry of an (N, Sz)
-    eigenstate and equal diagonals on its coherent groups, as under an
-    orbital exchange symmetry, and from the Frank-Wolfe solver with a
-    heuristic gap otherwise.  ``solver_kwargs`` go to either.
+    the pinched pair state by one route, block by block
+    (:func:`~orbent.entanglement.ree_numeric`): exact, with a proven gap
+    (method "x-state"), when every two-qubit block is diagonal or an X
+    state with equal middle diagonals, as for an (N, Sz) eigenstate with an
+    orbital exchange symmetry; a Frank-Wolfe block has a heuristic gap.
+    ``solver_kwargs`` go to the solver.
     """
     route = {"N": ent.nssr_entanglement_dm, "P": ent.pssr_entanglement}.get(str(ssr).upper())
     if route is None:

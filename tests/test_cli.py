@@ -379,11 +379,12 @@ class TestEd:
     @pytest.mark.parametrize("n_elec,ms2,d,value", [
         (3, 1, 3, 0.021988), (4, 2, 1, 0.035995), (4, 2, 3, 0.016666), (4, 0, 1, 0.0016192)])
     def test_nssr_matches_frank_wolfe_in_every_sz_sector(self, capsys, n_elec, ms2, d, value):
-        # the exact route against the solver on the same state; 2Sz != 0
-        # ground states carry unequal |up,up> and |down,down> weights.  The
-        # N = 3 level is twofold degenerate (the record flags it), so its
-        # value belongs to the ground vector the dense solver returns
-        from orbent.entanglement import ree_numeric
+        # the exact route against Frank-Wolfe on the same pinched block;
+        # 2Sz != 0 ground states carry unequal |up,up> and |down,down>
+        # weights.  The N = 3 level is twofold degenerate (the record flags
+        # it), so its value belongs to the ground vector the dense solver
+        # returns
+        from fwref import frank_wolfe_pinched
         from orbent.fock import two_orbital_rdm
         from orbent.interacting import HubbardParams, build_hamiltonian, ground_state
         argv = ["ed", "--hubbard", "6,4", "--nelec", str(n_elec), "--orbitals", f"0,{d}"]
@@ -396,7 +397,7 @@ class TestEd:
         assert record["gap"] <= 1e-10
         assert record["value"] == pytest.approx(value, abs=5e-7)
         gs = ground_state(build_hamiltonian(HubbardParams(6, 4.0).integrals(), n_elec, ms2))
-        fw = ree_numeric(two_orbital_rdm(gs.state, 0, d), ssr="N")
+        fw = frank_wolfe_pinched(two_orbital_rdm(gs.state, 0, d), "N")
         assert fw.converged
         assert fw.value - fw.gap - 1e-9 <= record["value"] <= fw.value + 1e-9
 

@@ -1,8 +1,12 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from fwref import frank_wolfe_pinched
+from orbent import entanglement
 from orbent.channels import gn_local, gpi_local
 from orbent.entanglement import (
     _local_sectors,
@@ -28,6 +32,8 @@ _PSI_PLUS = np.zeros(16)
 _PSI_PLUS[[4 * 1 + 2, 4 * 2 + 1]] = 1 / np.sqrt(2)  # (|up,down> + |down,up>)/sqrt2
 _PHI_PLUS = np.zeros(16)
 _PHI_PLUS[[4 * 0 + 3, 4 * 3 + 0]] = 1 / np.sqrt(2)  # (|0,updown> + |updown,0>)/sqrt2
+_UPUP_DOWNDOWN = np.zeros(16)
+_UPUP_DOWNDOWN[[4 * 1 + 1, 4 * 2 + 2]] = 1 / np.sqrt(2)  # corner coherence of the oo block
 
 # independently computed (50-digit arithmetic) tight-binding reference point
 ETA_HALF_D1 = {
@@ -71,7 +77,8 @@ class TestEntropies:
 
 class TestDecomposeSymmetric:
     """N-SSR values of symmetric states and of states that break one symmetry:
-    the exact route where its conditions hold, Frank-Wolfe otherwise."""
+    the closed form where the one-electron-each block allows it, Frank-Wolfe
+    otherwise."""
 
     def test_psi_plus(self):
         res = nssr_entanglement_dm(pure_state_dm(_PSI_PLUS, (4, 4)))
@@ -79,26 +86,27 @@ class TestDecomposeSymmetric:
         assert res.value == pytest.approx(LN2, abs=1e-15)
 
     def test_sz_broken_state_takes_frank_wolfe(self):
-        v = np.zeros(16)
-        v[4 * 1 + 1] = v[4 * 2 + 2] = 1 / np.sqrt(2)  # (upup + downdown)/sqrt2
-        res = nssr_entanglement_dm(pure_state_dm(v, (4, 4)))
+        res = nssr_entanglement_dm(pure_state_dm(_UPUP_DOWNDOWN, (4, 4)))
         assert res.method == "numeric-ree" and res.converged
         assert res.value == pytest.approx(LN2, abs=1e-7)
 
-    def test_reflection_broken_state_takes_frank_wolfe(self):
+    def test_reflection_broken_state_is_exact(self):
+        # unequal middle diagonals, but no coherence: a diagonal block
         mat = np.zeros((16, 16))
         mat[4 * 1 + 2, 4 * 1 + 2] = 0.8  # |up,down> vs |down,up> asymmetry
         mat[4 * 2 + 1, 4 * 2 + 1] = 0.2
         res = nssr_entanglement_dm(DensityMatrix(mat, (4, 4)))
-        assert res.method == "numeric-ree" and res.converged
-        assert res.value == pytest.approx(0.0, abs=1e-7)
+        assert res.method == "x-state" and res.converged
+        assert (res.value, res.gap, res.iterations) == (0.0, 0.0, 0)
 
-    def test_number_broken_state_takes_frank_wolfe(self):
+    def test_number_broken_state_is_exact(self):
+        # the number pinch removes the coherence: a product block and a
+        # diagonal one
         v = np.zeros(16)
         v[0] = v[4 * 1 + 2] = 1 / np.sqrt(2)  # vacuum + (up,down) coherence
         res = nssr_entanglement_dm(pure_state_dm(v, (4, 4)))
-        assert res.method == "numeric-ree" and res.converged
-        assert res.value == pytest.approx(0.0, abs=1e-7)
+        assert res.method == "x-state" and res.converged
+        assert (res.value, res.gap, res.iterations) == (0.0, 0.0, 0)
 
     def test_wick_state_matches_reference_parameters(self):
         ref = tb_entanglement(TbQuery(eta=0.5, d=1))
@@ -185,10 +193,15 @@ class TestReeNumeric:
         res = ree_numeric(pure_state_dm(_PSI_PLUS, (4, 4)), ssr="none")
         assert res.converged
         assert res.value == pytest.approx(LN2, abs=1e-7)
+        # unpinched, two qubits are one block, here an X state
+        res = ree_numeric(pure_state_dm(np.array([0, 1, 1, 0]) / np.sqrt(2), (2, 2)))
+        assert res.method == "x-state" and res.gap <= 1e-15
+        assert res.value == pytest.approx(LN2, abs=1e-15)
 
     def test_nssr_projection_matches_closed_form(self):
+        # Frank-Wolfe on the block the closed form solves
         dm = two_orbital_state_from_block(0.5, 0.5, ETA_HALF_D1["W"])
-        res = ree_numeric(dm, ssr="N", tol=1e-7)
+        res = frank_wolfe_pinched(dm, "N", tol=1e-7)
         assert res.converged and res.gap <= 1e-7
         assert res.value == pytest.approx(ETA_HALF_D1["E"], abs=1e-6)
 
@@ -228,16 +241,23 @@ class TestReeNumeric:
             ree_numeric(pure_state_dm(_PSI_PLUS, (4, 4)), ssr="Q")
 
     def test_diagnostics_on_parity_blocks(self):
-        dm = two_orbital_state_from_block(0.2, 0.2, w_kernel(1, 0.2))
+        # white noise leaves three diagonal parity blocks, and the corner
+        # coherence sends the oo block to Frank-Wolfe
+        dm = DensityMatrix(0.8 * np.outer(_UPUP_DOWNDOWN, _UPUP_DOWNDOWN)
+                           + 0.2 * np.eye(16) / 16, (4, 4))
         res = ree_numeric(dm, ssr="P")
-        assert res.converged
-        sizes = res.diagnostics["block_sizes"]
-        assert sum(sizes) == 16 and max(sizes) == 2
-        # one or two local searches per outer iteration of each 2 x 2
-        # parity block, no random starts
+        assert res.converged and res.method == "numeric-ree"
+        # no total N or 2Sz symmetry inside the block: one 4-state block
+        assert res.diagnostics["block_sizes"] == [4]
+        terms = res.diagnostics["terms"]
+        assert list(terms) == [(0, 0), (0, 1), (1, 0), (1, 1)]
+        assert terms[(1, 1)] == res.value > 0.0 and terms[(0, 0)] == 0.0
+        # one or two local searches per outer iteration, no random starts
         assert res.iterations <= res.diagnostics["oracle_calls"] <= 2 * res.iterations
         assert res.diagnostics["objective_evals"] > res.iterations
         again = ree_numeric(dm, ssr="P")
+        sigma, again_sigma = res.diagnostics.pop("sigma"), again.diagnostics.pop("sigma")
+        assert np.array_equal(sigma, again_sigma)
         assert (again.value, again.gap, again.diagnostics) == \
             (res.value, res.gap, res.diagnostics)
 
@@ -268,13 +288,13 @@ class TestReeNumeric:
         assert res.gap > 0
 
     def test_converged_reads_the_summed_gap(self):
-        # (1 - eps)|0,0> + eps |psi+>: only the one-electron-each block is
-        # solved, and one iteration leaves its own gap at 0.05
+        # (1 - eps)|0,0> + eps |upup + downdown>: only the one-electron-each
+        # block is solved, by Frank-Wolfe, and one iteration leaves a gap
         for eps, converged in ((1e-9, True), (0.5, False)):
-            m = eps * np.outer(_PSI_PLUS, _PSI_PLUS)
+            m = eps * np.outer(_UPUP_DOWNDOWN, _UPUP_DOWNDOWN)
             m[0, 0] += 1.0 - eps
             res = ree_numeric(DensityMatrix(m, (4, 4)), ssr="N", max_iters=1)
-            assert res.iterations == 1 and res.gap > 0
+            assert res.method == "numeric-ree" and res.iterations == 1 and res.gap > 0
             assert res.converged is converged is (res.gap <= 1e-7)
 
     def test_iteration_cap_below_one_rejected(self):
@@ -329,7 +349,8 @@ class TestPssrExact:
             ref = tb_entanglement(TbQuery(eta=eta, d=d))
             res = pssr_entanglement(dm)
             assert res.method == "x-state"
-            assert abs(res.diagnostics["terms"]["oo"] - nssr_entanglement(ref.r, ref.t)) < 1e-12
+            oo = res.diagnostics["terms"][(1, 1)]
+            assert abs(oo - nssr_entanglement(ref.r, ref.t)) < 1e-12
 
     def test_dilute_regression_point(self):
         # Frank-Wolfe stops 1.33e-6 above this minimum while reporting a
@@ -371,7 +392,7 @@ class TestPssrExact:
                 assert relative_entropy(pinched, mix) >= res.value - 1e-12
             # every Frank-Wolfe iterate is a separable upper bound; the cap keeps
             # the solve short on rank-deficient draws, where it can take minutes
-            assert res.value <= ree_numeric(dm, ssr=ssr, max_iters=5).value + 1e-12
+            assert res.value <= frank_wolfe_pinched(dm, ssr, max_iters=5).value + 1e-12
 
     def test_iteration_cap_keeps_the_bound_honest(self):
         dm = two_orbital_state_from_block(0.2, 0.2, w_kernel(1, 0.2))
@@ -418,9 +439,7 @@ class TestPssrExact:
         assert nssr_entanglement_dm(lopsided(6), max_iters=1).method == "numeric-ree"
 
     def test_sz_coherence_takes_frank_wolfe(self):
-        v = np.zeros(16)
-        v[4 * 1 + 1] = v[4 * 2 + 2] = 1 / np.sqrt(2)  # |up,up> + |down,down>
-        res = pssr_entanglement(pure_state_dm(v, (4, 4)), max_iters=1)
+        res = pssr_entanglement(pure_state_dm(_UPUP_DOWNDOWN, (4, 4)), max_iters=1)
         assert res.method == "numeric-ree"
 
 
@@ -428,8 +447,96 @@ def test_nssr_entanglement_dm_wrapper():
     dm = two_orbital_state_from_block(0.5, 0.5, ETA_HALF_D1["W"])
     res = nssr_entanglement_dm(dm)
     assert res.method == "x-state" and res.ssr == "N" and res.gap <= 1e-15
-    assert res.diagnostics["terms"]["ee"] == 0.0
+    # the one-electron-each block is the only one that is not a product state
+    assert res.diagnostics["terms"] == {(1, 1): res.value}
     assert res.value == pytest.approx(ETA_HALF_D1["E"], abs=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# one block split: closed form or Frank-Wolfe on each two-qubit block
+
+
+def _two_qubit_block(rng, kind):
+    """Unnormalized 2 x 2 block (|00>, |01>, |10>, |11>): diagonal with unequal
+    entries or an X state with equal middle diagonals (the closed forms), an
+    X state with unequal ones or a corner coherence (Frank-Wolfe)."""
+    d = rng.random(4)
+    if kind != "corner":
+        d[[0, 3]] *= rng.choice([0.0, 0.05, 1.0])  # small or no corner weight
+    if kind == "x-equal":
+        d[2] = d[1]
+    block = np.diag(d).astype(complex)
+    if kind != "diagonal":
+        i, j = (0, 3) if kind == "corner" else (1, 2)
+        block[i, j] = rng.random() * np.sqrt(d[i] * d[j]) * np.exp(2j * np.pi * rng.random())
+        block[j, i] = np.conj(block[i, j])
+    return block
+
+
+class TestBlockSplit:
+    # Frank-Wolfe takes 0.01-1.6 s on one of these blocks, so few draws
+    @settings(max_examples=10, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.sampled_from(["P", "N"]),
+           st.lists(st.sampled_from(["diagonal", "x-equal", "x-unequal", "corner"]),
+                    min_size=4, max_size=4))
+    @example(0, "P", ["x-equal", "x-equal", "x-equal", "x-equal"])  # N-breaking eo, oe
+    def test_direct_sum_of_random_blocks(self, seed, ssr, kinds):
+        # a pinched state built block by block: under P the eo and oe blocks
+        # take every shape, including middle coherences that break N
+        rng = np.random.default_rng(seed)
+        mat = np.zeros((16, 16), dtype=complex)
+        solved, needs_fw = [], False
+        for ia, ib in itertools.product(_local_sectors(4, ssr), repeat=2):
+            flat = (ia[:, None] * 4 + ib).ravel()
+            if min(len(ia), len(ib)) == 2:
+                kind = kinds[len(solved)]
+                needs_fw |= kind in ("x-unequal", "corner")
+                solved.append(flat)
+                block = _two_qubit_block(rng, kind)
+            else:
+                x = rng.normal(size=(len(flat), 2)) + 1j * rng.normal(size=(len(flat), 2))
+                block = x @ x.conj().T
+            mat[np.ix_(flat, flat)] = rng.random() * block / np.trace(block).real
+        dm = DensityMatrix(mat / np.trace(mat).real, (4, 4))
+
+        res = ree_numeric(dm, ssr)
+        assert (res.method == "x-state") is (not needs_fw)
+        assert (res.diagnostics["block_sizes"] != []) is needs_fw
+        if not needs_fw:
+            assert res.gap <= 1e-10
+
+        # E = sum_g p_g E(rho_g / p_g), each block solved as a state of its own
+        alone_value = alone_gap = 0.0
+        for flat in solved:
+            one = np.zeros((16, 16), dtype=complex)
+            one[np.ix_(flat, flat)] = dm.mat[np.ix_(flat, flat)]
+            p = np.trace(one).real
+            alone = ree_numeric(DensityMatrix(one / p, (4, 4)), ssr)
+            alone_value += p * alone.value
+            alone_gap += p * alone.gap
+        assert abs(res.value - alone_value) <= res.gap + alone_gap + 1e-12
+
+        sigma = res.diagnostics["sigma"]
+        assert np.linalg.eigvalsh(sigma)[0] >= -1e-12
+        for flat in solved:
+            block = sigma[np.ix_(flat, flat)]
+            assert np.linalg.eigvalsh(block.reshape(2, 2, 2, 2).transpose(0, 3, 2, 1)
+                                      .reshape(4, 4))[0] >= -1e-12
+        assert abs(relative_entropy(dm, sigma) - res.value) < 1e-10
+
+    def test_one_pinch_per_call(self, monkeypatch):
+        # one pinch per call, also when a block goes to Frank-Wolfe
+        calls = []
+
+        def counted(rho):
+            calls.append(rho)
+            return gpi_local(rho)
+
+        monkeypatch.setattr(entanglement, "gpi_local", counted)
+        dm = DensityMatrix(0.8 * np.outer(_UPUP_DOWNDOWN, _UPUP_DOWNDOWN)
+                           + 0.2 * np.eye(16) / 16, (4, 4))
+        assert pssr_entanglement(dm).method == "numeric-ree"
+        assert len(calls) == 1
 
 
 # ---------------------------------------------------------------------------
