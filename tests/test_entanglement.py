@@ -491,7 +491,7 @@ class TestBlockSplit:
             if min(len(ia), len(ib)) == 2:
                 kind = kinds[len(solved)]
                 needs_fw |= kind in ("x-unequal", "corner")
-                solved.append(flat)
+                solved.append((flat, kind))
                 block = _two_qubit_block(rng, kind)
             else:
                 x = rng.normal(size=(len(flat), 2)) + 1j * rng.normal(size=(len(flat), 2))
@@ -507,18 +507,21 @@ class TestBlockSplit:
 
         # E = sum_g p_g E(rho_g / p_g), each block solved as a state of its own
         alone_value = alone_gap = 0.0
-        for flat in solved:
+        for flat, kind in solved:
             one = np.zeros((16, 16), dtype=complex)
             one[np.ix_(flat, flat)] = dm.mat[np.ix_(flat, flat)]
             p = np.trace(one).real
             alone = ree_numeric(DensityMatrix(one / p, (4, 4)), ssr)
+            assert (alone.method == "x-state") is (kind in ("diagonal", "x-equal"))
+            if alone.method == "x-state":
+                assert alone.gap <= 1e-10
             alone_value += p * alone.value
             alone_gap += p * alone.gap
         assert abs(res.value - alone_value) <= res.gap + alone_gap + 1e-12
 
         sigma = res.diagnostics["sigma"]
         assert np.linalg.eigvalsh(sigma)[0] >= -1e-12
-        for flat in solved:
+        for flat, _ in solved:
             block = sigma[np.ix_(flat, flat)]
             assert np.linalg.eigvalsh(block.reshape(2, 2, 2, 2).transpose(0, 3, 2, 1)
                                       .reshape(4, 4))[0] >= -1e-12
