@@ -13,12 +13,16 @@ electron integrals (ij|kl).  ``i j 0 0`` records are one-electron integrals,
 ``0 0 0 0`` the core energy.  Real orbitals give the integrals an 8-fold
 permutation symmetry, which is expanded on load; conflicting duplicate
 records and non-finite values are rejected.
+
+Records are read and written in whole-array passes over one table of the
+8-fold orbits (:func:`_orbits`), not one record at a time.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -74,13 +78,39 @@ class FcidumpData:
                 raise FcidumpError(f"two-electron integrals change under transposition {perm}")
 
 
-def _eightfold(i, j, k, l):
-    return {(i, j, k, l), (j, i, k, l), (i, j, l, k), (j, i, l, k),
-            (k, l, i, j), (l, k, i, j), (k, l, j, i), (l, k, j, i)}
+def _unordered(a, b):
+    """Number of the unordered pair {a, b} of non-negative integers."""
+    hi, lo = np.maximum(a, b), np.minimum(a, b)
+    return hi * (hi + 1) // 2 + lo
 
 
-def parse_fcidump(text: str) -> FcidumpData:
-    """Parse FCIDUMP text into integral arrays (indices converted to 0-based)."""
+@lru_cache(maxsize=None)
+def _orbits(norb: int):
+    """Orbit tables of the index symmetries of real-orbital integrals.
+
+    ``pair[a, b]`` numbers the unordered pair {a, b}, the orbit of a
+    one-electron index; ``orbit[i, j, k, l]`` numbers the unordered pair of
+    pairs {{i, j}, {k, l}}, the orbit of a two-electron index under the
+    8-fold symmetry.  ``first`` holds, in increasing order, the flat index
+    of each orbit's first tuple in the enumeration i, j <= i, k <= i,
+    l <= k, which is the tuple and the order the writer uses.  The arrays
+    are shared between calls and read-only.
+    """
+    a = np.arange(norb)
+    pair = _unordered(a[:, None], a[None, :])
+    orbit = _unordered(pair[:, :, None, None], pair[None, None, :, :])
+    i, j, k, l = np.indices(orbit.shape)
+    enumerated = np.flatnonzero((j <= i) & (k <= i) & (l <= k))
+    _, at = np.unique(orbit.ravel()[enumerated], return_index=True)
+    first = np.sort(enumerated[at])
+    for table in (pair, orbit, first):
+        table.flags.writeable = False
+    return pair, orbit, first
+
+
+def _header(text: str):
+    """NORB, NELEC, MS2, the other namelist fields, and the text after the
+    namelist."""
     match = re.search(r"&FCI(.*?)(?:&END|/)", text, flags=re.IGNORECASE | re.DOTALL)
     if not match:
         raise FcidumpError("missing &FCI ... &END header")
@@ -100,47 +130,117 @@ def parse_fcidump(text: str) -> FcidumpData:
     except ValueError as exc:
         raise FcidumpError(f"malformed header field: {exc}") from exc
     _check_norb(norb)  # before anything of size norb**4 is allocated
+    return norb, nelec, ms2, fields, body
 
-    h = np.zeros((norb, norb))
-    eri = np.zeros((norb,) * 4)
-    h_set = np.zeros((norb, norb), dtype=bool)
-    eri_set = np.zeros((norb,) * 4, dtype=bool)
-    core = 0.0
 
+def _record(tokens: list, r: int):
+    """Record ``r`` as Python numbers: value, i, j, k, l."""
+    return (float(tokens[5 * r]), *map(int, tokens[5 * r + 1:5 * r + 5]))
+
+
+def _convert(tokens: list):
+    """Values and (records, 4) orbital indices of the records before the
+    first malformed one, and the error for that one (None if there is none).
+
+    The tokens go through Python's own ``float`` and ``int``, which fix the
+    accepted syntax and the parsed bits.
+    """
+    index_tokens = tokens[:]
+    del index_tokens[::5]
+    try:
+        values = list(map(float, tokens[::5]))
+        indices = list(map(int, index_tokens))
+    except ValueError:
+        for pos in range(0, len(tokens), 5):
+            try:
+                _record(tokens, pos // 5)
+            except ValueError as exc:
+                fault = FcidumpError(f"malformed record at token {pos}: {exc}")
+                break
+        values, indices, _ = _convert(tokens[:pos])
+        return values, indices, fault
+    values = np.array(values, dtype=float)
+    try:
+        indices = np.array(indices, dtype=np.int64)
+    except OverflowError:
+        # such an index is out of range whatever NORB is; the message
+        # re-reads it from the tokens
+        big = 2 ** 62
+        indices = np.array([min(max(t, -big), big) for t in indices], dtype=np.int64)
+    return values, indices.reshape(-1, 4), None
+
+
+def _scatter(keys: np.ndarray, at: np.ndarray, values: np.ndarray, size: int):
+    """Last value of each key, over the records at file positions ``at``.
+
+    Returns the file position of the first record whose value differs by
+    more than ``_SYM_TOL`` from the previous record of its key (None if
+    none), and the array of length ``size`` holding each key's last value
+    at that key, 0.0 at keys no record names.
+    """
+    order = np.argsort(keys, kind="stable")
+    keys, at = keys[order], at[order]
+    vals = values[at]
+    same = keys[1:] == keys[:-1]
+    with np.errstate(invalid="ignore"):  # inf - inf is NaN, which never clashes
+        clash = same & (np.abs(vals[1:] - vals[:-1]) > _SYM_TOL)
+    last = np.ones(len(keys), dtype=bool)
+    last[:-1] = ~same
+    table = np.zeros(size)
+    table[keys[last]] = vals[last]
+    return (int(at[1:][clash].min()) if clash.any() else None), table
+
+
+def parse_fcidump(text: str) -> FcidumpData:
+    """Parse FCIDUMP text into integral arrays (indices converted to 0-based).
+
+    A faulty file raises the error of its first faulty record in file
+    order.  Duplicate records of one orbit must agree to ``_SYM_TOL``; the
+    last one gives the value.  Orbital-energy records (``e i 0 0 0``) are
+    skipped.
+    """
+    norb, nelec, ms2, fields, body = _header(text)
     tokens = body.split()
     if len(tokens) % 5 != 0:
         raise FcidumpError("integral records must be 'value i j k l' five-tuples")
-    for pos in range(0, len(tokens), 5):
-        try:
-            value = float(tokens[pos])
-            i, j, k, l = (int(t) for t in tokens[pos + 1:pos + 5])
-        except ValueError as exc:
-            raise FcidumpError(f"malformed record at token {pos}: {exc}") from exc
-        for idx in (i, j, k, l):
-            if idx < 0 or idx > norb:
-                raise FcidumpError(f"orbital index {idx} outside [0, {norb}]")
-        if i == j == k == l == 0:
-            core = value
-        elif k == l == 0:
-            if i == 0 or j == 0:
-                continue  # orbital-energy records carry no Hamiltonian data
-            for a, b in ((i - 1, j - 1), (j - 1, i - 1)):
-                if h_set[a, b] and abs(h[a, b] - value) > _SYM_TOL:
-                    raise FcidumpError(
-                        f"inconsistent duplicate one-electron entry ({i},{j})")
-                h[a, b] = value
-                h_set[a, b] = True
-        else:
-            if 0 in (i, j, k, l):
-                raise FcidumpError(f"invalid mixed record {value} {i} {j} {k} {l}")
-            for idx in _eightfold(i - 1, j - 1, k - 1, l - 1):
-                if eri_set[idx] and abs(eri[idx] - value) > _SYM_TOL:
-                    raise FcidumpError(
-                        f"inconsistent duplicate two-electron entry ({i},{j},{k},{l})")
-                eri[idx] = value
-                eri_set[idx] = True
-    return FcidumpData(norb=norb, nelec=nelec, ms2=ms2, h=h, eri=eri, core=core,
-                       extras=fields)
+    values, idx, malformed = _convert(tokens)
+    faults = [] if malformed is None else [(len(values), malformed)]
+
+    outside = ((idx < 0) | (idx > norb)).any(axis=1)
+    if outside.any():
+        r = int(np.argmax(outside))
+        bad = next(t for t in _record(tokens, r)[1:] if t < 0 or t > norb)
+        faults.append((r, FcidumpError(f"orbital index {bad} outside [0, {norb}]")))
+    zero = idx == 0
+    kl_zero = zero[:, 2] & zero[:, 3]
+    mixed = ~outside & ~kl_zero & zero.any(axis=1)
+    if mixed.any():
+        r = int(np.argmax(mixed))
+        value, i, j, k, l = _record(tokens, r)
+        faults.append((r, FcidumpError(f"invalid mixed record {value} {i} {j} {k} {l}")))
+
+    pair, orbit, _ = _orbits(norb)
+    core_at = np.flatnonzero(~outside & zero.all(axis=1))
+    clash, core = _scatter(np.zeros(len(core_at), dtype=np.int64), core_at, values, 1)
+    if clash is not None:
+        faults.append((clash, FcidumpError("inconsistent duplicate core energy")))
+    one_at = np.flatnonzero(~outside & kl_zero & ~zero[:, 0] & ~zero[:, 1])
+    i, j = (idx[one_at, :2] - 1).T
+    clash, h = _scatter(pair[i, j], one_at, values, pair.size)
+    if clash is not None:
+        i, j = _record(tokens, clash)[1:3]
+        faults.append((clash, FcidumpError(f"inconsistent duplicate one-electron entry ({i},{j})")))
+    two_at = np.flatnonzero(~outside & ~zero.any(axis=1))
+    i, j, k, l = (idx[two_at] - 1).T
+    clash, eri = _scatter(orbit[i, j, k, l], two_at, values, orbit.size)
+    if clash is not None:
+        i, j, k, l = _record(tokens, clash)[1:]
+        faults.append((clash, FcidumpError(
+            f"inconsistent duplicate two-electron entry ({i},{j},{k},{l})")))
+    if faults:
+        raise min(faults, key=lambda fault: fault[0])[1]
+    return FcidumpData(norb=norb, nelec=nelec, ms2=ms2, h=h[pair], eri=eri[orbit],
+                       core=float(core[0]), extras=fields)
 
 
 def read_fcidump(path) -> FcidumpData:
@@ -153,24 +253,23 @@ def read_fcidump(path) -> FcidumpData:
 
 
 def serialize_fcidump(data: FcidumpData) -> str:
-    """Emit FCIDUMP text that parses back to the same integrals."""
-    lines = [f"&FCI NORB={data.norb},NELEC={data.nelec},MS2={data.ms2},", "&END"]
+    """Emit FCIDUMP text that parses back to the same integrals.
+
+    One record per 8-fold orbit of ``eri`` and per unordered pair of ``h``
+    whose magnitude exceeds ``_WRITE_TOL``, in the order i, j <= i, k <= i,
+    l <= k, then the core energy.
+    """
     n = data.norb
-    written = np.zeros((n,) * 4, dtype=bool)
-    for i in range(n):
-        for j in range(i + 1):
-            for k in range(i + 1):
-                for l in range(k + 1):
-                    if written[i, j, k, l]:
-                        continue
-                    value = float(data.eri[i, j, k, l])
-                    for idx in _eightfold(i, j, k, l):
-                        written[idx] = True
-                    if abs(value) > _WRITE_TOL:
-                        lines.append(f"{value!r} {i + 1} {j + 1} {k + 1} {l + 1}")
-    for i in range(n):
-        for j in range(i + 1):
-            if abs(data.h[i, j]) > _WRITE_TOL:
-                lines.append(f"{float(data.h[i, j])!r} {i + 1} {j + 1} 0 0")
+    _, _, first = _orbits(n)
+    eri = np.take(data.eri, first)
+    keep = np.abs(eri) > _WRITE_TOL
+    i, j, k, l = (np.array(np.unravel_index(first[keep], (n,) * 4)) + 1).tolist()
+    lines = [f"&FCI NORB={data.norb},NELEC={data.nelec},MS2={data.ms2},", "&END"]
+    lines += [f"{v!r} {a} {b} {c} {d}" for v, a, b, c, d in zip(eri[keep].tolist(), i, j, k, l)]
+    i, j = np.tril_indices(n)
+    h = data.h[i, j]
+    keep = np.abs(h) > _WRITE_TOL
+    i, j = (np.array([i[keep], j[keep]]) + 1).tolist()
+    lines += [f"{v!r} {a} {b} 0 0" for v, a, b in zip(h[keep].tolist(), i, j)]
     lines.append(f"{float(data.core)!r} 0 0 0 0")
     return "\n".join(lines) + "\n"

@@ -293,10 +293,13 @@ def _assemble(rank: np.ndarray, sign: np.ndarray, gens_up, gens_down,
     frm = np.repeat(from_up * n_down, per_row)
     frm += np.take(from_down, pairs.indices)
     vals = pairs.data
+    del pairs  # its index arrays are as long as vals
     vals *= np.take(sign, to)
     vals *= np.take(sign, frm)
-    return sps.csr_matrix((vals, (np.take(rank, to), np.take(rank, frm))),
-                          shape=(rank.size,) * 2)
+    # basis positions in place: two fewer index arrays of length nnz at the CSR conversion
+    np.take(rank, to, out=to)
+    np.take(rank, frm, out=frm)
+    return sps.csr_matrix((vals, (to, frm)), shape=(rank.size,) * 2)
 
 
 @dataclass
@@ -326,6 +329,12 @@ def ground_state(op: ManyBodyOperator) -> GroundStateResult:
     costs O(nnz), so denser Hamiltonians gain less: on the 784-dim N = 4
     sector of an 8-orbital dense-ERI FCIDUMP, about a quarter of whose
     entries are nonzero, Lanczos still halves the time dense ``eigh`` takes.
+
+    On the Lanczos path, ``k=4`` Ritz values and ``tol=1e-12`` are what
+    make the second copy of a degenerate ground level show.  On the 8-site
+    Hubbard sectors U=4, N=5, 2Sz=1 and U=3, N=6, 2Sz=2, both two-fold,
+    ``k=2`` reports gaps of 0.129 and 0.021 instead, and ``tol=1e-10``
+    misses the copy on the second.
     """
     import scipy.linalg as sla
     import scipy.sparse.linalg as spsl
