@@ -213,7 +213,8 @@ def parse_fcidump(text: str) -> FcidumpData:
         faults.append((r, FcidumpError(f"orbital index {bad} outside [0, {norb}]")))
     zero = idx == 0
     kl_zero = zero[:, 2] & zero[:, 3]
-    mixed = ~outside & ~kl_zero & zero.any(axis=1)
+    any_zero = zero.any(axis=1)
+    mixed = ~outside & ~kl_zero & any_zero
     if mixed.any():
         r = int(np.argmax(mixed))
         value, i, j, k, l = _record(tokens, r)
@@ -230,7 +231,7 @@ def parse_fcidump(text: str) -> FcidumpData:
     if clash is not None:
         i, j = _record(tokens, clash)[1:3]
         faults.append((clash, FcidumpError(f"inconsistent duplicate one-electron entry ({i},{j})")))
-    two_at = np.flatnonzero(~outside & ~zero.any(axis=1))
+    two_at = np.flatnonzero(~outside & ~any_zero)
     i, j, k, l = (idx[two_at] - 1).T
     clash, eri = _scatter(orbit[i, j, k, l], two_at, values, orbit.size)
     if clash is not None:
