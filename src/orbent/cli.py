@@ -291,9 +291,8 @@ def _add_ree_flags(parser):
                         help="duality-gap tolerance of the minimization, in nats "
                              "whatever --log-base is")
     parser.add_argument("--ree-max-iters", type=_at_least(int, 1), default=5000,
-                        help="iteration cap of the minimization on each block "
-                             "of the pinched state (Frank-Wolfe steps, or "
-                             "bisection steps on the exact route)")
+                        help="Frank-Wolfe iteration cap on each block of the "
+                             "pinched state; exact blocks take no iterations")
 
 
 @functools.cache

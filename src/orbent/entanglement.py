@@ -15,7 +15,7 @@ sum_g p_g E(rho_g/p_g) (Vedral & Plenio, PRA 57, 1619 (1998)).  A block
 with a one-state local sector is a product state; every other block is two
 qubits, where separable <=> PPT (Peres 1996; Horodecki 1996).  A diagonal
 block adds 0.  An X block with equal middle diagonals has the separable set
-|c|^2 <= a d and its minimum is one scalar root of the KKT conditions; its
+|c|^2 <= a d and its minimum is the nonnegative root of one quadratic; its
 gap is the Frank-Wolfe gap with the linear maximization over separable X
 states done exactly, a proven bound.  Every other block goes to Frank-Wolfe.
 
@@ -505,12 +505,14 @@ def _x_kkt_point(r00, r11, p_plus, p_minus, s):
 
     a = r00 + mu t, d = r11 + mu t, u = P+/(1 + mu s), v = P-/(1 - mu s),
     where t = s^2 and mu(t) = (sqrt((r00 - r11)^2 + 4t) - (r00 + r11))/(2t)
-    makes a d = t.  mu t and 1 - mu s are written without cancellation.
-    Needs r00 + r11 > 0, which keeps mu s below 1.
+    makes a d = t.  mu t and 1 - mu s are written without cancellation, and
+    r00 r11 only as g^2, g = sqrt(r00) sqrt(r11), so that nothing underflows.
+    Needs s > 0 and r00 + r11 > 0, which keeps mu s below 1.
     """
     total, root = r00 + r11, math.hypot(r00 - r11, 2.0 * s)
-    mu_t = 2.0 * (s * s - r00 * r11) / (root + total)
-    one_minus = 2.0 * (s * total + r00 * r11) / (s * (2.0 * s + total + root))
+    g = math.sqrt(r00) * math.sqrt(r11)
+    mu_t = 2.0 * (s - g) * ((s + g) / (root + total))
+    one_minus = 2.0 * (total + g * (g / s)) / (2.0 * s + total + root)
     return r00 + mu_t, r11 + mu_t, p_plus / (2.0 - one_minus), p_minus / one_minus
 
 
@@ -538,7 +540,7 @@ def _x_dual_bound(g_a, g_d, g_plus, g_minus) -> float:
     return max(mean + math.hypot(half, theta * g), h + (1.0 - theta) * g)
 
 
-def _x_state_ree(r00, r11, p_plus, p_minus, max_iters):
+def _x_state_ree(r00, r11, p_plus, p_minus):
     """REE of a normalized two-qubit X state whose middle diagonals are equal.
 
     rho has corner weights r00, r11 and weights P+ >= P- on the middle pair
@@ -546,43 +548,41 @@ def _x_state_ree(r00, r11, p_plus, p_minus, max_iters):
     taken in the same form, with weights (a, d, u, v) and coherence
     c = (u - v)/2, and is separable iff c^2 <= a d.  When rho is entangled
     the constraint is active, the sum multiplier is 1 by homogeneity, and
-    the KKT point of ``_x_kkt_point`` solves c(s) = s.  c(s) - s is positive
-    at s = sqrt(r00 r11) and negative at s = 1/2, and any root is optimal
-    (a KKT point of a convex problem).  Bisection keeps the upper, feasible
-    end and stops at adjacent floats or after ``max_iters`` steps.
-
-    Returns the value, sigma's weights, the proven gap of ``_x_dual_bound``
-    at that sigma, and the number of bisection steps.
+    the KKT point of ``_x_kkt_point`` solves c(s) = s.  With R = r00 + r11,
+    S = P+ + P- and D = P+ - P-, mu t = (s D - 2 r00 r11)/(S + 2R) turns it
+    into A s^2 = B s + C with A = 4(P+ + R)(P- + R), B = D(R S + 2 r00^2 +
+    2 r11^2) and C = r00 r11 (S + 2 r00)(S + 2 r11), all >= 0, whose one
+    nonnegative root is optimal (a KKT point of a convex problem).  Rounding
+    of the normalized sigma is moved onto the separable side by at most one
+    float step of v.  Returns the value, sigma's weights and the proven gap.
     """
     rho_w = (r00, r11, p_plus, p_minus)
-    iterations = 0
     if 0.25 * (p_plus - p_minus) ** 2 <= r00 * r11:
-        return 0.0, rho_w, 0.0, iterations  # PPT, hence separable
-    if r00 + r11 == 0.0:
+        return 0.0, rho_w, 0.0  # PPT, hence separable
+    corners, middle = r00 + r11, p_plus + p_minus
+    if corners == 0.0:
         # no corner weight: a = d = |c| leaves u = 1/2, and P- ln v is best at v = 1/2
         sigma_w = (0.0, 0.0, 0.5, 0.5)
     else:
-        lo, hi = math.sqrt(r00 * r11), 0.5
-        while iterations < max_iters:
-            mid = 0.5 * (lo + hi)
-            if not lo < mid < hi:
-                break
-            iterations += 1
-            _, _, u, v = _x_kkt_point(r00, r11, p_plus, p_minus, mid)
-            if 0.5 * (u - v) > mid:
-                lo = mid
-            else:
-                hi = mid
-        a, d, u, v = _x_kkt_point(r00, r11, p_plus, p_minus, hi)
-        if v - u > 2.0 * hi:  # a capped search can stop with c < -sqrt(a d)
-            m = 0.5 * (u + v)
-            u, v = m - hi, m + hi
-        total = a + d + u + v
-        sigma_w = (a / total, d / total, u / total, v / total)
+        a2 = 4.0 * (p_plus + corners) * (p_minus + corners)
+        b = (p_plus - p_minus) * (corners * middle + 2.0 * (r00 * r00 + r11 * r11))
+        root_c = math.sqrt(r00) * math.sqrt(r11) * math.sqrt(
+            a2 * (middle + 2.0 * r00) * (middle + 2.0 * r11))
+        s = (b + math.hypot(b, 2.0 * root_c)) / (2.0 * a2)
+        kkt = _x_kkt_point(r00, r11, p_plus, p_minus, s)
+        total = sum(kkt)  # 1 up to rounding: the sum multiplier is 1
+        a, d, u, v, s = (x / total for x in (*kkt, s))
+        if 0.5 * (u - v) > s:
+            v = u - 2.0 * s
+            if 0.5 * (u - v) > s:
+                v = math.nextafter(v, u)
+        elif 0.5 * (v - u) > s:  # s is below the float spacing at u
+            v = u
+        sigma_w = (a, d, u, v)
     value = sum(r * math.log(r / s) for r, s in zip(rho_w, sigma_w) if r > 0.0)
     grad = [r / s if r > 0.0 else 0.0 for r, s in zip(rho_w, sigma_w)]
     gap = _x_dual_bound(*grad) - sum(g * s for g, s in zip(grad, sigma_w))
-    return value, sigma_w, max(gap, 0.0), iterations
+    return value, sigma_w, max(gap, 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -618,17 +618,17 @@ def _solved_blocks(dims, kind):
     return keys, flat, block_dims
 
 
-def _x_block(block, p, max_iters):
+def _x_block(block, p):
     """``_x_state_ree`` on one unnormalized 2 x 2 X block of weight p with
-    equal middle diagonals: p E, p gap, steps and p sigma."""
+    equal middle diagonals: p E, p gap and p sigma."""
     d0, d1, d2, d3 = np.diagonal(block).real.tolist()
     z = complex(block[1, 2])
     mid = 0.5 * (d1 + d2)
-    val, (a, d, u, v), gap, its = _x_state_ree(
-        d0 / p, d3 / p, (mid + abs(z)) / p, max(mid - abs(z), 0.0) / p, max_iters)
+    val, (a, d, u, v), gap = _x_state_ree(
+        d0 / p, d3 / p, (mid + abs(z)) / p, max(mid - abs(z), 0.0) / p)
     m, c = p * 0.5 * (u + v), p * 0.5 * (u - v) * (z / abs(z))
     sigma = np.array([[p * a, 0, 0, 0], [0, m, c, 0], [0, c.conjugate(), m, 0], [0, 0, 0, p * d]])
-    return p * val, p * gap, its, sigma
+    return p * val, p * gap, sigma
 
 
 def ree_numeric(rho: DensityMatrix, ssr: str = "none", tol: float = 1e-7,
@@ -640,12 +640,12 @@ def ree_numeric(rho: DensityMatrix, ssr: str = "none", tol: float = 1e-7,
     middle states is closed-form: diagonal (it adds 0) or, with middle
     diagonals equal to 1e-12, an X state (``_x_state_ree``).  Every other
     block goes to ``_ree_frank_wolfe``.  Value and gap are p-weighted sums,
-    ``iterations`` (bisection steps plus Frank-Wolfe iterations) and the
-    Frank-Wolfe counts plain sums.  ``method`` is "x-state", and the gap
-    proven, when no block needed Frank-Wolfe.  Each block runs at most
-    ``max_iters`` >= 1 iterations; ``converged`` flags, without raising,
-    whether the summed gap is at most ``tol``, and a warning is logged when
-    not, whichever solver hit its cap.  ``diagnostics`` also carries
+    ``iterations`` and the other Frank-Wolfe counts plain sums over the
+    Frank-Wolfe blocks: exact blocks take no iterations.  ``method`` is
+    "x-state", and the gap proven, when no block needed Frank-Wolfe.  Each
+    Frank-Wolfe block runs at most ``max_iters`` >= 1 iterations;
+    ``converged`` flags, without raising, whether the summed gap is at most
+    ``tol``, and a warning is logged when not.  ``diagnostics`` also carries
     ``terms``, each block's p E keyed by its local label pair, and
     ``sigma``, the direct sum of the blocks' sigma.
     """
@@ -671,21 +671,20 @@ def ree_numeric(rho: DensityMatrix, ssr: str = "none", tol: float = 1e-7,
     else:
         diagonal = closed = [False] * len(keys)
     sigmas = blocks.copy()  # a product or diagonal block is its own sigma
-    terms, gaps, its, frank_wolfe = {}, [], 0, []
+    terms, gaps, frank_wolfe = {}, [], []
     for g, key in enumerate(keys):
         terms[key] = 0.0
         p = weights[g]
         if p <= 0.0 or diagonal[g]:
             continue
         if closed[g]:
-            terms[key], gap, steps, sigmas[g] = _x_block(blocks[g], p, max_iters)
+            terms[key], gap, sigmas[g] = _x_block(blocks[g], p)
         else:
             res = _ree_frank_wolfe(_trusted(blocks[g] / p, dims), tol, max_iters)
-            terms[key], gap, steps = p * res.value, p * res.gap, res.iterations
+            terms[key], gap = p * res.value, p * res.gap
             sigmas[g] = p * res.diagnostics["sigma"]
             frank_wolfe.append(res)
         gaps.append(gap)
-        its += steps
     sigma = work.mat.copy()
     sigma[flat[:, :, None], flat[:, None, :]] = sigmas
 
@@ -696,8 +695,8 @@ def ree_numeric(rho: DensityMatrix, ssr: str = "none", tol: float = 1e-7,
               for name in ("atoms", "objective_evals", "oracle_calls")}
     return EntanglementResult(
         value=math.fsum(terms.values()), ssr=ssr_key,
-        method="numeric-ree" if frank_wolfe else "x-state", iterations=its, gap=gap,
-        converged=gap <= tol,
+        method="numeric-ree" if frank_wolfe else "x-state",
+        iterations=sum(r.iterations for r in frank_wolfe), gap=gap, converged=gap <= tol,
         diagnostics={**counts, "block_sizes": [n for r in frank_wolfe
                                                for n in r.diagnostics["block_sizes"]],
                      "terms": terms, "sigma": sigma})
@@ -711,10 +710,9 @@ def pssr_entanglement(rho: DensityMatrix, tol: float = 1e-7,
     total N and 2Sz has diagonal mixed-parity blocks and X states in the
     others; with equal middle diagonals, as for tight-binding states and
     orbital pairs of (N, Sz) eigenstates with an exchange symmetry, the
-    value is exact: method "x-state", a proven gap, ``iterations``
-    counting bisection steps.  Other blocks take Frank-Wolfe, whose gap is
-    heuristic and whose iterations ``iterations`` adds to the bisection
-    steps; the iteration-cap warning covers both solvers.
+    value is exact: method "x-state", a proven gap and no iterations.
+    Other blocks take Frank-Wolfe, whose gap is heuristic; ``iterations``
+    counts its iterations, and ``max_iters`` caps them.
     """
     return ree_numeric(rho, "P", tol, max_iters)
 

@@ -347,14 +347,13 @@ def ground_state(op: ManyBodyOperator) -> GroundStateResult:
         energy, vec = float(evals[0]), evecs[:, 0]
         gap = float(evals[1] - evals[0])
     else:
-        k = min(4, op.dim - 1)
         # a seeded start vector makes the result repeatable; a constant one
         # could be orthogonal to a symmetric ground state
         v0 = np.random.default_rng(0).standard_normal(op.dim)
-        evals, evecs = spsl.eigsh(h, k=k, which="SA", tol=1e-12, maxiter=20000, v0=v0)
+        evals, evecs = spsl.eigsh(h, k=4, which="SA", tol=1e-12, maxiter=20000, v0=v0)
         order = np.argsort(evals)
         energy, vec = float(evals[order[0]]), evecs[:, order[0]]
-        gap = float(evals[order[1]] - evals[order[0]]) if k > 1 else np.inf
+        gap = float(evals[order[1]] - evals[order[0]])
     residual = float(np.linalg.norm(h @ vec - energy * vec))
     if not residual <= _RESIDUAL_TOL:
         raise RuntimeError(f"eigensolver residual {residual:.2e} above {_RESIDUAL_TOL}")

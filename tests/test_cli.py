@@ -131,16 +131,23 @@ class TestTbScan:
         for row in rows:
             assert float(row["E_pssr"]) >= float(row["E_nssr"]) - 1e-6
 
-    def test_uncertified_pssr_exits_3(self, tmp_path, capsys):
+    def test_uncertified_pssr_exits_3(self, tmp_path, capsys, monkeypatch):
+        # every tight-binding value is exact, so an uncertified one is faked:
+        # the table is still written, then the exit code says so
+        from orbent import tightbinding
+        from orbent.entanglement import EntanglementResult
+        monkeypatch.setattr(tightbinding, "pssr_point", lambda query, **_: EntanglementResult(
+            value=0.25, ssr="P", method="numeric-ree", iterations=1, gap=1.0,
+            converged=False))
         out = tmp_path / "p.csv"
         code, _, err = run_cli(capsys, "tb-scan", "--d-list", "1", "--eta-min",
                                "0.2", "--eta-max", "0.2", "--points", "1",
-                               "--pssr", "--ree-max-iters", "1", "--out", str(out))
+                               "--pssr", "--out", str(out))
         assert code == 3
         assert "did not certify" in err
         with open(out, newline="") as fh:
             rows = list(csv.DictReader(fh))
-        assert len(rows) == 1 and float(rows[0]["E_pssr"]) > 0.0
+        assert len(rows) == 1 and float(rows[0]["E_pssr"]) == 0.25
 
 
 class TestDminScan:
@@ -362,7 +369,7 @@ class TestEd:
         assert record["method"] == "x-state"
         assert record["gap"] <= 1e-7
         assert record["converged"] is True
-        assert record["iterations"] > 0
+        assert record["iterations"] == 0
 
     def test_pssr_gap_follows_log_base(self, capsys):
         # the exact route's gaps are round-off sized, and some are exactly 0
@@ -410,15 +417,15 @@ class TestEd:
         assert record["gap"] <= 1e-7
 
     def test_nssr_nonconvergence_exit_3(self, capsys):
-        # the --ree-* flags reach the N-SSR route too: one bisection step
+        # the --ree-* flags reach the N-SSR route too: one Frank-Wolfe step
         # cannot certify a 1e-13 gap
-        code, out, err = run_cli(capsys, "ed", "--hubbard", "6,4", "--nelec", "4",
-                                 "--orbitals", "0,1", "--ree-max-iters", "1",
+        code, out, err = run_cli(capsys, "ed", "--hubbard", "6,4", "--nelec", "3",
+                                 "--orbitals", "0,1", "--ssr", "n", "--ree-max-iters", "1",
                                  "--ree-tol", "1e-13")
         assert code == 3
         assert "did not certify" in err
         record = json.loads(out)
-        assert record["method"] == "x-state" and record["converged"] is False
+        assert record["method"] == "numeric-ree" and record["converged"] is False
         assert record["iterations"] == 1 and record["gap"] > 1e-13
 
     @pytest.mark.parametrize("flag,value", [
@@ -443,11 +450,13 @@ class TestEd:
             assert r["value"] == 0.0 and r["degenerate_ground"] is False
 
     def test_nonconvergence_exit_3(self, capsys):
-        code, _, err = run_cli(capsys, "ed", "--hubbard", "4,2", "--nelec", "2",
-                               "--orbitals", "0,1", "--ssr", "p",
-                               "--ree-max-iters", "1", "--ree-tol", "1e-13")
+        code, out, err = run_cli(capsys, "ed", "--hubbard", "6,4", "--nelec", "3",
+                                 "--orbitals", "0,1", "--ssr", "p",
+                                 "--ree-max-iters", "1", "--ree-tol", "1e-13")
         assert code == 3
         assert "did not certify" in err
+        record = json.loads(out)
+        assert record["method"] == "numeric-ree" and record["converged"] is False
 
     def test_out_file(self, tmp_path, capsys):
         out = tmp_path / "records.jsonl"

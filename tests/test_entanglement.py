@@ -1,11 +1,13 @@
 import itertools
+import math
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from fwref import frank_wolfe_pinched
+from xstateref import x_state_ree as bisected_x_state_ree
 from orbent import entanglement
 from orbent.channels import gn_local, gpi_local
 from orbent.entanglement import (
@@ -282,9 +284,10 @@ class TestReeNumeric:
         assert res.value <= 1.7450e-4
 
     def test_nonconvergence_flagged(self):
-        dm = two_orbital_state_from_block(0.5, 0.5, ETA_HALF_D1["W"])
+        # the corner coherence sends the one-electron-each block to Frank-Wolfe
+        dm = pure_state_dm(_UPUP_DOWNDOWN, (4, 4))
         res = ree_numeric(dm, ssr="N", tol=1e-13, max_iters=1)
-        assert not res.converged
+        assert res.method == "numeric-ree" and not res.converged
         assert res.gap > 0
 
     def test_converged_reads_the_summed_gap(self):
@@ -342,6 +345,25 @@ def _symmetric_state(rng, noise):
     return DensityMatrix(_symmetrize_reflection(mat), (4, 4))
 
 
+@st.composite
+def _x_weights(draw):
+    """Normalized (r00, r11, P+, P-) of an X state with P+ >= P-: corners and
+    P- of 0 or down to 1e-150, and half of the draws with two corners just
+    past the PPT boundary (P+ - P-)^2/4 = r00 r11."""
+    corner = st.one_of(st.just(0.0), st.floats(1e-150, 1.0),
+                       st.floats(-150.0, 0.0).map(lambda e: 10.0 ** e))
+    r00, r11 = draw(corner), draw(corner)
+    p_minus = draw(st.one_of(st.just(0.0), st.floats(1e-150, 1.0)))
+    if r00 * r11 > 0.0 and draw(st.booleans()):
+        excess = 10.0 ** draw(st.floats(-12.0, 0.0))
+        delta = 2.0 * math.sqrt(r00) * math.sqrt(r11) * (1.0 + excess)
+    else:
+        delta = draw(st.floats(0.0, 1.0))
+    total = r00 + r11 + 2.0 * p_minus + delta
+    assume(total > 0.0)
+    return r00 / total, r11 / total, (p_minus + delta) / total, p_minus / total
+
+
 class TestPssrExact:
     def test_oo_term_is_nssr_value(self):
         for eta, d in TB_ANCHORS:
@@ -394,27 +416,42 @@ class TestPssrExact:
             # the solve short on rank-deficient draws, where it can take minutes
             assert res.value <= frank_wolfe_pinched(dm, ssr, max_iters=5).value + 1e-12
 
-    def test_iteration_cap_keeps_the_bound_honest(self):
+    def test_iteration_cap_leaves_the_exact_route_alone(self):
+        # exact blocks take no iterations, so the cap applies to Frank-Wolfe only
         dm = two_orbital_state_from_block(0.2, 0.2, w_kernel(1, 0.2))
         exact = pssr_entanglement(dm)
-        capped = pssr_entanglement(dm, max_iters=2)
-        assert capped.method == "x-state" and not capped.converged
-        assert capped.iterations == 4
-        assert capped.value - capped.gap <= exact.value <= capped.value
-        assert relative_entropy(gpi_local(dm), capped.diagnostics["sigma"]) == \
-            pytest.approx(capped.value, abs=1e-12)
+        capped = pssr_entanglement(dm, max_iters=1)
+        assert capped.method == exact.method == "x-state" and capped.converged
+        assert capped.iterations == exact.iterations == 0
+        assert (capped.value, capped.gap) == (exact.value, exact.gap)
+        assert np.array_equal(capped.diagnostics["sigma"], exact.diagnostics["sigma"])
 
-    @pytest.mark.parametrize("weights", [(0.1, 0.05, 0.6, 0.25), (0.3, 0.0, 0.7, 0.0),
-                                         (1e-6, 1e-6, 0.6, 0.4 - 2e-6)])
-    def test_capped_bisection_brackets_the_minimum(self, weights):
-        # after 0 or 1 steps the KKT point's coherence can fall below
-        # -sqrt(a d); the returned sigma must still be separable
-        exact = _x_state_ree(*weights, 5000)[0]
-        for cap in range(4):
-            value, sigma_w, gap, _ = _x_state_ree(*weights, cap)
-            a, d, u, v = sigma_w
-            assert (u - v) ** 2 / 4 <= a * d * (1 + 1e-12) and min(sigma_w) >= 0.0
-            assert value - gap <= exact + 1e-15 and exact <= value + 1e-15
+    @settings(max_examples=300, deadline=None)
+    @given(_x_weights())
+    @example((0.1, 0.05, 0.6, 0.25))
+    @example((0.3, 0.0, 0.7, 0.0))
+    @example((1e-6, 1e-6, 0.6, 0.4 - 2e-6))
+    def test_closed_form_matches_bisection(self, weights):
+        value, sigma_w, gap = _x_state_ree(*weights)
+        a, d, u, v = sigma_w
+        assert (u - v) ** 2 / 4 <= a * d * (1 + 1e-12) and min(sigma_w) >= 0.0
+        assert abs(value - bisected_x_state_ree(*weights)[0]) <= 2e-15
+        assert gap <= 2e-15
+
+    def test_tiny_corner_weights(self):
+        # corners of 1e-170 once underflowed the KKT point to a zero divisor
+        def state(corner):
+            mat = np.zeros((16, 16))
+            mat[5, 5] = mat[10, 10] = corner  # |up,up>, |down,down>
+            mat[6, 6] = mat[9, 9] = 0.3
+            mat[6, 9] = mat[9, 6] = 0.29
+            mat[0, 0] = 1.0 - np.trace(mat)
+            return DensityMatrix(mat, (4, 4))
+
+        for route in (pssr_entanglement, nssr_entanglement_dm):
+            res = route(state(1e-170))
+            assert res.method == "x-state" and res.gap <= 1e-15
+            assert abs(res.value - route(state(0.0)).value) <= 1e-15
 
     @pytest.mark.parametrize("pair", [(3, 12), (6, 9)])
     def test_unequal_diagonals_take_frank_wolfe(self, pair):
