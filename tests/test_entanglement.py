@@ -426,11 +426,21 @@ class TestPssrExact:
         assert (capped.value, capped.gap) == (exact.value, exact.gap)
         assert np.array_equal(capped.diagnostics["sigma"], exact.diagnostics["sigma"])
 
+    @pytest.mark.parametrize("weights", [(0.1, 0.05, 0.6, 0.25), (0.3, 0.0, 0.7, 0.0),
+                                         (1e-6, 1e-6, 0.6, 0.4 - 2e-6)])
+    def test_capped_bisection_brackets_the_minimum(self, weights):
+        # points where a bisection capped at 0 or 1 steps once left the KKT
+        # coherence below -sqrt(a d): the closed form's sigma must be separable
+        # and its value, less the gap, must bracket the bisected minimum
+        exact = bisected_x_state_ree(*weights)[0]
+        value, sigma_w, gap = _x_state_ree(*weights)
+        a, d, u, v = sigma_w
+        assert (u - v) ** 2 / 4 <= a * d * (1 + 1e-12) and min(sigma_w) >= 0.0
+        assert value - gap <= exact + 1e-15 and exact <= value + 1e-15
+        assert gap <= 2e-15
+
     @settings(max_examples=300, deadline=None)
     @given(_x_weights())
-    @example((0.1, 0.05, 0.6, 0.25))
-    @example((0.3, 0.0, 0.7, 0.0))
-    @example((1e-6, 1e-6, 0.6, 0.4 - 2e-6))
     def test_closed_form_matches_bisection(self, weights):
         value, sigma_w, gap = _x_state_ree(*weights)
         a, d, u, v = sigma_w
