@@ -7,11 +7,11 @@ builds the pinched two-orbital states of free and interacting electron
 systems and quantifies their entanglement, in closed form for tight-binding
 states and by convex minimization otherwise.  The N-SSR and P-SSR values
 take one route: the pinched state splits into two-qubit blocks, each
-solved on its own.  Diagonal blocks and X states with equal middle
-diagonals (those of states with N, Sz and orbital exchange symmetry) are
-solved in closed form with a proven gap; every other block goes to a
-Frank-Wolfe minimization whose duality gap is exact only when its
-product-state oracle finds the global maximum, so it is a heuristic bound.
+solved on its own.  Diagonal blocks and X states, the only blocks of states
+that commute with the pair's N and 2Sz, are solved exactly with a proven
+gap; every other block goes to a Frank-Wolfe minimization whose duality
+gap is exact only when its product-state oracle finds the global maximum,
+so it is a heuristic bound.
 """
 
 from .channels import (

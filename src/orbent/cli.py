@@ -2,10 +2,14 @@
 
 Single results are printed as JSON records with snake_case keys; parameter
 scans are written as CSV whose float fields use ``repr`` so the files parse
-back bit-exactly.  Exit codes: 0 on success, 2 on usage errors, 3 on
-numerical failure (an uncertified minimization).  Rows are evaluated one
-after another and emitted in deterministic order.  Orbital indices on this
-interface are 0-based.
+back bit-exactly.  Exit codes: 0 on success, 2 on usage errors, 3 when
+the eigensolver of ``ed`` fails.  Rows are evaluated one after another and
+emitted in deterministic order.  Orbital indices on this interface are
+0-based.
+
+Every pair state that ``tb``, ``tb-scan`` and ``ed`` build commutes with the
+pair's N and 2Sz, so every value they print is exact, with a proven gap; no
+command reaches the Frank-Wolfe solver, whose gap is heuristic.
 """
 
 from __future__ import annotations
@@ -14,7 +18,6 @@ import argparse
 import csv
 import functools
 import json
-import math
 import sys
 
 import numpy as np
@@ -70,10 +73,6 @@ def _error(message, code: int = USAGE_ERROR) -> int:
     return code
 
 
-def _uncertified() -> int:
-    return _error("minimization did not certify the requested gap", NUMERICAL_ERROR)
-
-
 # ---------------------------------------------------------------------------
 # subcommands
 
@@ -102,10 +101,8 @@ def cmd_tb(args) -> int:
         record.update(value=_log_base_value(closed.e_nssr, args.log_base),
                       entangled=closed.entangled, method="closed-form")
     else:
-        res = tightbinding.pssr_point(query, tol=args.ree_tol, max_iters=args.ree_max_iters)
-        record.update(_solver_fields(res, args.log_base))
-    _emit_json(record)
-    return 0 if record.get("converged", True) else _uncertified()
+        record.update(_solver_fields(tightbinding.pssr_point(query), args.log_base))
+    return _emit_json(record)
 
 
 def _write_csv(path, header, rows) -> int:
@@ -135,15 +132,11 @@ def cmd_tb_scan(args) -> int:
         return _error(exc)
     header = ["eta", "d", "E_nssr"]
     table = [[row["eta"], row["d"], row["E_nssr"]] for row in rows]
-    failed = False
     if args.pssr:
         header.append("E_pssr")
         for line, row in zip(table, rows):
-            res = tightbinding.pssr_point(tightbinding.TbQuery(row["eta"], row["d"]),
-                                          tol=args.ree_tol, max_iters=args.ree_max_iters)
-            line.append(res.value)
-            failed |= not res.converged
-    return _write_csv(args.out, header, table) or (_uncertified() if failed else 0)
+            line.append(tightbinding.pssr_point(tightbinding.TbQuery(row["eta"], row["d"])).value)
+    return _write_csv(args.out, header, table)
 
 
 def cmd_dmin_scan(args) -> int:
@@ -253,10 +246,8 @@ def cmd_ed(args) -> int:
         return _error(exc, USAGE_ERROR if isinstance(exc, ValueError) else NUMERICAL_ERROR)
 
     lines = []
-    failed = False
     for l, lp in pairs:
-        res = interacting.orbital_pair_entanglement(
-            gs.state, l, lp, ssr=args.ssr, tol=args.ree_tol, max_iters=args.ree_max_iters)
+        res = interacting.orbital_pair_entanglement(gs.state, l, lp, ssr=args.ssr)
         d = abs(l - lp)
         if model["model"] == "hubbard":
             d = min(d, params.n_sites - d)
@@ -266,33 +257,12 @@ def cmd_ed(args) -> int:
                       residual=gs.residual, l=l, lp=lp, d=d,
                       ssr=args.ssr, log_base=args.log_base,
                       **_solver_fields(res, args.log_base))
-        failed |= not res.converged
         lines.append(json.dumps(record, sort_keys=True))
-    return _write_text("\n".join(lines), args.out) or (_uncertified() if failed else 0)
+    return _write_text("\n".join(lines), args.out)
 
 
 # ---------------------------------------------------------------------------
 # parser
-
-
-def _at_least(convert, low):
-    """An argparse type: ``convert``, then refuse values below ``low`` or not finite."""
-    def parse(text):
-        value = convert(text)
-        if not low <= value < math.inf:
-            raise argparse.ArgumentTypeError(f"must be finite and at least {low}, got {text}")
-        return value
-    parse.__name__ = convert.__name__  # argparse names it in "invalid float value"
-    return parse
-
-
-def _add_ree_flags(parser):
-    parser.add_argument("--ree-tol", type=_at_least(float, 0.0), default=1e-7,
-                        help="duality-gap tolerance of the minimization, in nats "
-                             "whatever --log-base is")
-    parser.add_argument("--ree-max-iters", type=_at_least(int, 1), default=5000,
-                        help="Frank-Wolfe iteration cap on each block of the "
-                             "pinched state; exact blocks take no iterations")
 
 
 @functools.cache
@@ -312,7 +282,6 @@ def build_parser() -> argparse.ArgumentParser:
                       help="evaluate on a finite ring of this many sites")
     p_tb.add_argument("--ssr", choices=("n", "p"), default="n")
     p_tb.add_argument("--log-base", choices=("e", "2"), default="e")
-    _add_ree_flags(p_tb)
     p_tb.set_defaults(func=cmd_tb)
 
     p_scan = sub.add_parser("tb-scan", help="entanglement-vs-filling CSV table")
@@ -323,9 +292,8 @@ def build_parser() -> argparse.ArgumentParser:
                         help="grid size (default 2001 linear, 200 log)")
     p_scan.add_argument("--scale", choices=("linear", "log"), default="linear")
     p_scan.add_argument("--pssr", action="store_true",
-                        help="add the numerically minimized parity column")
+                        help="add the parity-superselected column")
     p_scan.add_argument("--out", required=True)
-    _add_ree_flags(p_scan)
     p_scan.set_defaults(func=cmd_tb_scan)
 
     p_dmin = sub.add_parser("dmin-scan", help="disentangling-distance CSV table")
@@ -353,7 +321,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_ed.add_argument("--ssr", choices=("n", "p"), default="n")
     p_ed.add_argument("--log-base", choices=("e", "2"), default="e")
     p_ed.add_argument("--out", default=None)
-    _add_ree_flags(p_ed)
     p_ed.set_defaults(func=cmd_ed)
     return parser
 

@@ -14,27 +14,22 @@ the relative entropy is sum_g p_g [S(rho_g||sigma_g) + ln(p_g/q_g)], so E =
 sum_g p_g E(rho_g/p_g) (Vedral & Plenio, PRA 57, 1619 (1998)).  A block
 with a one-state local sector is a product state; every other block is two
 qubits, where separable <=> PPT (Peres 1996; Horodecki 1996).  A diagonal
-block adds 0.  An X block with equal middle diagonals has the separable set
-|c|^2 <= a d and its minimum is the nonnegative root of one quadratic; its
-gap is the Frank-Wolfe gap with the linear maximization over separable X
-states done exactly, a proven bound.  Every other block goes to Frank-Wolfe.
+block adds 0.  An X block, whose only coherence joins its two middle
+states, has the separable set |c|^2 <= a d; ``_x_state_ree`` finds its
+minimum from the KKT conditions and proves it with a dual bound.  Every
+block of a state that commutes with the pair's N and 2Sz is one of these,
+so every value the command line prints is exact.
 
-Frank-Wolfe minimizes S(rho || sigma) over the separable set.  sigma is
-maintained as a convex mixture of product states; each outer step asks a
-linear oracle for the product state most aligned with the current gradient,
-and the mixture weights are re-optimized by sequential quadratic
-programming (SLSQP).  Inside a block it works on symmetry blocks keyed by
-total N and 2Sz where rho commutes with them.  Pinching by the key averages
-over local phases: it fixes rho and keeps separable states separable, so by
-data processing it keeps the minimum, and every sigma, atom and gradient is
-block diagonal, one padded stack of blocks.  For real rho the atoms are
-kept real: S(rho||conj sigma) = S(rho||sigma), so by joint convexity the
-real part of sigma, a separable state, is never worse.
-
-The Frank-Wolfe duality gap bounds the distance of the returned upper bound
-to the optimum when the oracle finds the global product-state maximum.  The
-oracle is a deterministic grid-seeded local search, so the gap is a
-heuristic bound, not a proven one.
+Frank-Wolfe handles the remaining blocks, which only states without that
+symmetry have.  It minimizes S(rho || sigma) over the separable set, with
+sigma a convex mixture of product states: each outer step asks a linear
+oracle for the product state most aligned with the current gradient, and
+sequential quadratic programming (SLSQP) re-optimizes the weights.  For
+real rho the atoms are kept real: S(rho||conj sigma) = S(rho||sigma), so by
+joint convexity the real part of sigma, a separable state, is never worse.
+Its duality gap bounds the distance to the optimum when the oracle, a
+deterministic grid-seeded local search, finds the global product-state
+maximum, so on these blocks the gap is a heuristic bound, not a proven one.
 """
 
 from __future__ import annotations
@@ -43,8 +38,10 @@ import functools
 import itertools
 import logging
 import math
+import sys
 import warnings
 from dataclasses import dataclass, field
+from fractions import Fraction
 
 import numpy as np
 
@@ -197,200 +194,70 @@ def _bloch_grid() -> np.ndarray:
 _BLOCH_GRID = _bloch_grid()
 
 
-@functools.lru_cache(maxsize=None)
-def _superposition_grid(n: int) -> np.ndarray:
-    """Unit vectors over n basis states on a fixed lattice.
-
-    Squared moduli are multiples of 1/4 (of 1/2 above 4 states, which keeps
-    the grid at O(n**2) entries) and relative phases multiples of pi/2; for
-    the 4-dim factor of one spinful orbital that is 332 states.
-    """
-    units = 4 if n <= 4 else 2
-    states = []
-    for picks in itertools.combinations_with_replacement(range(n), units):
-        weight = np.bincount(picks, minlength=n) / units
-        support = np.flatnonzero(weight)
-        for phases in itertools.product(range(4), repeat=support.size - 1):
-            a = np.sqrt(weight).astype(complex)
-            a[support[1:]] *= 1j ** np.array(phases)
-            states.append(a)
-    return np.array(states)
-
-
 def _local_sectors(d: int, kind: str):
     """Basis indices of each local sector of one factor under the pinch ``kind``."""
     labels = _factor_labels((d,), kind)[:, 0]
     return [np.flatnonzero(labels == x) for x in np.unique(labels)]
 
 
-def _product_oracle(g, dims, previous=None):
-    """Product state maximizing <a,b|G|a,b>; both factors hold 2 or more states.
+def _product_oracle(g):
+    """Product state maximizing <a,b|G|a,b> on two qubits.
 
-    A 2-dim factor is scanned over a fixed Bloch-sphere grid, and one point
-    of each of the two best distinct scores is refined (one can stop in the
-    lower of two local maxima).  Larger factors start from the Schmidt
-    factors of the top eigenvector, the ``previous`` best product, the basis
-    states and one point of each of the six best distinct scores of a
-    superposition grid, needed where G commutes with total N (alternating
-    updates then stay inside local-N sectors).
-    Returns the value, the factors and the number of local searches run.
+    The first factor is scanned over a fixed Bloch-sphere grid, and one
+    point of each of the two best distinct scores is refined (one can stop
+    in the lower of two local maxima).  Returns the value, the factors and
+    the number of local searches run.
     """
-    da, db = dims
-    g4 = g.reshape(da, db, da, db)
-    swap = da != 2 and db == 2  # scan the 2-dim factor
-    if swap:
-        g4 = g4.transpose(1, 0, 3, 2)
-    if 2 in dims:
-        grid, n_best, starts = _BLOCH_GRID, 2, []
-    else:
-        u, _, _ = np.linalg.svd(np.linalg.eigh(g)[1][:, -1].reshape(da, db))
-        grid, n_best = _superposition_grid(da), 6
-        starts = [u[:, 0], *([] if previous is None else [previous[0]]), *np.eye(da)]
+    g4 = g.reshape(2, 2, 2, 2)
     # <a|G|a> on the other factor at each grid point a, and its top eigenvalue
-    scan = np.tensordot(grid.conj()[:, :, None] * grid[:, None, :], g4, axes=([1, 2], [0, 2]))
+    scan = np.tensordot(_BLOCH_GRID.conj()[:, :, None] * _BLOCH_GRID[:, None, :], g4,
+                        axes=([1, 2], [0, 2]))
     # symmetry-equivalent points share a score, so refine one point of each
     # of the best distinct scores
     score = np.round(np.linalg.eigvalsh(scan)[:, -1], 9)
     _, first = np.unique(-score, return_index=True)
-    starts += list(grid[first[:n_best]])
+    starts = _BLOCH_GRID[first[:2]]
     val = -np.inf
     for a0 in starts:
         cand, ca, cb = _best_product(g4, a0)
         if cand > val:
             val, a, b = cand, ca, cb
-    return val, ((b, a) if swap else (a, b)), len(starts)
-
-
-_SPIN_FLIP_4 = np.array([
-    [1, 0, 0, 0],
-    [0, 0, 1, 0],
-    [0, 1, 0, 0],
-    [0, 0, 0, -1],
-], dtype=float)
-
-
-def reflection_operator() -> np.ndarray:
-    """Fermionic exchange of the two orbitals, |a,b> -> (-1)^(N_a N_b) |b,a>."""
-    parity = _factor_labels((4, 4), "P")
-    flat = np.arange(16)
-    r = np.zeros((16, 16))
-    r[4 * (flat % 4) + flat // 4, flat] = 1.0 - 2.0 * parity[:, 0] * parity[:, 1]
-    return r
-
-
-_REFLECTION = reflection_operator()
-
-
-def _commutes(mat, labels) -> bool:
-    """Whether mat (numerically) commutes with the diagonal operator ``labels``."""
-    return float(np.max(np.abs(mat * ~np.equal.outer(labels, labels)))) < 1e-12
-
-
-def _detect_symmetries(mat, dims):
-    """Which separability-preserving symmetrizations leave rho invariant."""
-    sym = {}
-    if np.max(np.abs(mat.imag)) < 1e-12:
-        sym["real"] = True
-    for name, kind in (("n", "N"), ("sz", "Sz")):
-        try:
-            labels = _factor_labels(dims, kind).sum(axis=1)
-        except ValueError:
-            return sym
-        if _commutes(mat, labels):
-            sym[name] = labels
-    if dims == (4, 4):
-        f = np.kron(_SPIN_FLIP_4, _SPIN_FLIP_4)
-        if np.max(np.abs(f @ mat @ f.T - mat)) < 1e-12:
-            sym["spinflip"] = f
-        if np.max(np.abs(_REFLECTION @ mat @ _REFLECTION - mat)) < 1e-12:
-            sym["reflect"] = True
-    return sym
-
-
-def _block_layout(dims, sym):
-    """Padded index (k, s_max) of the symmetry blocks, and the mask of its real
-    entries.  A block is the basis states of equal total N and 2Sz, each
-    where rho commutes with it (``sym``)."""
-    key = np.column_stack([np.zeros(math.prod(dims), dtype=np.int64),
-                           *(sym[name] for name in ("n", "sz") if name in sym)])
-    _, block = np.unique(key, axis=0, return_inverse=True)
-    sizes = np.bincount(block.ravel())
-    valid = np.arange(sizes.max())[None, :] < sizes[:, None]
-    index = np.zeros(valid.shape, dtype=np.int64)
-    index[valid] = np.argsort(block.ravel(), kind="stable")
-    return index, valid
-
-
-def _candidate_atoms(a, b, sym, compress):
-    """Separable atoms derived from one product state via rho's symmetry group.
-
-    Products are mapped by the symmetries of rho and then pinched by the
-    block key (``compress`` keeps only the block entries of |ab><ab|), which
-    is an average over product unitaries: it maps product states to
-    separable mixtures without changing their score against a gradient
-    that is block diagonal in the same key.  For real rho, ``compress`` also
-    keeps only the real part, the separable mixture of |ab><ab| and its
-    complex conjugate.
-    """
-    vecs = [(a, b)]
-    if "spinflip" in sym:
-        vecs.append((_SPIN_FLIP_4 @ a, _SPIN_FLIP_4 @ b))
-    if "reflect" in sym:
-        vecs.extend([(bb, aa) for aa, bb in list(vecs)])
-    vecs.extend([(aa.conj(), bb.conj()) for aa, bb in list(vecs)])
-    return np.stack([compress(np.kron(aa, bb)) for aa, bb in vecs])
+    return val, (a, b), len(starts)
 
 
 def _ree_frank_wolfe(work: DensityMatrix, tol: float, max_iters: int) -> EntanglementResult:
-    """Frank-Wolfe minimum of S(work||sigma) over the separable states pinched
-    by the block key; both factors hold 2 or more states.  ``diagnostics``
-    carries the iterate sigma whose value and gap are returned; at the
-    iteration cap the loop stops there, before a merge and polish whose
-    value it would not report."""
-    dim = work.dim
+    """Frank-Wolfe minimum of S(work||sigma) over the separable states of two
+    qubits, for a block that is not X-shaped and so commutes with no local
+    phase twirl.  ``diagnostics`` carries the iterate sigma whose value and
+    gap are returned; at the iteration cap the loop stops there, before a
+    merge and polish whose value it would not report."""
     mat = 0.5 * (work.mat + work.mat.conj().T)
-    sym = _detect_symmetries(mat, work.dims)
-    index, valid = _block_layout(work.dims, sym)
-    k, s = index.shape
-    pair = valid[:, :, None] & valid[:, None, :]
-    rows = np.broadcast_to(index[:, :, None], pair.shape)[pair]
-    cols = np.broadcast_to(index[:, None, :], pair.shape)[pair]
-    real = "real" in sym
-    dtype = float if real else complex
-    rho_b = np.zeros(pair.shape, dtype=dtype)
-    rho_b[pair] = mat[rows, cols].real if real else mat[rows, cols]
+    real = bool(np.max(np.abs(mat.imag)) < 1e-12)
+    rho_b = (mat.real if real else mat)[None]
     tr_rho_ln_rho = _tr_rho_ln_rho(rho_b)
 
     def compress(v):
-        """Block entries of the key pinch of |v><v| (its real part for real rho)."""
-        vb = np.where(valid, v[index], 0.0)
-        atom = (vb[:, :, None] * vb[:, None, :].conj()).ravel()
+        """|v><v| as a row (its real part for real rho)."""
+        atom = np.outer(v, v.conj()).ravel()
         return atom.real if real else atom
 
     counts = {"objective_evals": 0, "oracle_calls": 0}
 
     def evaluate(stack, w):
-        """Objective, gradient blocks and every atom's score Tr[atom G] at sigma(w)."""
+        """Objective, gradient and every atom's score Tr[atom G] at sigma(w)."""
         counts["objective_evals"] += 1
-        sigma = (w @ stack).reshape(pair.shape)
-        val, grad = _objective_and_grad(rho_b, tr_rho_ln_rho, sigma)
+        val, grad = _objective_and_grad(rho_b, tr_rho_ln_rho, (w @ stack).reshape(rho_b.shape))
         return val, grad, (stack @ grad.conj().ravel()).real
 
     # product basis projectors keep the iterate full rank and already solve
-    # the problem exactly for diagonal rho; atoms are kept as their block
-    # entries, one row each
-    stack = np.zeros((dim, k * s * s), dtype=dtype)
-    block, pos = np.nonzero(valid)
-    stack[index[block, pos], block * s * s + pos * (s + 1)] = 1.0
-    weights = 0.9 * np.clip(np.diag(mat).real, 0.0, None) + 0.1 / dim
+    # the problem exactly for diagonal rho; atoms are kept as rows
+    stack = np.eye(16, dtype=rho_b.dtype)[::5]
+    weights = 0.9 * np.clip(np.diag(mat).real, 0.0, None) + 0.1 / 4
     weights /= weights.sum()
 
-    best_ab = None
     for iteration in range(1, max_iters + 1):
         value, grad, atom_scores = evaluate(stack, weights)
-        g = np.zeros((dim, dim), dtype=dtype)
-        g[rows, cols] = grad[pair]
-        best_val, best_ab, searches = _product_oracle(g, work.dims, best_ab)
+        best_val, (a, b), searches = _product_oracle(grad[0])
         counts["oracle_calls"] += searches
 
         sigma_score = float(weights @ atom_scores)
@@ -401,13 +268,13 @@ def _ree_frank_wolfe(work: DensityMatrix, tol: float, max_iters: int) -> Entangl
         # merge the oracle's atoms into the set: refresh a nearby existing
         # atom in place (keeping its weight) so directions can track the
         # optimum instead of piling up near-duplicates
-        candidates = _candidate_atoms(*best_ab, sym, compress)
+        candidates = [compress(np.kron(a, b)), compress(np.kron(a.conj(), b.conj()))]
         for atom in candidates:
             dists = np.max(np.abs(stack - atom), axis=1)
             j = int(np.argmin(dists))
             if dists[j] <= 1e-12:
                 continue
-            if dists[j] < 1e-7 and j >= dim:
+            if dists[j] < 1e-7 and j >= 4:
                 stack[j] = atom
             else:
                 stack = np.vstack([stack, atom])
@@ -420,15 +287,13 @@ def _ree_frank_wolfe(work: DensityMatrix, tol: float, max_iters: int) -> Entangl
         weights = weights * (1.0 - gamma)
         weights[idx] += gamma
 
-        stack, weights = _polish_weights(stack, weights, evaluate, dim, gap)
+        stack, weights = _polish_weights(stack, weights, evaluate, 4, gap)
 
-    sigma = np.zeros((dim, dim), dtype=complex)
-    sigma[rows, cols] = (weights @ stack).reshape(pair.shape)[pair]
     return EntanglementResult(
         value=value, ssr="none", method="numeric-ree", iterations=iteration,
         gap=max(float(gap), 0.0),
-        diagnostics={"atoms": len(stack), **counts, "sigma": sigma,
-                     "block_sizes": [int(x) for x in valid.sum(axis=1)]})
+        diagnostics={"atoms": len(stack), **counts, "block_sizes": [4],
+                     "sigma": (weights @ stack).reshape(4, 4).astype(complex)})
 
 
 # SLSQP iteration cap of one weight polish; the atom-set gap stop below
@@ -448,17 +313,12 @@ def _polish_weights(stack, weights, evaluate, n_basis, gap):
     """Fully corrective step: re-optimize mixture weights over the atom set.
 
     Sequential quadratic programming on the simplex; the basis atoms keep a
-    tiny weight floor so sigma stays full rank and the objective (and its
-    gradient) remain finite everywhere the optimizer looks.  The weight
-    gradient is minus the atom scores, one matrix-vector product.
-
-    By convexity, the Frank-Wolfe gap over the current atom set bounds what
-    further re-weighting can gain, so the polish stops at the first point
-    SLSQP evaluates where that bound is below a hundredth of the outer
-    ``gap``; beyond that the next oracle atom pays more than the polish.
-    The bound reuses the scores the objective already computed, and the
-    stop is an exception out of the objective rather than a callback, which
-    SLSQP only lets stop the run in recent SciPy releases.
+    tiny weight floor so sigma stays full rank and the objective and its
+    gradient, minus the atom scores, stay finite wherever the optimizer
+    looks.  By convexity the Frank-Wolfe gap over the atom set bounds what
+    re-weighting can gain, so the polish stops at the first point where it
+    is below a hundredth of the outer ``gap``: an exception out of the
+    objective, since only recent SciPy releases let a callback stop SLSQP.
     """
     from scipy.optimize import minimize
 
@@ -498,67 +358,148 @@ def _polish_weights(stack, weights, evaluate, n_basis, gap):
 
 
 # ---------------------------------------------------------------------------
-# exact REE of a two-qubit X state with equal middle diagonals
+# exact REE of a two-qubit X state
 
-def _x_kkt_point(r00, r11, p_plus, p_minus, s):
-    """Unnormalized sigma weights (a, d, u, v) of the KKT system at sqrt(a d) = s.
-
-    a = r00 + mu t, d = r11 + mu t, u = P+/(1 + mu s), v = P-/(1 - mu s),
-    where t = s^2 and mu(t) = (sqrt((r00 - r11)^2 + 4t) - (r00 + r11))/(2t)
-    makes a d = t.  mu t and 1 - mu s are written without cancellation, and
-    r00 r11 only as g^2, g = sqrt(r00) sqrt(r11), so that nothing underflows.
-    Needs s > 0 and r00 + r11 > 0, which keeps mu s below 1.
-    """
+def _x_multiplier(r00, r11, s):
+    """nu s and 1 - nu where the corners a = r00 + nu s, d = r11 + nu s have
+    a d = s^2 >= r00 r11 > 0: both without cancellation, and r00 r11 only
+    as g^2, g = sqrt(r00) sqrt(r11), so that nothing underflows."""
     total, root = r00 + r11, math.hypot(r00 - r11, 2.0 * s)
     g = math.sqrt(r00) * math.sqrt(r11)
-    mu_t = 2.0 * (s - g) * ((s + g) / (root + total))
+    nu_s = 2.0 * (s - g) * ((s + g) / (root + total))
     one_minus = 2.0 * (total + g * (g / s)) / (2.0 * s + total + root)
-    return r00 + mu_t, r11 + mu_t, p_plus / (2.0 - one_minus), p_minus / one_minus
+    return nu_s, one_minus
 
 
-def _x_dual_bound(g_a, g_d, g_plus, g_minus) -> float:
+def _x_dual_bound(g_a, g_d, g_plus, g_minus, g_delta=0.0) -> float:
     """Upper bound on Tr[G tau] over normalized separable X states tau.
 
-    G has corner entries g_a, g_d and eigenvalues g_plus, g_minus on the
-    middle pair: middle diagonal h = (g+ + g-)/2, coherence g = |g+ - g-|/2.
-    Splitting the coherence, theta on the partial transpose and 1 - theta on
-    the middle block, gives the dual certificate y(theta) =
-    max(lambda_max[[g_a, theta g], [theta g, g_d]], h + (1 - theta) g) for
-    every theta in [0, 1].  The best theta, where the increasing and the
-    decreasing branch meet, makes y the exact maximum (semidefinite duality
-    over tau >= 0, tau^T_B >= 0).
+    G has corners g_a, g_d and the block [[g+, g_delta], [g_delta, g-]] on
+    the middle pair (|01> +- |10>)/sqrt2: in |01>, |10> its diagonals are
+    h +- g_delta, h = (g+ + g-)/2, and its coherence g = |g+ - g-|/2.
+    Splitting the coherence, theta on the partial transpose and 1 - theta
+    on the middle block, gives the dual certificate y(theta) =
+    max(lambda_max[[g_a, theta g], [theta g, g_d]], h + hypot(g_delta,
+    (1 - theta) g)) for every theta in [0, 1].  The first branch rises and
+    the second falls; where they meet (closed-form for g_delta = 0,
+    bisected otherwise), y is the exact maximum (semidefinite duality over
+    tau >= 0, tau^T_B >= 0).
     """
     h, g = 0.5 * (g_plus + g_minus), 0.5 * abs(g_plus - g_minus)
     mean, half = 0.5 * (g_a + g_d), 0.5 * abs(g_a - g_d)
-    if mean + math.hypot(half, g) <= h:
+
+    def branches(theta):
+        return mean + math.hypot(half, theta * g), h + math.hypot(g_delta, (1.0 - theta) * g)
+
+    (up_1, down_1), (up_0, down_0) = branches(1.0), branches(0.0)
+    if up_1 <= down_1:
         theta = 1.0
-    elif mean + half >= h + g:
+    elif up_0 >= down_0:
         theta = 0.0
-    else:
+    elif g_delta == 0.0:
         k = h + g - mean
         theta = min(max((k * k - half * half) / (2.0 * k * g), 0.0), 1.0)
-    return max(mean + math.hypot(half, theta * g), h + (1.0 - theta) * g)
+    else:
+        lo, theta = 0.0, 1.0
+        for _ in range(64):
+            mid = 0.5 * (lo + theta)
+            up, down = branches(mid)
+            lo, theta = (mid, theta) if up < down else (lo, mid)
+    return max(branches(theta))
 
 
-def _x_state_ree(r00, r11, p_plus, p_minus):
-    """REE of a normalized two-qubit X state whose middle diagonals are equal.
+def _log_mean(x, y):
+    """(x - y)/(ln x - ln y) for x, y >= 0: x where they meet, 0 where one is 0."""
+    if x == y or min(x, y) <= 0.0:
+        return x if x == y else 0.0
+    ratio = (x - y) / y
+    return (x - y) / (math.log1p(ratio) if abs(ratio) < 0.5 else math.log(x) - math.log(y))
 
-    rho has corner weights r00, r11 and weights P+ >= P- on the middle pair
-    (|01> +- |10>)/sqrt2, the phase of its coherence removed.  sigma is
-    taken in the same form, with weights (a, d, u, v) and coherence
-    c = (u - v)/2, and is separable iff c^2 <= a d.  When rho is entangled
-    the constraint is active, the sum multiplier is 1 by homogeneity, and
-    the KKT point of ``_x_kkt_point`` solves c(s) = s.  With R = r00 + r11,
-    S = P+ + P- and D = P+ - P-, mu t = (s D - 2 r00 r11)/(S + 2R) turns it
-    into A s^2 = B s + C with A = 4(P+ + R)(P- + R), B = D(R S + 2 r00^2 +
-    2 r11^2) and C = r00 r11 (S + 2 r00)(S + 2 r11), all >= 0, whose one
-    nonnegative root is optimal (a KKT point of a convex problem).  Rounding
-    of the normalized sigma is moved onto the separable side by at most one
-    float step of v.  Returns the value, sigma's weights and the proven gap.
+
+def _rounded_sum(*terms):
+    """The sum of the terms, or 0 below 1e-15 of the largest: a root up to rounding."""
+    total = math.fsum(terms)
+    return 0.0 if abs(total) <= 1e-15 * max(map(abs, terms)) else total
+
+
+def _falling_root(f, lo, hi, f_lo=None, f_hi=None):
+    """Where f, positive near lo and not near hi, changes sign on (lo, hi).
+
+    f returns its value and data; ``f_lo`` and ``f_hi`` are its limits at
+    the ends where known, which are never evaluated.  Regula falsi with the
+    Illinois weight shrinks the bracket; a step bisects instead (in
+    geometric mean across more than a factor 4) until both ends carry a
+    value, and whenever two steps failed to halve the bracket.  Returns the
+    data at a root, or the last data with f <= 0 once the bracket is 1e-15
+    wide relative to hi.
     """
-    rho_w = (r00, r11, p_plus, p_minus)
+    found, widths, side = None, [], 0
+    for _ in range(200):
+        floor = max(lo, sys.float_info.min)
+        x = math.sqrt(floor) * math.sqrt(hi) if 4.0 * floor < hi else 0.5 * (lo + hi)
+        if None not in (f_lo, f_hi) and (len(widths) < 2 or hi - lo <= 0.5 * widths[-2]):
+            secant = hi - f_hi * ((hi - lo) / (f_hi - f_lo))
+            x = secant if lo < secant < hi else x
+        if hi - lo <= 1e-15 * hi or not lo < x < hi:
+            break
+        widths.append(hi - lo)
+        value, data = f(x)
+        if value == 0.0:
+            return data
+        if value > 0.0:
+            lo, f_lo, f_hi = x, value, None if f_hi is None else f_hi * (0.5 if side > 0 else 1.0)
+            side = 1
+        else:
+            hi, f_hi, found = x, value, data
+            f_lo = None if f_lo is None else f_lo * (0.5 if side < 0 else 1.0)
+            side = -1
+    return f(hi)[1] if found is None else found
+
+
+def _x_separable(u, v, s):
+    """v moved by at most one float step so that the coherence (u - v)/2 is
+    at most s = sqrt(a d)."""
+    if 0.5 * (u - v) > s:
+        v = u - 2.0 * s
+        if 0.5 * (u - v) > s:
+            v = math.nextafter(v, u)
+    elif 0.5 * (v - u) > s:  # s is below the float spacing at u
+        v = u
+    return v
+
+
+def _x_state_ree(r00, r11, p_plus, p_minus, delta=0.0):
+    """REE of a normalized two-qubit X state.
+
+    rho has corners r00, r11 and, on the middle pair (|01> +- |10>)/sqrt2
+    with the phase of its coherence removed, the block R = [[P+, delta],
+    [delta, P-]], P+ >= P-: delta is half the difference of the middle
+    diagonals.  sigma takes the same form, corners a, d and middle block M
+    = [[u, w], [w, v]]; with c = (u - v)/2 it is separable iff c^2 <= a d.
+    For entangled rho the constraint is active, the sum multiplier is 1 by
+    homogeneity, and with the constraint's multiplier nu the KKT point has
+    s = sqrt(a d) = c, a = r00 + nu s and d = r11 + nu s
+    (``_x_multiplier``), and D ln M[R] = diag(1 + nu, 1 - nu).
+
+    For delta = 0, u = P+/(1 + nu) and v = P-/(1 - nu).  With T = r00 +
+    r11, S = P+ + P- and D = P+ - P-, nu s = (s D - 2 r00 r11)/(S + 2T)
+    turns c(s) = s into A s^2 = B s + C with A = 4(P+ + T)(P- + T), B = D(T
+    S + 2 r00^2 + 2 r11^2) and C = r00 r11 (S + 2 r00)(S + 2 r11), all >=
+    0, whose one nonnegative root is optimal (a KKT point of a convex
+    problem).  Otherwise ``_x_unequal`` searches for the root of c(s) - s.
+    Rounding of the normalized sigma moves onto the separable side by at
+    most one float step of v.  Subnormal weights count as 0: the gradient's
+    ratio of two of them keeps too few bits.  Returns the value, sigma's
+    (a, d, u, v, w) and the proven gap y - Tr[G sigma], with y from
+    ``_x_dual_bound`` at the gradient G of Tr[rho ln sigma].
+    """
+    r00, r11, p_plus, p_minus, delta = (x if abs(x) >= sys.float_info.min else 0.0
+                                        for x in (r00, r11, p_plus, p_minus, delta))
     if 0.25 * (p_plus - p_minus) ** 2 <= r00 * r11:
-        return 0.0, rho_w, 0.0  # PPT, hence separable
+        return 0.0, (r00, r11, p_plus, p_minus, delta), 0.0  # PPT, hence separable
+    if delta != 0.0:
+        return _x_unequal(r00, r11, p_plus, p_minus, delta)
+    rho_w = (r00, r11, p_plus, p_minus)
     corners, middle = r00 + r11, p_plus + p_minus
     if corners == 0.0:
         # no corner weight: a = d = |c| leaves u = 1/2, and P- ln v is best at v = 1/2
@@ -569,20 +510,113 @@ def _x_state_ree(r00, r11, p_plus, p_minus):
         root_c = math.sqrt(r00) * math.sqrt(r11) * math.sqrt(
             a2 * (middle + 2.0 * r00) * (middle + 2.0 * r11))
         s = (b + math.hypot(b, 2.0 * root_c)) / (2.0 * a2)
-        kkt = _x_kkt_point(r00, r11, p_plus, p_minus, s)
+        nu_s, one_minus = _x_multiplier(r00, r11, s)
+        kkt = (r00 + nu_s, r11 + nu_s, p_plus / (2.0 - one_minus), p_minus / one_minus)
         total = sum(kkt)  # 1 up to rounding: the sum multiplier is 1
         a, d, u, v, s = (x / total for x in (*kkt, s))
-        if 0.5 * (u - v) > s:
-            v = u - 2.0 * s
-            if 0.5 * (u - v) > s:
-                v = math.nextafter(v, u)
-        elif 0.5 * (v - u) > s:  # s is below the float spacing at u
-            v = u
-        sigma_w = (a, d, u, v)
+        sigma_w = (a, d, u, _x_separable(u, v, s))
     value = sum(r * math.log(r / s) for r, s in zip(rho_w, sigma_w) if r > 0.0)
     grad = [r / s if r > 0.0 else 0.0 for r, s in zip(rho_w, sigma_w)]
     gap = _x_dual_bound(*grad) - sum(g * s for g, s in zip(grad, sigma_w))
-    return value, sigma_w, max(gap, 0.0)
+    return value, (*sigma_w, 0.0), max(gap, 0.0)
+
+
+def _x_unequal(r00, r11, p_plus, p_minus, delta):
+    """``_x_state_ree`` of an entangled X state with delta != 0.
+
+    Mirroring |01> - |10> takes delta > 0.  In M's eigenbasis at angle psi
+    = psi_R + shift, psi_R that of R's top eigenvector, D ln M[R] = diag(1
+    + nu, 1 - nu) reads lambda_1 = R~11/(1 + nu cos 2psi), lambda_2 =
+    R~22/(1 - nu cos 2psi) and R~12 = -nu sin 2psi L(lambda_1, lambda_2),
+    with L the logarithmic mean; c = cos 2psi (lambda_1 - lambda_2)/2.  The
+    residual of the last equation is positive as shift -> 0+ and negative
+    as shift -> pi/2-, and its one root between is M (a rank-one R has a
+    spurious root at shift 0, outside the open bracket).  Around it, c(s) -
+    s falls through 0 on (sqrt(r00 r11), 1/2).  Without corners, a = d = 0
+    and M is R's middle diagonal.  The eigenvalues come from R~ written
+    through R's eigenvalues, which keeps a small one; their difference and
+    the residual from the traceless E = R - (Tr R/2) diag(1 + nu, 1 - nu),
+    small where M is near a multiple of the identity and psi nearly free.
+    """
+    sign, delta = math.copysign(1.0, delta), abs(delta)
+    p_minus = max(p_minus, delta * (delta / p_plus))  # R >= 0 despite rounding
+    half_d, mean_r = 0.5 * (p_plus - p_minus), 0.5 * (p_plus + p_minus)
+    mu1 = mean_r + math.hypot(half_d, delta)
+    mu2 = max(float(Fraction(p_plus) * Fraction(p_minus) - Fraction(delta) ** 2) / mu1, 0.0)
+    psi_r = 0.5 * math.atan2(delta, half_d)
+
+    def rotated(shift):
+        """R~11, R~22, R~12 in the basis at angle psi_R + shift."""
+        cs, sn = math.cos(shift), math.sin(shift)
+        return (mu1 * cs * cs + mu2 * sn * sn, mu1 * sn * sn + mu2 * cs * cs,
+                -(mu1 - mu2) * sn * cs)
+
+    def middle(nu, one_minus, shift):
+        """The residual at angle psi_R + shift, and M there."""
+        e = half_d - mean_r * nu if nu < 0.5 else mean_r * one_minus - p_minus
+        cp, sp = math.cos(psi_r + shift), math.sin(psi_r + shift)
+        cos2, sin2 = (cp - sp) * (cp + sp), 2.0 * sp * cp
+        a1, a2 = one_minus + 2.0 * nu * cp * cp, one_minus + 2.0 * nu * sp * sp
+        r1, r2, _ = rotated(shift)
+        lam1, lam2 = r1 / a1, r2 / a2
+        e11 = e * cos2 + delta * sin2
+        tau = 2.0 * e11 / (a1 * a2 * (lam1 + lam2))  # (lambda_1 - lambda_2)/sum
+        if abs(tau) < 1e-2:  # L - Tr R/2 through the series of artanh(tau) - tau
+            t2 = tau * tau
+            tail = tau * t2 * (1 / 3 + t2 * (1 / 5 + t2 * (1 / 7 + t2 / 9)))
+            offset = -nu * cos2 * e11 / (a1 * a2)
+            offset -= 0.5 * (lam1 + lam2) * tail / (tau + tail) if tau else 0.0
+        else:
+            offset = _log_mean(lam1, lam2) - mean_r
+        return (_rounded_sum(delta * cos2, -e * sin2, nu * sin2 * offset),
+                (shift, lam1, lam2, cos2 * e11 / (a1 * a2)))
+
+    def excess(s):
+        nu, one_minus = _x_multiplier(r00, r11, s)
+        nu /= s
+        edge = nu * math.sin(2.0 * psi_r) * _log_mean(  # the residual at shift 0+
+            mu1 / (one_minus + 2.0 * nu * math.cos(psi_r) ** 2),
+            mu2 / (one_minus + 2.0 * nu * math.sin(psi_r) ** 2))
+        shift, lam1, lam2, c = _falling_root(lambda x: middle(nu, one_minus, x), 0.0,
+                                             0.5 * math.pi, *((edge, -edge) if edge else ()))
+        return _rounded_sum(c, -s), (shift, lam1, lam2, r00 + nu * s, r11 + nu * s)
+
+    if r00 + r11 == 0.0:
+        # M diagonal in |01>, -|10> (psi = pi/4), where R~ is R's middle block
+        a = d = s = 0.0
+        cp = sp = math.sqrt(0.5)
+        lam1, lam2 = (math.fsum((mean_r, x)) for x in (delta, -delta))
+        u, v, w, r1, r2, r12 = mean_r, mean_r, delta, lam1, lam2, -half_d
+    else:
+        g = math.sqrt(r00) * math.sqrt(r11)  # where nu = 0 and M = R
+        shift, lam1, lam2, a, d = _falling_root(excess, g, 0.5, half_d - g)
+        total = a + d + lam1 + lam2  # 1 up to rounding: the sum multiplier is 1
+        a, d, lam1, lam2 = (x / total for x in (a, d, lam1, lam2))
+        cp, sp = math.cos(psi_r + shift), math.sin(psi_r + shift)
+        u, v = lam1 * cp * cp + lam2 * sp * sp, lam1 * sp * sp + lam2 * cp * cp
+        w, s, m = (lam1 - lam2) * sp * cp, math.sqrt(a) * math.sqrt(d), 0.5 * (lam1 + lam2)
+        spread = math.hypot(s, w)
+        if abs(0.5 * (u - v) - s) > 1e-12 * m and spread <= m:
+            # psi was nearly free: put M's coherence on s, its eigenbasis from there
+            u, v, lam1, lam2 = m + s, m - s, m + spread, m - spread
+            shift = 0.5 * math.atan2(w, s) - psi_r
+            cp, sp = math.cos(psi_r + shift), math.sin(psi_r + shift)
+        v = _x_separable(u, v, s)
+        r1, r2, r12 = rotated(shift)
+    value = (sum(r * math.log(r / x) for r, x in ((r00, a), (r11, d)) if r > 0.0)
+             + sum(x * math.log(x) for x in (mu1, mu2) if x > 0.0)
+             - sum(r * math.log(x) for r, x in ((r1, lam1), (r2, lam2)) if r > 0.0))
+    # the gradient at sigma in M's eigenbasis, then on the middle pair
+    g_a, g_d, g1, g2 = (r / x if r > 0.0 else 0.0
+                        for r, x in ((r00, a), (r11, d), (r1, lam1), (r2, lam2)))
+    mean = _log_mean(lam1, lam2)
+    g12 = r12 / mean if mean > 0.0 else 0.0
+    g_plus = cp * cp * g1 - 2.0 * cp * sp * g12 + sp * sp * g2
+    g_minus = sp * sp * g1 + 2.0 * cp * sp * g12 + cp * cp * g2
+    g_delta = cp * sp * (g1 - g2) + (cp - sp) * (cp + sp) * g12
+    score = g_a * a + g_d * d + g_plus * u + g_minus * v + 2.0 * g_delta * w
+    gap = _x_dual_bound(g_a, g_d, g_plus, g_minus, g_delta) - score
+    return value, (a, d, u, v, sign * w), max(gap, 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -596,80 +630,73 @@ _NOT_X[1, 2] = _NOT_X[2, 1] = False
 
 @functools.lru_cache(maxsize=None)
 def _solved_blocks(dims, kind):
-    """Local label pair, flat basis indices (one row each) and dims of every
-    block of the pinch ``kind`` that is not a product state.
-
-    A block with a one-state local sector is a product state and is left
-    out.  A local sector holds at most two states, so every block listed is
-    2 x 2; without a pinch ("none") the one block is the whole state.  The
-    result is cached per argument tuple and read-only.
+    """Local label pair and flat basis indices (one row each) of every block
+    of the pinch ``kind`` that is not a product state, that is that has no
+    one-state local sector.  A local sector holds at most two states, so
+    every block listed is 2 x 2.  Cached per argument tuple and read-only.
     """
-    if kind == "none":
-        keys, flat, block_dims = ((),), np.arange(math.prod(dims))[None, :], dims
-    else:
-        labels = [_factor_labels((d,), kind)[:, 0] for d in dims]
-        pairs = [(ia, ib) for ia, ib in itertools.product(*(_local_sectors(d, kind) for d in dims))
-                 if min(len(ia), len(ib)) >= 2]
-        keys = tuple((int(labels[0][ia[0]]), int(labels[1][ib[0]])) for ia, ib in pairs)
-        flat = np.array([(ia[:, None] * dims[1] + ib).ravel() for ia, ib in pairs],
-                        dtype=np.intp).reshape(len(pairs), 4)
-        block_dims = (2, 2)
+    labels = [_factor_labels((d,), kind)[:, 0] for d in dims]
+    pairs = [(ia, ib) for ia, ib in itertools.product(*(_local_sectors(d, kind) for d in dims))
+             if min(len(ia), len(ib)) >= 2]
+    keys = tuple((int(labels[0][ia[0]]), int(labels[1][ib[0]])) for ia, ib in pairs)
+    flat = np.array([(ia[:, None] * dims[1] + ib).ravel() for ia, ib in pairs],
+                    dtype=np.intp).reshape(len(pairs), 4)
     flat.flags.writeable = False
-    return keys, flat, block_dims
+    return keys, flat
 
 
-def _x_block(block, p):
-    """``_x_state_ree`` on one unnormalized 2 x 2 X block of weight p with
-    equal middle diagonals: p E, p gap and p sigma."""
+def _x_block(block, p, closed):
+    """``_x_state_ree`` on one unnormalized 2 x 2 X block of weight p: p E, p
+    gap and p sigma.  A ``closed`` block takes its middle diagonals as equal,
+    at their mean."""
     d0, d1, d2, d3 = np.diagonal(block).real.tolist()
     z = complex(block[1, 2])
     mid = 0.5 * (d1 + d2)
-    val, (a, d, u, v), gap = _x_state_ree(
-        d0 / p, d3 / p, (mid + abs(z)) / p, max(mid - abs(z), 0.0) / p)
+    val, (a, d, u, v, w), gap = _x_state_ree(
+        d0 / p, d3 / p, (mid + abs(z)) / p, max(mid - abs(z), 0.0) / p,
+        0.0 if closed else 0.5 * (d1 - d2) / p)
     m, c = p * 0.5 * (u + v), p * 0.5 * (u - v) * (z / abs(z))
-    sigma = np.array([[p * a, 0, 0, 0], [0, m, c, 0], [0, c.conjugate(), m, 0], [0, 0, 0, p * d]])
+    sigma = np.array([[p * a, 0, 0, 0], [0, m + p * w, c, 0], [0, c.conjugate(), m - p * w, 0],
+                      [0, 0, 0, p * d]])
     return p * val, p * gap, sigma
 
 
-def ree_numeric(rho: DensityMatrix, ssr: str = "none", tol: float = 1e-7,
+def ree_numeric(rho: DensityMatrix, ssr: str, tol: float = 1e-7,
                 max_iters: int = 5000) -> EntanglementResult:
-    """Relative entropy of entanglement of rho pinched by ``ssr`` ('P', 'N' or
-    'none': then the one block is rho), split once into ``_solved_blocks``.
+    """Relative entropy of entanglement of rho pinched by ``ssr`` ('P' or
+    'N'), split once into ``_solved_blocks``.
 
     A 2 x 2 block whose off-diagonal entries above 1e-12 all join its two
-    middle states is closed-form: diagonal (it adds 0) or, with middle
-    diagonals equal to 1e-12, an X state (``_x_state_ree``).  Every other
-    block goes to ``_ree_frank_wolfe``.  Value and gap are p-weighted sums,
-    ``iterations`` and the other Frank-Wolfe counts plain sums over the
-    Frank-Wolfe blocks: exact blocks take no iterations.  ``method`` is
-    "x-state", and the gap proven, when no block needed Frank-Wolfe.  Each
-    Frank-Wolfe block runs at most ``max_iters`` >= 1 iterations;
-    ``converged`` flags, without raising, whether the summed gap is at most
-    ``tol``, and a warning is logged when not.  ``diagnostics`` also carries
-    ``terms``, each block's p E keyed by its local label pair, and
-    ``sigma``, the direct sum of the blocks' sigma.
+    middle states, as every block of a state that commutes with the pair's
+    N and 2Sz does, is exact: diagonal (it adds 0) or an X state
+    (``_x_state_ree``, closed-form where the middle diagonals are equal to
+    1e-12).  Every other block goes to ``_ree_frank_wolfe``, whose gap is
+    heuristic, for at most ``max_iters`` >= 1 iterations.  Value and gap are
+    p-weighted sums, ``iterations`` and the other Frank-Wolfe counts plain
+    sums; exact blocks take none.  ``method`` is "x-state", and the gap
+    proven, when no block needed Frank-Wolfe.  ``converged`` flags, without
+    raising, whether the summed gap is at most ``tol`` (a warning is logged
+    when not).  ``diagnostics`` also carries ``terms``, each block's p E
+    keyed by its local label pair, and ``sigma``, the blocks' direct sum.
     """
     if max_iters < 1:
         raise ValueError(f"max_iters must be at least 1, got {max_iters}")
-    ssr_key = str(ssr).upper() if str(ssr).lower() != "none" else "none"
-    if ssr_key not in ("P", "N", "none"):
+    ssr_key = str(ssr).upper()
+    if ssr_key not in ("P", "N"):
         raise ValueError(f"unknown superselection kind {ssr!r}")
     if len(rho.dims) != 2:
         raise ValueError("REE solver expects a bipartite density matrix")
 
-    work = rho if ssr_key == "none" else (gpi_local if ssr_key == "P" else gn_local)(rho)
-    keys, flat, dims = _solved_blocks(work.dims, ssr_key)
+    work = (gpi_local if ssr_key == "P" else gn_local)(rho)
+    keys, flat = _solved_blocks(work.dims, ssr_key)
     blocks = work.mat[flat[:, :, None], flat[:, None, :]]
     diag = np.diagonal(blocks, axis1=1, axis2=2).real
     # weights summed left to right; np.trace pairs the terms, which moves
     # the last bit of X-state values
     weights = np.cumsum(diag, axis=1)[:, -1].tolist()
-    if dims == (2, 2):
-        x_shaped = np.abs(blocks[:, _NOT_X]).max(axis=1) < 1e-12
-        diagonal = (x_shaped & (np.abs(blocks[:, 1, 2]) < 1e-12)).tolist()
-        closed = (x_shaped & (np.abs(diag[:, 1] - diag[:, 2]) < 1e-12)).tolist()
-    else:
-        diagonal = closed = [False] * len(keys)
+    x_shaped = np.abs(blocks[:, _NOT_X]).max(axis=1) < 1e-12
+    diagonal = (x_shaped & (np.abs(blocks[:, 1, 2]) < 1e-12)).tolist()
+    closed = (np.abs(diag[:, 1] - diag[:, 2]) < 1e-12).tolist()
     sigmas = blocks.copy()  # a product or diagonal block is its own sigma
     terms, gaps, frank_wolfe = {}, [], []
     for g, key in enumerate(keys):
@@ -677,10 +704,10 @@ def ree_numeric(rho: DensityMatrix, ssr: str = "none", tol: float = 1e-7,
         p = weights[g]
         if p <= 0.0 or diagonal[g]:
             continue
-        if closed[g]:
-            terms[key], gap, sigmas[g] = _x_block(blocks[g], p)
+        if x_shaped[g]:
+            terms[key], gap, sigmas[g] = _x_block(blocks[g], p, closed[g])
         else:
-            res = _ree_frank_wolfe(_trusted(blocks[g] / p, dims), tol, max_iters)
+            res = _ree_frank_wolfe(_trusted(blocks[g] / p, (2, 2)), tol, max_iters)
             terms[key], gap = p * res.value, p * res.gap
             sigmas[g] = p * res.diagnostics["sigma"]
             frank_wolfe.append(res)
@@ -702,28 +729,23 @@ def ree_numeric(rho: DensityMatrix, ssr: str = "none", tol: float = 1e-7,
                      "terms": terms, "sigma": sigma})
 
 
-def pssr_entanglement(rho: DensityMatrix, tol: float = 1e-7,
-                      max_iters: int = 5000) -> EntanglementResult:
-    """Parity-superselected entanglement: ``ree_numeric(rho, "P", ...)``.
+def pssr_entanglement(rho: DensityMatrix) -> EntanglementResult:
+    """Parity-superselected entanglement: ``ree_numeric(rho, "P")``.
 
     The parity pinch leaves four 2 x 2 blocks.  A state that commutes with
-    total N and 2Sz has diagonal mixed-parity blocks and X states in the
-    others; with equal middle diagonals, as for tight-binding states and
-    orbital pairs of (N, Sz) eigenstates with an exchange symmetry, the
-    value is exact: method "x-state", a proven gap and no iterations.
-    Other blocks take Frank-Wolfe, whose gap is heuristic; ``iterations``
-    counts its iterations, and ``max_iters`` caps them.
+    total N and 2Sz, as tight-binding states and orbital pairs of (N, Sz)
+    eigenstates do, has diagonal mixed-parity blocks and X states in the
+    others: its value is exact, with a proven gap and no iterations.
     """
-    return ree_numeric(rho, "P", tol, max_iters)
+    return ree_numeric(rho, "P")
 
 
-def nssr_entanglement_dm(rho: DensityMatrix, tol: float = 1e-7,
-                         max_iters: int = 5000) -> EntanglementResult:
-    """Number-superselected entanglement: ``ree_numeric(rho, "N", ...)``.
+def nssr_entanglement_dm(rho: DensityMatrix) -> EntanglementResult:
+    """Number-superselected entanglement: ``ree_numeric(rho, "N")``.
 
     After the number pinch only the one-electron-each block is not a
     product state.  On an X state the value equals ``nssr_entanglement(r,
     t)`` where its corners, |up,up> and |down,down>, carry equal weight, as
     in the tight-binding states.
     """
-    return ree_numeric(rho, "N", tol, max_iters)
+    return ree_numeric(rho, "N")

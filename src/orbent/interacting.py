@@ -361,23 +361,23 @@ def ground_state(op: ManyBodyOperator) -> GroundStateResult:
                              bool(gap < 1e-9), gap, residual)
 
 
-def orbital_pair_entanglement(state: SectorState, l: int, lp: int, ssr: str = "N",
-                              **solver_kwargs) -> ent.EntanglementResult:
+def orbital_pair_entanglement(state: SectorState, l: int, lp: int,
+                              ssr: str = "N") -> ent.EntanglementResult:
     """Accessible entanglement between two orbitals of a many-body state,
     such as the ground state of :func:`ground_state`.
 
     Both rules ("N" and "P") give the relative entropy of entanglement of
     the pinched pair state by one route, block by block
-    (:func:`~orbent.entanglement.ree_numeric`): exact, with a proven gap
-    (method "x-state"), when every two-qubit block is diagonal or an X
-    state with equal middle diagonals, as for an (N, Sz) eigenstate with an
-    orbital exchange symmetry; a Frank-Wolfe block has a heuristic gap.
-    ``solver_kwargs`` go to the solver.
+    (:func:`~orbent.entanglement.ree_numeric`).  The pair state of an (N,
+    Sz) eigenstate commutes with the pair's N and 2Sz, so every two-qubit
+    block is diagonal or an X state and the value is exact, with a proven
+    gap (method "x-state"); only a state without that symmetry leaves
+    blocks to Frank-Wolfe, whose gap is heuristic.
     """
     route = {"N": ent.nssr_entanglement_dm, "P": ent.pssr_entanglement}.get(str(ssr).upper())
     if route is None:
         raise ValueError(f"unknown superselection kind {ssr!r}")
-    return route(two_orbital_rdm(state, l, lp), **solver_kwargs)
+    return route(two_orbital_rdm(state, l, lp))
 
 
 # ---------------------------------------------------------------------------
@@ -420,13 +420,11 @@ def reference_lookup(n_elec: int, r_sep: float, d: int) -> ReferenceTableEntry:
     raise KeyError(f"no bundled entry for N={n_elec}, R={r_sep}, d={d}")
 
 
-def compare_with_reference(data: FcidumpData, n_elec: int, r_sep: float,
-                           **solver_kwargs) -> dict:
+def compare_with_reference(data: FcidumpData, n_elec: int, r_sep: float) -> dict:
     """Optional harness: solve user-supplied integrals and report deviations
     from the bundled table in both logarithm conventions, without asserting.
 
-    Both values come from :func:`orbital_pair_entanglement`, and
-    ``solver_kwargs`` apply to the N and the P value alike.  ``data``, like
+    Both values come from :func:`orbital_pair_entanglement`.  ``data``, like
     every :class:`FcidumpData`, was checked to be finite and symmetric when
     built.  The solve honors ``NNZ_CAP``: with dense 16-orbital integrals
     the N = 2 and 30 sectors (256 configurations, 65 536 nonzeros) fit
@@ -443,7 +441,7 @@ def compare_with_reference(data: FcidumpData, n_elec: int, r_sep: float,
     for d in range(1, data.norb // 2 + 1):
         row = {"d": d}
         for ssr in ("P", "N"):
-            res = orbital_pair_entanglement(gs.state, 0, d, ssr=ssr, **solver_kwargs)
+            res = orbital_pair_entanglement(gs.state, 0, d, ssr=ssr)
             row[f"e_{ssr.lower()}"] = res.value
             ref = table.get(d)
             if ref is not None:

@@ -226,16 +226,18 @@ def scan_entanglement(d_list, eta_min: float = 1e-4, eta_max: float = 1.0 - 1e-4
     return rows
 
 
-def pssr_point(query: TbQuery, **solver_kwargs):
+def pssr_point(query: TbQuery):
     """Parity-superselected entanglement of one tight-binding orbital pair,
     on the kernel of :func:`tb_entanglement`.
 
-    Returns the solver's :class:`~orbent.entanglement.EntanglementResult`, so
-    that callers see its gap and whether it converged.
+    Returns the :class:`~orbent.entanglement.EntanglementResult` of
+    :func:`~orbent.entanglement.pssr_entanglement`: the pair state commutes
+    with N and 2Sz and has exchange symmetry, so every block is exact
+    (method "x-state", a proven gap, no iterations).
     """
     w, _ = _query_kernel(query)
     state = freefermion.two_orbital_state_from_block(query.eta, query.eta, w)
-    return pssr_entanglement(state, **solver_kwargs)
+    return pssr_entanglement(state)
 
 
 def scan_dmin(eta_min: float = 1e-3, eta_max: float = 0.5, points: int = 60,

@@ -13,7 +13,7 @@ tests import it as ``fockref`` because their directory is on ``sys.path``.
 
 import numpy as np
 
-from orbent.fock import FockSpace, SectorState, popcount
+from orbent.fock import FockSpace, SectorState, _factor_labels, popcount
 from orbent.freefermion import _DEGENERACY_TOL, DegenerateFermiLevel, diagonalize_one_body
 
 
@@ -160,3 +160,16 @@ def slater_fock_state(h, n_per_spin: int) -> SectorState:
     if abs(norm - 1.0) > 1e-9:
         raise RuntimeError(f"Slater construction lost normalization ({norm!r})")
     return SectorState(space, state.basis, state.amps / norm)
+
+
+def reflection_operator() -> np.ndarray:
+    """Fermionic exchange of the two orbitals of a (4, 4) pair state,
+    |a,b> -> (-1)^(N_a N_b) |b,a>."""
+    parity = _factor_labels((4, 4), "P")
+    flat = np.arange(16)
+    r = np.zeros((16, 16))
+    r[4 * (flat % 4) + flat // 4, flat] = 1.0 - 2.0 * parity[:, 0] * parity[:, 1]
+    return r
+
+
+REFLECTION = reflection_operator()

@@ -13,10 +13,10 @@ import numpy as np
 import pytest
 from scipy.stats import spearmanr
 
-from fockref import block_entropy, slater_fock_state
+from fockref import REFLECTION, block_entropy, slater_fock_state
 from fwref import frank_wolfe_pinched
 from orbent.channels import gn_local, gpi_local, run_swap_protocol
-from orbent.entanglement import _REFLECTION, pssr_entanglement
+from orbent.entanglement import pssr_entanglement
 from orbent.fcidump import parse_fcidump, read_fcidump, serialize_fcidump
 from orbent.fock import DensityMatrix, two_orbital_rdm
 from orbent.freefermion import (
@@ -198,7 +198,7 @@ def test_criterion_07_parity_vs_number_closeness():
 def _random_symmetric_two_orbital(rng):
     m = rng.normal(size=(16, 16)) + 1j * rng.normal(size=(16, 16))
     m = m @ m.conj().T
-    m = 0.5 * (m + _REFLECTION @ m @ _REFLECTION)
+    m = 0.5 * (m + REFLECTION @ m @ REFLECTION)
     m /= np.trace(m).real
     return DensityMatrix(m, (4, 4))
 

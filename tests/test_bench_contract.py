@@ -48,8 +48,10 @@ def test_every_target_resolves(tracing):
 
 
 def _requests(tmp_path):
-    """One request per benchmarked command; the ``ed --ssr p`` pair takes
-    the Frank-Wolfe solver."""
+    """One request per benchmarked command.  The ``ed --ssr p`` pair has
+    unequal middle diagonals in its ee block, which the exact X-state route
+    solves: no command reaches the Frank-Wolfe objective, oracle or polish,
+    whose spans stay wrapped but record no calls."""
     rng = np.random.default_rng(0)
     n = 4
     h = rng.normal(size=(n, n))
@@ -70,9 +72,8 @@ def _requests(tmp_path):
         (["tb", "--eta", "0.3", "--d", "2", "--ssr", "p"],
          ["channels.pinch", "fock.DensityMatrix", "freefermion.two_orbital_state_from_block"]),
         (["ed", "--hubbard", "6,4", "--nelec", "3", "--orbitals", "0,1", "--ssr", "p"],
-         ["entanglement.ree_numeric", "entanglement.objective", "entanglement.oracle",
-          "entanglement.polish", "interacting.build_hamiltonian", "interacting.ground_state",
-          "fock.two_orbital_rdm", "channels.pinch"]),
+         ["entanglement.ree_numeric", "interacting.build_hamiltonian",
+          "interacting.ground_state", "fock.two_orbital_rdm", "channels.pinch"]),
         (["ed", "--fcidump", str(fcidump), "--nelec", "2", "--all-pairs"],
          ["fcidump.read_fcidump", "interacting.build_hamiltonian", "fock.two_orbital_rdm",
           "channels.pinch"]),
@@ -110,9 +111,9 @@ def test_traced_requests_report_every_metric(tracing, tmp_path):
         reached = {span.name for span in tracer.spans if span.request == tag}
         assert set(layers) <= reached, (argv[0], set(layers) - reached)
 
-    # one solver span per Frank-Wolfe call, whose blocks are not counted again
-    fw_tag = 1
-    spans = [span for span in tracer.spans if span.request == fw_tag]
+    # one solver span per pair, whose blocks are not counted again
+    pair_tag = 1
+    spans = [span for span in tracer.spans if span.request == pair_tag]
     assert [span.name for span in spans].count("entanglement.ree_numeric") == 1
     iters = tracer.metrics(spans)[0]["entanglement.ree_numeric.outer_iters"]
-    assert iters == json.loads(traced[fw_tag][1])["iterations"]
+    assert iters == json.loads(traced[pair_tag][1])["iterations"]

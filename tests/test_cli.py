@@ -131,24 +131,6 @@ class TestTbScan:
         for row in rows:
             assert float(row["E_pssr"]) >= float(row["E_nssr"]) - 1e-6
 
-    def test_uncertified_pssr_exits_3(self, tmp_path, capsys, monkeypatch):
-        # every tight-binding value is exact, so an uncertified one is faked:
-        # the table is still written, then the exit code says so
-        from orbent import tightbinding
-        from orbent.entanglement import EntanglementResult
-        monkeypatch.setattr(tightbinding, "pssr_point", lambda query, **_: EntanglementResult(
-            value=0.25, ssr="P", method="numeric-ree", iterations=1, gap=1.0,
-            converged=False))
-        out = tmp_path / "p.csv"
-        code, _, err = run_cli(capsys, "tb-scan", "--d-list", "1", "--eta-min",
-                               "0.2", "--eta-max", "0.2", "--points", "1",
-                               "--pssr", "--out", str(out))
-        assert code == 3
-        assert "did not certify" in err
-        with open(out, newline="") as fh:
-            rows = list(csv.DictReader(fh))
-        assert len(rows) == 1 and float(rows[0]["E_pssr"]) == 0.25
-
 
 class TestDminScan:
     def test_schema_and_monotone(self, tmp_path, capsys):
@@ -408,36 +390,48 @@ class TestEd:
         assert fw.converged
         assert fw.value - fw.gap - 1e-9 <= record["value"] <= fw.value + 1e-9
 
-    def test_nssr_without_exact_route_takes_frank_wolfe(self, capsys):
+    # the twofold degenerate ground level of the L=6, N=3, 2Sz=1 ring: the
+    # values belong to the vector that eigh returns.  Without exchange
+    # symmetry in the pair, the ee block under P and the oo block under N
+    # have unequal middle diagonals; Frank-Wolfe once took them and sat up
+    # to 1.5e-8 above these values
+    @pytest.mark.parametrize("d,ssr,value", [
+        (1, "n", 0.04411422545815983), (1, "p", 0.04433018067571709),
+        (2, "n", 0.11785213821824166), (2, "p", 0.11789997352644761)])
+    def test_unequal_diagonals_are_exact(self, capsys, d, ssr, value):
         code, out, _ = run_cli(capsys, "ed", "--hubbard", "6,4", "--nelec", "3",
-                               "--orbitals", "0,1", "--ssr", "n")
+                               "--orbitals", f"0,{d}", "--ssr", ssr)
         assert code == 0
         record = json.loads(out)
-        assert record["method"] == "numeric-ree" and record["converged"] is True
-        assert record["gap"] <= 1e-7
+        assert record["method"] == "x-state" and record["converged"] is True
+        assert record["iterations"] == 0 and record["gap"] <= 1e-12
+        assert record["degenerate_ground"] is True
+        assert abs(record["value"] - value) <= 1e-12
 
-    def test_nssr_nonconvergence_exit_3(self, capsys):
-        # the --ree-* flags reach the N-SSR route too: one Frank-Wolfe step
-        # cannot certify a 1e-13 gap
-        code, out, err = run_cli(capsys, "ed", "--hubbard", "6,4", "--nelec", "3",
-                                 "--orbitals", "0,1", "--ssr", "n", "--ree-max-iters", "1",
-                                 "--ree-tol", "1e-13")
+    def test_nssr_nonconvergence_exit_3(self, capsys, monkeypatch):
+        # the 784-dim sector takes the Lanczos path; an ARPACK failure is
+        # a numerical error, with nothing on stdout
+        import scipy.sparse.linalg as spsl
+
+        def stalled(*args, **kwargs):
+            raise spsl.ArpackNoConvergence("No convergence", [], [])
+
+        monkeypatch.setattr(spsl, "eigsh", stalled)
+        code, out, err = run_cli(capsys, "ed", "--hubbard", "8,4", "--nelec", "4",
+                                 "--orbitals", "0,1", "--ssr", "n")
         assert code == 3
-        assert "did not certify" in err
-        record = json.loads(out)
-        assert record["method"] == "numeric-ree" and record["converged"] is False
-        assert record["iterations"] == 1 and record["gap"] > 1e-13
+        assert out == "" and err == "error: ARPACK error -1: No convergence\n"
 
     @pytest.mark.parametrize("flag,value", [
         ("--ree-max-iters", "0"), ("--ree-max-iters", "-2"), ("--ree-tol", "-0.5"),
         ("--ree-tol", "nan"), ("--ree-tol", "inf")])
     def test_solver_flags_checked_by_the_parser(self, capsys, flag, value):
-        # zero iterations once printed "value": Infinity, which is not JSON
+        # every value is exact, so the solver flags are gone: unknown arguments
         code, out, err = run_cli(capsys, "ed", "--hubbard", "6,4", "--nelec", "3",
                                  "--orbitals", "0,1", "--ssr", "p", flag, value)
         assert code == 2
         assert out == ""
-        assert f"error: argument {flag}: " in err
+        assert f"error: unrecognized arguments: {flag} {value}" in err
 
     def test_one_configuration_sector(self, capsys):
         code, out, _ = run_cli(capsys, "ed", "--hubbard", "4,2", "--nelec", "0",
@@ -449,14 +443,14 @@ class TestEd:
             assert r["sector_dim"] == 1 and r["energy"] == 0.0 and r["residual"] == 0.0
             assert r["value"] == 0.0 and r["degenerate_ground"] is False
 
-    def test_nonconvergence_exit_3(self, capsys):
+    def test_nonconvergence_exit_3(self, capsys, monkeypatch):
+        # an eigenpair above the residual tolerance is a numerical error,
+        # with nothing on stdout; exit 3 means nothing else
+        monkeypatch.setattr(interacting, "_RESIDUAL_TOL", -1.0)
         code, out, err = run_cli(capsys, "ed", "--hubbard", "6,4", "--nelec", "3",
-                                 "--orbitals", "0,1", "--ssr", "p",
-                                 "--ree-max-iters", "1", "--ree-tol", "1e-13")
+                                 "--orbitals", "0,1", "--ssr", "p")
         assert code == 3
-        assert "did not certify" in err
-        record = json.loads(out)
-        assert record["method"] == "numeric-ree" and record["converged"] is False
+        assert out == "" and err.startswith("error: eigensolver residual")
 
     def test_out_file(self, tmp_path, capsys):
         out = tmp_path / "records.jsonl"
