@@ -19,18 +19,6 @@ import numpy as np
 from .fock import DensityMatrix, _factor_labels, _permute_factors
 
 
-def parity_projectors(dim: int):
-    """Orthogonal projectors (P_plus, P_minus) on one local factor."""
-    labels = _factor_labels((dim,), "P")[:, 0]
-    return np.diag((labels == 0).astype(float)), np.diag((labels == 1).astype(float))
-
-
-def number_projectors(dim: int):
-    """Complete orthogonal family P_n, n = 0..max occupation, on one factor."""
-    labels = _factor_labels((dim,), "N")[:, 0]
-    return [np.diag((labels == n).astype(float)) for n in range(labels.max() + 1)]
-
-
 def _pinch(rho: DensityMatrix, factors, kind: str) -> DensityMatrix:
     """Zero matrix elements between basis states whose labels differ on ``factors``."""
     labels = _factor_labels(rho.dims, kind, None if factors is None else tuple(factors))

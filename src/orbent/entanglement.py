@@ -46,7 +46,7 @@ from fractions import Fraction
 import numpy as np
 
 from .channels import gn_local, gpi_local
-from .fock import DensityMatrix, _factor_labels, _trusted
+from .fock import DensityMatrix, _factor_labels
 
 logger = logging.getLogger(__name__)
 
@@ -58,7 +58,7 @@ def _as_matrix(rho):
 
 
 def _tr_rho_ln_rho(rho) -> float:
-    """Tr[rho ln rho] of a Hermitian matrix or a stack of blocks, with 0 ln 0 = 0."""
+    """Tr[rho ln rho] of a Hermitian matrix, with 0 ln 0 = 0."""
     p = np.clip(np.linalg.eigvalsh(rho), 0.0, None)
     p = p[p > 0]
     return float(np.sum(p * np.log(p)))
@@ -80,13 +80,13 @@ def _kernel(q) -> np.ndarray:
 def relative_entropy(rho, sigma) -> float:
     """Tr[rho (ln rho - ln sigma)]; +inf when rho has weight on ker(sigma).
 
-    The objective of the solver (``_objective_and_grad``) on one block:
-    eigenvalues of sigma below 1e-14 times its largest one count as
-    kernel, and the state is declared infinitely distinguishable when rho
-    puts more than 1e-12 weight there.
+    The objective of the solver (``_objective_and_grad``): eigenvalues of
+    sigma below 1e-14 times its largest one count as kernel, and the state
+    is declared infinitely distinguishable when rho puts more than 1e-12
+    weight there.
     """
     r = _as_matrix(rho)
-    return _objective_and_grad(r[None], _tr_rho_ln_rho(r), _as_matrix(sigma)[None])[0]
+    return _objective_and_grad(r, _tr_rho_ln_rho(r), _as_matrix(sigma))[0]
 
 
 # ---------------------------------------------------------------------------
@@ -135,31 +135,29 @@ class EntanglementResult:
 
 
 def _objective_and_grad(rho, tr_rho_ln_rho, sigma):
-    """S(rho||sigma) and the Frechet derivative G of Tr[rho ln sigma], blockwise.
+    """S(rho||sigma) and the Frechet derivative G of Tr[rho ln sigma].
 
-    ``rho`` and ``sigma`` are (k, s, s) stacks of the diagonal blocks of two
-    block-diagonal matrices, and G comes back as the same stack.  Padding
-    entries carry sigma = rho = 0, so they add nothing to the value or to G.
+    ``rho`` and ``sigma`` are Hermitian matrices of one shape, and so is G.
     The support of sigma follows one kernel rule (``_kernel``); directions
     orthogonal to it are masked (rho carries no genuine weight there while
     the iterate stays interior), and more than 1e-12 of rho's weight on
     them makes the value infinite.
     """
     s, v = np.linalg.eigh(sigma)
-    vh = v.conj().transpose(0, 2, 1)
+    vh = v.conj().T
     rt = vh @ rho @ v
     supp = ~_kernel(s)
     s_safe = np.where(supp, s, 1.0)
     ln_s = np.log(s_safe)
 
     # divided differences of ln; 2/(s_i + s_j) where s_i and s_j (nearly) meet
-    diff = s_safe[:, :, None] - s_safe[:, None, :]
-    total = s_safe[:, :, None] + s_safe[:, None, :]
+    diff = s_safe[:, None] - s_safe[None, :]
+    total = s_safe[:, None] + s_safe[None, :]
     far = np.abs(diff) > 1e-14 * total
-    g = np.divide(ln_s[:, :, None] - ln_s[:, None, :], diff, out=2.0 / total, where=far)
-    g *= supp[:, :, None] & supp[:, None, :]
+    g = np.divide(ln_s[:, None] - ln_s[None, :], diff, out=2.0 / total, where=far)
+    g *= supp[:, None] & supp[None, :]
 
-    weight = np.diagonal(rt, axis1=1, axis2=2).real
+    weight = np.diagonal(rt).real
     leak = 0.0 if supp.all() else float(np.sum(weight[~supp]))
     val = np.inf if leak > 1e-12 else tr_rho_ln_rho - float(np.sum(weight * ln_s))
     grad = v @ (rt * g) @ vh
@@ -225,16 +223,17 @@ def _product_oracle(g):
     return val, (a, b), len(starts)
 
 
-def _ree_frank_wolfe(work: DensityMatrix, tol: float, max_iters: int) -> EntanglementResult:
-    """Frank-Wolfe minimum of S(work||sigma) over the separable states of two
-    qubits, for a block that is not X-shaped and so commutes with no local
-    phase twirl.  ``diagnostics`` carries the iterate sigma whose value and
-    gap are returned; at the iteration cap the loop stops there, before a
-    merge and polish whose value it would not report."""
-    mat = 0.5 * (work.mat + work.mat.conj().T)
+def _ree_frank_wolfe(block: np.ndarray, tol: float, max_iters: int):
+    """Frank-Wolfe minimum of S(block||sigma) over the separable states of two
+    qubits, for a normalized 4 x 4 block that is not X-shaped and so commutes
+    with no local phase twirl.  Returns the value, gap and iterations, the
+    iterate sigma they belong to, and the counts of ``atoms``,
+    ``objective_evals`` and ``oracle_calls``; at the iteration cap the loop
+    stops at sigma, before a merge and polish whose value it would not report."""
+    mat = 0.5 * (block + block.conj().T)
     real = bool(np.max(np.abs(mat.imag)) < 1e-12)
-    rho_b = (mat.real if real else mat)[None]
-    tr_rho_ln_rho = _tr_rho_ln_rho(rho_b)
+    rho = mat.real if real else mat
+    tr_rho_ln_rho = _tr_rho_ln_rho(rho)
 
     def compress(v):
         """|v><v| as a row (its real part for real rho)."""
@@ -246,18 +245,18 @@ def _ree_frank_wolfe(work: DensityMatrix, tol: float, max_iters: int) -> Entangl
     def evaluate(stack, w):
         """Objective, gradient and every atom's score Tr[atom G] at sigma(w)."""
         counts["objective_evals"] += 1
-        val, grad = _objective_and_grad(rho_b, tr_rho_ln_rho, (w @ stack).reshape(rho_b.shape))
+        val, grad = _objective_and_grad(rho, tr_rho_ln_rho, (w @ stack).reshape(4, 4))
         return val, grad, (stack @ grad.conj().ravel()).real
 
     # product basis projectors keep the iterate full rank and already solve
     # the problem exactly for diagonal rho; atoms are kept as rows
-    stack = np.eye(16, dtype=rho_b.dtype)[::5]
+    stack = np.eye(16, dtype=rho.dtype)[::5]
     weights = 0.9 * np.clip(np.diag(mat).real, 0.0, None) + 0.1 / 4
     weights /= weights.sum()
 
     for iteration in range(1, max_iters + 1):
         value, grad, atom_scores = evaluate(stack, weights)
-        best_val, (a, b), searches = _product_oracle(grad[0])
+        best_val, (a, b), searches = _product_oracle(grad)
         counts["oracle_calls"] += searches
 
         sigma_score = float(weights @ atom_scores)
@@ -287,13 +286,11 @@ def _ree_frank_wolfe(work: DensityMatrix, tol: float, max_iters: int) -> Entangl
         weights = weights * (1.0 - gamma)
         weights[idx] += gamma
 
-        stack, weights = _polish_weights(stack, weights, evaluate, 4, gap)
+        stack, weights = _polish_weights(stack, weights, evaluate, gap)
 
-    return EntanglementResult(
-        value=value, ssr="none", method="numeric-ree", iterations=iteration,
-        gap=max(float(gap), 0.0),
-        diagnostics={"atoms": len(stack), **counts, "block_sizes": [4],
-                     "sigma": (weights @ stack).reshape(4, 4).astype(complex)})
+    sigma = (weights @ stack).reshape(4, 4).astype(complex)
+    return (max(float(value), 0.0), max(float(gap), 0.0), iteration, sigma,
+            {"atoms": len(stack), **counts})
 
 
 # SLSQP iteration cap of one weight polish; the atom-set gap stop below
@@ -309,13 +306,13 @@ class _Polished(Exception):
         self.weights = weights
 
 
-def _polish_weights(stack, weights, evaluate, n_basis, gap):
+def _polish_weights(stack, weights, evaluate, gap):
     """Fully corrective step: re-optimize mixture weights over the atom set.
 
-    Sequential quadratic programming on the simplex; the basis atoms keep a
-    tiny weight floor so sigma stays full rank and the objective and its
-    gradient, minus the atom scores, stay finite wherever the optimizer
-    looks.  By convexity the Frank-Wolfe gap over the atom set bounds what
+    Sequential quadratic programming on the simplex; the first four atoms,
+    the product basis, keep a tiny weight floor so sigma stays full rank and
+    the objective and its gradient, minus the atom scores, stay finite
+    wherever the optimizer looks.  By convexity the Frank-Wolfe gap over the atom set bounds what
     re-weighting can gain, so the polish stops at the first point where it
     is below a hundredth of the outer ``gap``: an exception out of the
     objective, since only recent SciPy releases let a callback stop SLSQP.
@@ -334,7 +331,7 @@ def _polish_weights(stack, weights, evaluate, n_basis, gap):
 
     constraints = [{"type": "eq", "fun": lambda wv: np.sum(wv) - 1.0,
                     "jac": lambda wv: np.ones(m)}]
-    bounds = [(1e-12, 1.0)] * n_basis + [(0.0, 1.0)] * (m - n_basis)
+    bounds = [(1e-12, 1.0)] * 4 + [(0.0, 1.0)] * (m - 4)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
         try:
@@ -344,7 +341,7 @@ def _polish_weights(stack, weights, evaluate, n_basis, gap):
         except _Polished as stop:
             x = stop.weights
     w = np.clip(x, 0.0, None)
-    w[:n_basis] = np.maximum(w[:n_basis], 1e-300)
+    w[:4] = np.maximum(w[:4], 1e-300)
     w /= w.sum()
 
     f_new = evaluate(stack, w)[0]
@@ -353,7 +350,7 @@ def _polish_weights(stack, weights, evaluate, n_basis, gap):
         w = weights  # keep the incumbent on failure
 
     keep = w > 1e-18
-    keep[:n_basis] = True  # basis atoms guard the support of sigma
+    keep[:4] = True  # basis atoms guard the support of sigma
     return stack[keep], w[keep] / w[keep].sum()
 
 
@@ -698,7 +695,7 @@ def ree_numeric(rho: DensityMatrix, ssr: str, tol: float = 1e-7,
     diagonal = (x_shaped & (np.abs(blocks[:, 1, 2]) < 1e-12)).tolist()
     closed = (np.abs(diag[:, 1] - diag[:, 2]) < 1e-12).tolist()
     sigmas = blocks.copy()  # a product or diagonal block is its own sigma
-    terms, gaps, frank_wolfe = {}, [], []
+    terms, gaps, frank_wolfe = {}, [], []  # (iterations, counts) per Frank-Wolfe block
     for g, key in enumerate(keys):
         terms[key] = 0.0
         p = weights[g]
@@ -707,10 +704,10 @@ def ree_numeric(rho: DensityMatrix, ssr: str, tol: float = 1e-7,
         if x_shaped[g]:
             terms[key], gap, sigmas[g] = _x_block(blocks[g], p, closed[g])
         else:
-            res = _ree_frank_wolfe(_trusted(blocks[g] / p, (2, 2)), tol, max_iters)
-            terms[key], gap = p * res.value, p * res.gap
-            sigmas[g] = p * res.diagnostics["sigma"]
-            frank_wolfe.append(res)
+            value, gap, iterations, sigma_g, block_counts = _ree_frank_wolfe(
+                blocks[g] / p, tol, max_iters)
+            terms[key], gap, sigmas[g] = p * value, p * gap, p * sigma_g
+            frank_wolfe.append((iterations, block_counts))
         gaps.append(gap)
     sigma = work.mat.copy()
     sigma[flat[:, :, None], flat[:, None, :]] = sigmas
@@ -718,14 +715,13 @@ def ree_numeric(rho: DensityMatrix, ssr: str, tol: float = 1e-7,
     gap = math.fsum(gaps)
     if gap > tol:
         logger.warning("REE solver hit the iteration cap with gap %.3e", gap)
-    counts = {name: sum(r.diagnostics[name] for r in frank_wolfe)
+    counts = {name: sum(c[name] for _, c in frank_wolfe)
               for name in ("atoms", "objective_evals", "oracle_calls")}
     return EntanglementResult(
         value=math.fsum(terms.values()), ssr=ssr_key,
         method="numeric-ree" if frank_wolfe else "x-state",
-        iterations=sum(r.iterations for r in frank_wolfe), gap=gap, converged=gap <= tol,
-        diagnostics={**counts, "block_sizes": [n for r in frank_wolfe
-                                               for n in r.diagnostics["block_sizes"]],
+        iterations=sum(n for n, _ in frank_wolfe), gap=gap, converged=gap <= tol,
+        diagnostics={**counts, "block_sizes": [4] * len(frank_wolfe),
                      "terms": terms, "sigma": sigma})
 
 

@@ -187,20 +187,22 @@ def pure_state_dm(vec, dims) -> DensityMatrix:
 # sector labels
 
 
-# the one table of local sector labels (N and 2*Sz of each basis state of a
-# 2- or 4-dim Fock factor); the parity label is N % 2
+# the one table of local sector labels (N of each basis state of a 2- or
+# 4-dim Fock factor); the parity label is N % 2
 _LOCAL_N = {2: np.array([0, 1]), 4: np.array([0, 1, 1, 2])}
-_LOCAL_SZ2 = {2: np.array([0, 0]), 4: np.array([0, 1, -1, 0])}
 
 
 @functools.lru_cache(maxsize=None)
 def _factor_labels(dims, kind: str, factors=None) -> np.ndarray:
     """Sector label of each listed factor (all by default) at each flat kron index.
 
-    ``kind`` is "N" (occupation), "P" (parity, N % 2) or "Sz" (2*Sz).  One
-    column per listed factor; only those need a 2- or 4-dim Fock factor.
-    The result is cached per argument tuple and read-only.
+    ``kind`` is "N" (occupation) or "P" (parity, N % 2); anything else
+    raises ``ValueError``.  One column per listed factor; only those need a
+    2- or 4-dim Fock factor.  The result is cached per argument tuple and
+    read-only.
     """
+    if kind not in ("N", "P"):
+        raise ValueError(f"unknown sector label kind {kind!r}")
     factors = range(len(dims)) if factors is None else factors
     local = np.unravel_index(np.arange(math.prod(dims)), dims)
     labels = np.empty((math.prod(dims), len(factors)), dtype=np.int64)
@@ -209,7 +211,7 @@ def _factor_labels(dims, kind: str, factors=None) -> np.ndarray:
             raise ValueError(f"factor index {f} out of range for dims {dims}")
         if dims[f] not in _LOCAL_N:
             raise ValueError(f"no occupation labels for local dimension {dims[f]}")
-        column = (_LOCAL_SZ2 if kind == "Sz" else _LOCAL_N)[dims[f]][local[f]]
+        column = _LOCAL_N[dims[f]][local[f]]
         labels[:, col] = column % 2 if kind == "P" else column
     labels.flags.writeable = False
     return labels

@@ -399,8 +399,9 @@ def reference_table() -> list[ReferenceTableEntry]:
     """The bundled reference values for the 16-atom hydrogen ring.
 
     Rows are (electron count, nearest-neighbor distance in bohr, orbital
-    separation, parity- and number-superselected entanglement); only pairs
-    with parity entanglement at least 1e-5 are tabulated.
+    separation, parity- and number-superselected entanglement).  Each row
+    present carries its values; a pair without a row carries no claim, no
+    bound on its entanglement included: N = 30, R = 5 has no row below d = 3.
     """
     rows = []
     resource = importlib.resources.files("orbent.data").joinpath("h16_reference.csv")

@@ -16,7 +16,6 @@ import numpy as np
 
 from orbent.channels import gn_local, gpi_local
 from orbent.entanglement import EntanglementResult, _local_sectors, _ree_frank_wolfe
-from orbent.fock import _trusted
 
 
 def frank_wolfe_pinched(rho, ssr, tol=1e-7, max_iters=5000) -> EntanglementResult:
@@ -29,9 +28,8 @@ def frank_wolfe_pinched(rho, ssr, tol=1e-7, max_iters=5000) -> EntanglementResul
         block = work.mat[np.ix_(flat, flat)]
         p = float(np.trace(block).real)
         if p > 0.0 and min(len(ia), len(ib)) >= 2:
-            dims = (len(ia), len(ib))
-            parts.append((p, _ree_frank_wolfe(_trusted(block / p, dims), tol, max_iters)))
-    gap = math.fsum(p * r.gap for p, r in parts)
+            parts.append((p, *_ree_frank_wolfe(block / p, tol, max_iters)[:3]))
+    gap = math.fsum(p * g for p, _, g, _ in parts)
     return EntanglementResult(
-        value=math.fsum(p * r.value for p, r in parts), ssr=ssr, method="numeric-ree",
-        iterations=sum(r.iterations for _, r in parts), gap=gap, converged=gap <= tol)
+        value=math.fsum(p * v for p, v, _, _ in parts), ssr=ssr, method="numeric-ree",
+        iterations=sum(n for *_, n in parts), gap=gap, converged=gap <= tol)

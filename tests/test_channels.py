@@ -4,8 +4,6 @@ import pytest
 from orbent.channels import (
     gn_local,
     gpi_local,
-    number_projectors,
-    parity_projectors,
     run_swap_protocol,
     superselected_swap,
     swap_channel,
@@ -33,16 +31,6 @@ def bell_phi_plus():
     v = np.zeros(16)
     v[4 * 0 + 3] = v[4 * 3 + 0] = 1 / np.sqrt(2)
     return pure_state_dm(v, (4, 4))
-
-
-def test_projector_families():
-    p_plus, p_minus = parity_projectors(4)
-    assert np.allclose(p_plus + p_minus, np.eye(4))
-    assert np.allclose(p_plus @ p_plus, p_plus)
-    assert np.allclose(p_plus @ p_minus, 0)
-    nums = number_projectors(4)
-    assert len(nums) == 3
-    assert np.allclose(sum(nums), np.eye(4))
 
 
 def test_gpi_erases_cross_parity_on_orbital_factor():

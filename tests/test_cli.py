@@ -477,29 +477,46 @@ def test_unwritable_out_exit_2(tmp_path, capsys, argv):
     assert not out.parent.exists()
 
 
-def test_import_leaves_scipy_optimize_unloaded():
-    """scipy.optimize costs about 0.2 s to import; only the Frank-Wolfe polish needs it."""
+def _python(*args):
+    """Run a fresh interpreter on this checkout's package; stdout and stderr as text."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(orbent.__file__)))
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True)
+
+
+def test_import_leaves_scipy_optimize_unloaded():
+    """scipy.optimize costs about 0.2 s to import; only the Frank-Wolfe polish needs it."""
     probe = "import sys, orbent.cli; sys.exit('scipy.optimize' in sys.modules)"
-    assert subprocess.run([sys.executable, "-c", probe], env=env).returncode == 0
+    assert _python("-c", probe).returncode == 0
 
 
 def test_closed_form_and_swap_commands_load_no_scipy():
     """Only ``ed`` needs scipy; the other commands run without importing it."""
-    src = os.path.dirname(os.path.dirname(os.path.abspath(orbent.__file__)))
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     probe = ("import io, sys, contextlib, orbent.cli\n"
              "with contextlib.redirect_stdout(io.StringIO()):\n"
              "    codes = [orbent.cli.main(['tb', '--eta', '0.3', '--d', '2', '--ssr', 'p']),\n"
              "             orbent.cli.main(['swap-demo'])]\n"
              "print(codes, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
-    run = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
-                         text=True)
+    run = _python("-c", probe)
     assert run.returncode == 0, run.stderr
     assert run.stdout.strip() == "[0, 0] []"
+
+
+def test_ed_commands_load_no_scipy_optimize():
+    """``ed`` reaches no Frank-Wolfe solver, so it never imports its SLSQP
+    polish: not on an X block with unequal middle diagonals (the ee block
+    of pair 0,1 under P), and not over every pair of a ring."""
+    probe = ("import io, sys, contextlib, orbent.cli\n"
+             "with contextlib.redirect_stdout(io.StringIO()):\n"
+             "    codes = [orbent.cli.main(['ed', '--hubbard', '6,4', '--nelec', '3',\n"
+             "                              '--orbitals', '0,1', '--ssr', 'p']),\n"
+             "             orbent.cli.main(['ed', '--hubbard', '8,4', '--nelec', '8',\n"
+             "                              '--all-pairs'])]\n"
+             "print(codes, 'scipy.optimize' in sys.modules, 'scipy' in sys.modules)")
+    run = _python("-c", probe)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.strip() == "[0, 0] False True"
 
 
 def test_parser_reuse_keeps_output(capsys):
@@ -522,15 +539,10 @@ def test_parser_reuse_keeps_output(capsys):
 def test_module_entry_runs_the_command_line(capsys, module):
     """``python -m orbent`` and ``python -m orbent.cli`` print what ``main``
     prints and exit with its code, a usage error included."""
-    src = os.path.dirname(os.path.dirname(os.path.abspath(orbent.__file__)))
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     argv = ["tb", "--eta", "0.3", "--d", "2", "--ssr", "p"]
-    run = subprocess.run([sys.executable, "-m", module, *argv], env=env,
-                         capture_output=True, text=True)
+    run = _python("-m", module, *argv)
     code, out, _ = run_cli(capsys, *argv)
     assert code == 0 and json.loads(out)["method"] == "x-state"
     assert run.returncode == 0 and run.stdout == out
-    run = subprocess.run([sys.executable, "-m", module, "tb", "--eta", "0.3"], env=env,
-                         capture_output=True, text=True)
+    run = _python("-m", module, "tb", "--eta", "0.3")
     assert run.returncode == 2 and "--d" in run.stderr

@@ -429,8 +429,8 @@ class TestXState:
         # the dual bound at the gradient G = D ln sigma[rho] is at least every
         # product state's score on a fine Bloch grid of the first factor
         rho, sigma = _x_matrix(*weights), _x_matrix(*sigma_w[:4], weights[4], w)
-        _, grad = _objective_and_grad(rho[None], 0.0, sigma[None])
-        g = grad[0].real
+        _, grad = _objective_and_grad(rho, 0.0, sigma)
+        g = grad.real
         h, half = 0.5 * (g[1, 1] + g[2, 2]), 0.5 * (g[1, 1] - g[2, 2])
         bound = _x_dual_bound(g[0, 0], g[3, 3], h + g[1, 2], h - g[1, 2], half)
         m = np.einsum("ni,ikjl,nj->nkl", _FINE_BLOCH.conj(), g.reshape(2, 2, 2, 2),
@@ -692,7 +692,9 @@ class TestBlockSplit:
 # ---------------------------------------------------------------------------
 # blockwise objective and local-sector oracle against dense references
 
-_N_TOT, _SZ2_TOT = (_factor_labels((4, 4), kind).sum(axis=1) for kind in ("N", "Sz"))
+_N_TOT = _factor_labels((4, 4), "N").sum(axis=1)
+_SZ2_LOCAL = np.array([0, 1, -1, 0])  # 2Sz of |0>, |up>, |down>, |updown>
+_SZ2_TOT = np.add.outer(_SZ2_LOCAL, _SZ2_LOCAL).ravel()
 
 
 def _two_orbital_key(kind):
@@ -719,15 +721,6 @@ def _random_state(rng, mask):
     x = rng.normal(size=(16, 32)) + 1j * rng.normal(size=(16, 32))
     mat = (x @ x.conj().T) * mask
     return mat / np.trace(mat).real
-
-
-def _padded_stack(mat, blocks, fill):
-    size = max(len(b) for b in blocks)
-    stack = np.zeros((len(blocks), size, size), dtype=complex)
-    for i, b in enumerate(blocks):
-        stack[i, :len(b), :len(b)] = mat[np.ix_(b, b)]
-        stack[i, range(len(b), size), range(len(b), size)] = fill
-    return stack
 
 
 def _dense_objective(rho, sigma):
@@ -764,22 +757,22 @@ class TestBlockwiseObjective:
         p = np.linalg.eigvalsh(rho)
         tr_rho_ln_rho = float(np.sum(p * np.log(p)))
 
-        val, grad = _objective_and_grad(_padded_stack(rho, blocks, 0.0), tr_rho_ln_rho,
-                                        _padded_stack(sigma, blocks, 1.0))
+        # block by block, Tr[rho ln rho] of the whole state added once
+        val, dense = tr_rho_ln_rho, np.zeros((16, 16), dtype=complex)
+        for b in blocks:
+            block_val, dense[np.ix_(b, b)] = _objective_and_grad(
+                rho[np.ix_(b, b)], 0.0, sigma[np.ix_(b, b)])
+            val += block_val
         ref_val, ref_grad = _dense_objective(rho, sigma)
         assert abs(val - ref_val) < 1e-12
-        dense = np.zeros((16, 16), dtype=complex)
-        for i, b in enumerate(blocks):
-            dense[np.ix_(b, b)] = grad[i, :len(b), :len(b)]
-            assert np.all(grad[i, len(b):, :] == 0) and np.all(grad[i, :, len(b):] == 0)
         assert np.max(np.abs(dense - ref_grad)) < 1e-12
 
         # a sigma whose kernel carries weight of rho is infinitely far away
         diag = rng.random(16) + 0.1
         diag[rng.integers(16)] = 0.0
         kernel_sigma = np.diag(diag / diag.sum())
-        val, _ = _objective_and_grad(_padded_stack(rho, blocks, 0.0), tr_rho_ln_rho,
-                                     _padded_stack(kernel_sigma, blocks, 1.0))
+        val = sum(_objective_and_grad(rho[np.ix_(b, b)], 0.0, kernel_sigma[np.ix_(b, b)])[0]
+                  for b in blocks)
         assert val == np.inf
         assert _dense_objective(rho, kernel_sigma)[0] == np.inf
 
@@ -797,7 +790,7 @@ def test_zero_row_of_sigma_is_kernel_in_objective():
         sigma[k, :] = sigma[:, k] = 0.0
         sigma /= np.trace(sigma).real
         p = np.linalg.eigvalsh(rho)
-        val, _ = _objective_and_grad(rho[None], float(np.sum(p * np.log(p))), sigma[None])
+        val, _ = _objective_and_grad(rho, float(np.sum(p * np.log(p))), sigma)
         assert val == np.inf
         assert relative_entropy(rho, sigma) == np.inf
 

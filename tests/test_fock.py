@@ -101,6 +101,16 @@ def test_same_mode_annihilation_squares_to_zero():
     assert out.norm == 0.0
 
 
+@pytest.mark.parametrize("kind", ["Q", "p", "n", "Sz"])
+def test_factor_labels_reject_unknown_kind(kind):
+    """Only "N" and "P" name a label table; any other kind used to fall
+    through to the occupation labels."""
+    with pytest.raises(ValueError, match="unknown sector label kind"):
+        fock._factor_labels((4, 4), kind)
+    assert fock._factor_labels((4,), "N")[:, 0].tolist() == [0, 1, 1, 2]
+    assert fock._factor_labels((4,), "P")[:, 0].tolist() == [0, 1, 1, 0]
+
+
 class TestTwoOrbitalRdm:
     def test_product_state(self):
         sp = FockSpace(2)
