@@ -7,9 +7,11 @@ the eigensolver of ``ed`` fails.  Rows are evaluated one after another and
 emitted in deterministic order.  Orbital indices on this interface are
 0-based.
 
-Every pair state that ``tb``, ``tb-scan`` and ``ed`` build commutes with the
-pair's N and 2Sz, so every value they print is exact, with a proven gap; no
-command reaches the Frank-Wolfe solver, whose gap is heuristic.
+``tb --ssr p`` and ``tb-scan --pssr`` solve the tight-binding pair's two
+parity blocks from their weights, with no density matrix, and every pair
+state that ``ed`` builds commutes with the pair's N and 2Sz, so every value
+printed is exact, with a proven gap; no command reaches the Frank-Wolfe
+solver, whose gap is heuristic.
 """
 
 from __future__ import annotations
@@ -127,16 +129,11 @@ def cmd_tb_scan(args) -> int:
         (2001 if args.scale == "linear" else 200)
     try:
         rows = tightbinding.scan_entanglement(d_list, args.eta_min, args.eta_max,
-                                      points, args.scale)
+                                              points, args.scale, pssr=args.pssr)
     except ValueError as exc:
         return _error(exc)
-    header = ["eta", "d", "E_nssr"]
-    table = [[row["eta"], row["d"], row["E_nssr"]] for row in rows]
-    if args.pssr:
-        header.append("E_pssr")
-        for line, row in zip(table, rows):
-            line.append(tightbinding.pssr_point(tightbinding.TbQuery(row["eta"], row["d"])).value)
-    return _write_csv(args.out, header, table)
+    header = ["eta", "d", "E_nssr"] + (["E_pssr"] if args.pssr else [])
+    return _write_csv(args.out, header, [[row[key] for key in header] for row in rows])
 
 
 def cmd_dmin_scan(args) -> int:

@@ -51,6 +51,7 @@ from .fock import DensityMatrix, _factor_labels
 logger = logging.getLogger(__name__)
 
 LN2 = float(np.log(2.0))
+_NORMAL_MIN = sys.float_info.min
 
 
 def _as_matrix(rho):
@@ -388,12 +389,13 @@ def _x_dual_bound(g_a, g_d, g_plus, g_minus, g_delta=0.0) -> float:
     def branches(theta):
         return mean + math.hypot(half, theta * g), h + math.hypot(g_delta, (1.0 - theta) * g)
 
-    (up_1, down_1), (up_0, down_0) = branches(1.0), branches(0.0)
-    if up_1 <= down_1:
-        theta = 1.0
-    elif up_0 >= down_0:
-        theta = 0.0
-    elif g_delta == 0.0:
+    up, down = branches(1.0)
+    if up <= down:
+        return down  # theta = 1
+    up, down = branches(0.0)
+    if up >= down:
+        return up  # theta = 0
+    if g_delta == 0.0:
         k = h + g - mean
         theta = min(max((k * k - half * half) / (2.0 * k * g), 0.0), 1.0)
     else:
@@ -432,7 +434,7 @@ def _falling_root(f, lo, hi, f_lo=None, f_hi=None):
     """
     found, widths, side = None, [], 0
     for _ in range(200):
-        floor = max(lo, sys.float_info.min)
+        floor = max(lo, _NORMAL_MIN)
         x = math.sqrt(floor) * math.sqrt(hi) if 4.0 * floor < hi else 0.5 * (lo + hi)
         if None not in (f_lo, f_hi) and (len(widths) < 2 or hi - lo <= 0.5 * widths[-2]):
             secant = hi - f_hi * ((hi - lo) / (f_hi - f_lo))
@@ -490,8 +492,8 @@ def _x_state_ree(r00, r11, p_plus, p_minus, delta=0.0):
     (a, d, u, v, w) and the proven gap y - Tr[G sigma], with y from
     ``_x_dual_bound`` at the gradient G of Tr[rho ln sigma].
     """
-    r00, r11, p_plus, p_minus, delta = (x if abs(x) >= sys.float_info.min else 0.0
-                                        for x in (r00, r11, p_plus, p_minus, delta))
+    r00, r11, p_plus, p_minus, delta = [x if abs(x) >= _NORMAL_MIN else 0.0
+                                        for x in (r00, r11, p_plus, p_minus, delta)]
     if 0.25 * (p_plus - p_minus) ** 2 <= r00 * r11:
         return 0.0, (r00, r11, p_plus, p_minus, delta), 0.0  # PPT, hence separable
     if delta != 0.0:
@@ -510,10 +512,10 @@ def _x_state_ree(r00, r11, p_plus, p_minus, delta=0.0):
         nu_s, one_minus = _x_multiplier(r00, r11, s)
         kkt = (r00 + nu_s, r11 + nu_s, p_plus / (2.0 - one_minus), p_minus / one_minus)
         total = sum(kkt)  # 1 up to rounding: the sum multiplier is 1
-        a, d, u, v, s = (x / total for x in (*kkt, s))
+        a, d, u, v, s = [x / total for x in (*kkt, s)]
         sigma_w = (a, d, u, _x_separable(u, v, s))
-    value = sum(r * math.log(r / s) for r, s in zip(rho_w, sigma_w) if r > 0.0)
     grad = [r / s if r > 0.0 else 0.0 for r, s in zip(rho_w, sigma_w)]
+    value = sum([r * math.log(g) for r, g in zip(rho_w, grad) if r > 0.0])
     gap = _x_dual_bound(*grad) - sum(g * s for g, s in zip(grad, sigma_w))
     return value, (*sigma_w, 0.0), max(gap, 0.0)
 
@@ -645,8 +647,9 @@ def _solved_blocks(dims, kind):
 def _x_block(block, p, closed):
     """``_x_state_ree`` on one unnormalized 2 x 2 X block of weight p: p E, p
     gap and p sigma.  A ``closed`` block takes its middle diagonals as equal,
-    at their mean."""
-    d0, d1, d2, d3 = np.diagonal(block).real.tolist()
+    at their mean.  Diagonals are clamped at 0, as P- is: a state that
+    passed validation may still carry weights a rounding step below it."""
+    d0, d1, d2, d3 = (max(x, 0.0) for x in np.diagonal(block).real.tolist())
     z = complex(block[1, 2])
     mid = 0.5 * (d1 + d2)
     val, (a, d, u, v, w), gap = _x_state_ree(

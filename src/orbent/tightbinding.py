@@ -8,6 +8,11 @@ number-superselected entanglement through the sector parameters
 
 the small-filling asymptote, the separability inequality, and the minimal
 disentangling separation with its large-d estimate.
+
+The parity-superselected value is exact too, with no density matrix: the
+pair state is the graded product of two identical two-mode Gaussian states,
+one per spin, so its two parity blocks are two-qubit X states whose weights
+are polynomials in eta and W (``pssr_point``).
 """
 
 from __future__ import annotations
@@ -19,8 +24,7 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from . import freefermion
-from .entanglement import nssr_entanglement, pssr_entanglement
+from .entanglement import EntanglementResult, _x_state_ree, nssr_entanglement
 
 SQRT2 = math.sqrt(2.0)
 # nearest-neighbor hopping of the ring, the unit of the dispersion -cos k
@@ -212,32 +216,60 @@ def _eta_grid(eta_min: float, eta_max: float, points: int, scale: str) -> np.nda
 
 
 def scan_entanglement(d_list, eta_min: float = 1e-4, eta_max: float = 1.0 - 1e-4,
-                      points: int = 2001, scale: str = "linear"):
+                      points: int = 2001, scale: str = "linear", pssr: bool = False):
     """Entanglement-vs-filling table: one row per (eta, d), eta outer, d inner.
 
-    Rows carry the closed-form number-superselected value; ``pssr_point``
-    gives the parity-superselected one.
+    Rows carry the closed-form number-superselected value, and with
+    ``pssr`` the parity-superselected one of ``pssr_point`` as "E_pssr".
     """
     rows = []
     for eta in _eta_grid(eta_min, eta_max, points, scale):
         for d in d_list:
-            res = tb_entanglement(TbQuery(eta=float(eta), d=int(d)))
-            rows.append({"eta": float(eta), "d": int(d), "E_nssr": res.e_nssr})
+            query = TbQuery(eta=float(eta), d=int(d))
+            row = {"eta": query.eta, "d": query.d, "E_nssr": tb_entanglement(query).e_nssr}
+            if pssr:
+                row["E_pssr"] = pssr_point(query).value
+            rows.append(row)
     return rows
 
 
-def pssr_point(query: TbQuery):
+def pssr_point(query: TbQuery) -> EntanglementResult:
     """Parity-superselected entanglement of one tight-binding orbital pair,
-    on the kernel of :func:`tb_entanglement`.
+    on the kernel of :func:`tb_entanglement`, from the weights of its
+    parity blocks.
 
-    Returns the :class:`~orbent.entanglement.EntanglementResult` of
-    :func:`~orbent.entanglement.pssr_entanglement`: the pair state commutes
-    with N and 2Sz and has exchange symmetry, so every block is exact
-    (method "x-state", a proven gap, no iterations).
+    Per spin, the pair is empty with weight e0 = 1 - 2 eta + pair, singly
+    occupied on either orbital with e1 = eta - pair, and doubly occupied
+    with pair = eta^2 - W^2, with coherence W between the two singles.  The
+    even-even block then has corners e0^2 and pair^2, the odd-odd block
+    corners pair e0 and pair e0, and both the middle weights e1^2 +- W^2:
+    two X states with equal middle diagonals, each solved by
+    :func:`~orbent.entanglement._x_state_ree` and weighted by its trace.
+    The mixed-parity blocks are diagonal and add 0.  pair and e0 are
+    clamped at 0, where a kernel rounded one float step past eta makes them
+    negative.  The weights are rounded as
+    :func:`~orbent.freefermion.two_orbital_state_from_block` rounds them, so
+    value and gap are those of :func:`~orbent.entanglement.pssr_entanglement`
+    on that state to round-off, except where W^2 < 1e-12: that route counts
+    such a coherence as 0 and returns 0, below the N-SSR value.  The result
+    has method "x-state", a proven gap and no iterations, and is
+    ``converged`` when the gap is at most 1e-7.
     """
     w, _ = _query_kernel(query)
-    state = freefermion.two_orbital_state_from_block(query.eta, query.eta, w)
-    return pssr_entanglement(state)
+    eta = query.eta
+    pair = max(eta * eta - abs(w) ** 2, 0.0)
+    e0 = max(1.0 - eta - eta + pair, 0.0)
+    e1, coh = eta - pair, w * w
+    single = e1 * e1
+    value = gap = 0.0
+    for corner0, corner1 in ((e0 * e0, pair * pair), (pair * e0, e0 * pair)):
+        p = corner0 + single + single + corner1
+        if p > 0.0:
+            val, _, block_gap = _x_state_ree(corner0 / p, corner1 / p, (single + coh) / p,
+                                             max(single - coh, 0.0) / p)
+            value, gap = value + p * val, gap + p * block_gap
+    return EntanglementResult(value=value, ssr="P", method="x-state", gap=gap,
+                              converged=gap <= 1e-7)
 
 
 def scan_dmin(eta_min: float = 1e-3, eta_max: float = 0.5, points: int = 60,

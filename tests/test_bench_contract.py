@@ -48,10 +48,13 @@ def test_every_target_resolves(tracing):
 
 
 def _requests(tmp_path):
-    """One request per benchmarked command.  The ``ed --ssr p`` pair has
-    unequal middle diagonals in its ee block, which the exact X-state route
-    solves: no command reaches the Frank-Wolfe objective, oracle or polish,
-    whose spans stay wrapped but record no calls."""
+    """One request per benchmarked command, with the layers (span names) it
+    must reach and those it must not.  ``tb --ssr p`` solves its two parity
+    blocks from their weights: no Wick state, density matrix, pinch or
+    block split.  The ``ed --ssr p`` pair has unequal middle diagonals in
+    its ee block, which the exact X-state route solves: no command reaches
+    the Frank-Wolfe objective, oracle or polish, whose spans stay wrapped
+    but record no calls."""
     rng = np.random.default_rng(0)
     n = 4
     h = rng.normal(size=(n, n))
@@ -67,18 +70,18 @@ def _requests(tmp_path):
     state = tmp_path / "state.json"
     state.write_text(json.dumps({"rho": {"real": rho.real.tolist(),
                                          "imag": rho.imag.tolist()}}))
-    # each request with the layers (span names) it must reach
     return [
-        (["tb", "--eta", "0.3", "--d", "2", "--ssr", "p"],
-         ["channels.pinch", "fock.DensityMatrix", "freefermion.two_orbital_state_from_block"]),
+        (["tb", "--eta", "0.3", "--d", "2", "--ssr", "p"], ["cli.main"],
+         ["channels.pinch", "fock.DensityMatrix", "freefermion.two_orbital_state_from_block",
+          "entanglement.ree_numeric"]),
         (["ed", "--hubbard", "6,4", "--nelec", "3", "--orbitals", "0,1", "--ssr", "p"],
          ["entanglement.ree_numeric", "interacting.build_hamiltonian",
-          "interacting.ground_state", "fock.two_orbital_rdm", "channels.pinch"]),
+          "interacting.ground_state", "fock.two_orbital_rdm", "channels.pinch"], []),
         (["ed", "--fcidump", str(fcidump), "--nelec", "2", "--all-pairs"],
          ["fcidump.read_fcidump", "interacting.build_hamiltonian", "fock.two_orbital_rdm",
-          "channels.pinch"]),
+          "channels.pinch"], []),
         (["swap-demo", "--state", str(state)],
-         ["channels.run_swap_protocol", "channels.pinch", "fock.DensityMatrix"]),
+         ["channels.run_swap_protocol", "channels.pinch", "fock.DensityMatrix"], []),
     ]
 
 
@@ -91,11 +94,11 @@ def _call(argv):
 
 def test_traced_requests_report_every_metric(tracing, tmp_path):
     requests = _requests(tmp_path)
-    untraced = [_call(argv) for argv, _ in requests]
+    untraced = [_call(argv) for argv, _, _ in requests]
     tracer = tracing.Tracer()
     with tracer.installed():
         traced = []
-        for tag, (argv, _) in enumerate(requests):
+        for tag, (argv, _, _) in enumerate(requests):
             tracer.request = tag
             traced.append(_call(argv))
     assert [code for code, _ in untraced] == [0] * len(requests)
@@ -107,9 +110,10 @@ def test_traced_requests_report_every_metric(tracing, tmp_path):
     assert set(values) == set(tracing.METRICS) | {"entanglement.oracle.starts_per_iter"}
     for name, value in values.items():
         assert type(value) in (int, float) and math.isfinite(value), (name, value)
-    for tag, (argv, layers) in enumerate(requests):
+    for tag, (argv, layers, unreached) in enumerate(requests):
         reached = {span.name for span in tracer.spans if span.request == tag}
         assert set(layers) <= reached, (argv[0], set(layers) - reached)
+        assert not set(unreached) & reached, (argv[0], set(unreached) & reached)
 
     # one solver span per pair, whose blocks are not counted again
     pair_tag = 1

@@ -9,8 +9,10 @@ import numpy as np
 import pytest
 
 import orbent
-from orbent import interacting
+from orbent import fock, interacting
 from orbent.cli import main
+from orbent.entanglement import pssr_entanglement
+from orbent.freefermion import two_orbital_state_from_block
 
 
 def run_cli(capsys, *argv):
@@ -82,6 +84,48 @@ class TestTb:
         assert set(json.loads(first)) == {
             "model", "eta", "d", "n_sites", "ssr", "log_base", "w", "a", "b", "r", "t",
             "provenance", "value", "method", "gap", "iterations", "converged"}
+
+
+class TestTbPssr:
+    """``tb --ssr p`` solves the two parity blocks from their weights."""
+
+    @pytest.mark.parametrize("eta,d,n_sites", [("0.16666666666666666", "1", "6"),
+                                               ("0.9666666666666667", "5", "30")])
+    def test_kernel_past_filling_on_finite_ring(self, capsys, eta, d, n_sites):
+        # W rounds one float step past eta: the Wick state's pair weight or
+        # empty weight is then a rounding step below 0, and so is an
+        # odd-odd corner
+        code, out, err = run_cli(capsys, "tb", "--eta", eta, "--d", d,
+                                 "--finite-L", n_sites, "--ssr", "p")
+        assert code == 0, err
+        rec = json.loads(out)
+        ref = pssr_entanglement(two_orbital_state_from_block(rec["eta"], rec["eta"], rec["w"]))
+        assert abs(rec["value"] - ref.value) <= 1e-15
+        assert abs(rec["gap"] - ref.gap) <= 1e-15
+        assert rec["method"] == "x-state" and rec["converged"] is True
+
+    @pytest.mark.parametrize("eta", ["1e-6", "1e-7"])
+    @pytest.mark.parametrize("d", ["1", "10"])
+    def test_dilute_parity_value_not_below_number_value(self, capsys, eta, d):
+        # W^2 lies below 1e-12 here, where the density-matrix route counts
+        # the blocks' coherence as 0
+        _, out_p, _ = run_cli(capsys, "tb", "--eta", eta, "--d", d, "--ssr", "p")
+        _, out_n, _ = run_cli(capsys, "tb", "--eta", eta, "--d", d, "--ssr", "n")
+        e_p, e_n = json.loads(out_p)["value"], json.loads(out_n)["value"]
+        assert e_n > 0.0
+        assert e_p >= e_n - 1e-14
+
+    def test_builds_no_density_matrix(self, capsys, tmp_path, monkeypatch):
+        def refuse(self, *args, **kwargs):
+            raise AssertionError("DensityMatrix constructed")
+
+        monkeypatch.setattr(fock.DensityMatrix, "__init__", refuse)
+        code, out, err = run_cli(capsys, "tb", "--eta", "0.3", "--d", "1", "--ssr", "p")
+        assert code == 0, err
+        assert json.loads(out)["value"] > 0.0
+        code, _, err = run_cli(capsys, "tb-scan", "--d-list", "1,2", "--points", "11",
+                               "--pssr", "--out", str(tmp_path / "scan.csv"))
+        assert code == 0, err
 
 
 class TestTbScan:

@@ -2,11 +2,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from orbent import tightbinding
 
-from orbent.entanglement import nssr_entanglement
-from orbent.freefermion import slater_1rdm
+from orbent.entanglement import nssr_entanglement, pssr_entanglement
+from orbent.freefermion import slater_1rdm, two_orbital_state_from_block
 from orbent.tightbinding import (
     DminExact,
     TbQuery,
@@ -14,6 +16,7 @@ from orbent.tightbinding import (
     dispersion,
     dmin_asymptotic,
     dmin_exact,
+    pssr_point,
     ring_one_body,
     scan_dmin,
     scan_entanglement,
@@ -238,6 +241,47 @@ class TestDmin:
             assert rel < 0.05
         rel_005 = abs(dmin_exact(0.05).value - dmin_asymptotic(0.05)) / dmin_asymptotic(0.05)
         assert rel_005 == pytest.approx(0.0551847, abs=1e-4)
+
+
+@st.composite
+def _tb_queries(draw):
+    """A thermodynamic query, or a closed-shell filling of a finite ring."""
+    if draw(st.booleans()):
+        return TbQuery(eta=draw(st.floats(0.0, 1.0)), d=draw(st.integers(1, 3000)))
+    n_sites = draw(st.integers(2, 60))
+    n_elec = 4 * draw(st.integers(0, (2 * n_sites - 2) // 4)) + 2
+    return TbQuery(eta=n_elec / (2 * n_sites), d=draw(st.integers(1, n_sites // 2)),
+                   n_sites=n_sites)
+
+
+class TestPssrPoint:
+    """The parity value from the block weights against the density-matrix
+    route; bounds fixed before the first run."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(_tb_queries())
+    # a kernel one float step past eta: a negative pair or empty weight
+    @example(TbQuery(eta=0.16666666666666666, d=1, n_sites=6))
+    @example(TbQuery(eta=0.9666666666666667, d=5, n_sites=30))
+    # W^2 below the density-matrix route's 1e-12 coherence threshold
+    @example(TbQuery(eta=1e-6, d=10))
+    # weights that cancel near the band edge put E_P about 3e-15 below E_N
+    @example(TbQuery(eta=0.9999572713178061, d=1))
+    def test_matches_density_matrix_route(self, query):
+        res = pssr_point(query)
+        assert (res.method, res.ssr, res.iterations, res.converged) == ("x-state", "P", 0, True)
+        closed = tb_entanglement(query)
+        assert res.value >= closed.e_nssr - 1e-14
+        if closed.w * closed.w >= 2e-12:
+            ref = pssr_entanglement(two_orbital_state_from_block(query.eta, query.eta, closed.w))
+            assert abs(res.value - ref.value) <= 1e-15
+            assert abs(res.gap - ref.gap) <= 1e-15
+
+    def test_scan_column(self):
+        rows = scan_entanglement([1, 5], eta_min=0.1, eta_max=0.9, points=5, pssr=True)
+        for row in rows:
+            assert row["E_pssr"] == pssr_point(TbQuery(eta=row["eta"], d=row["d"])).value
+            assert row["E_pssr"] >= row["E_nssr"] - 1e-14
 
 
 class TestScans:
