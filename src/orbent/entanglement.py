@@ -668,7 +668,8 @@ def ree_numeric(rho: DensityMatrix, ssr: str, tol: float = 1e-7,
 
     A 2 x 2 block whose off-diagonal entries above 1e-12 all join its two
     middle states, as every block of a state that commutes with the pair's
-    N and 2Sz does, is exact: diagonal (it adds 0) or an X state
+    N and 2Sz does, is exact: diagonal (it adds 0) where that middle
+    coherence is at most 1e-12 times the block's weight p, or an X state
     (``_x_state_ree``, closed-form where the middle diagonals are equal to
     1e-12).  Every other block goes to ``_ree_frank_wolfe``, whose gap is
     heuristic, for at most ``max_iters`` >= 1 iterations.  Value and gap are
@@ -693,9 +694,12 @@ def ree_numeric(rho: DensityMatrix, ssr: str, tol: float = 1e-7,
     diag = np.diagonal(blocks, axis1=1, axis2=2).real
     # weights summed left to right; np.trace pairs the terms, which moves
     # the last bit of X-state values
-    weights = np.cumsum(diag, axis=1)[:, -1].tolist()
+    weights = np.cumsum(diag, axis=1)[:, -1]
     x_shaped = np.abs(blocks[:, _NOT_X]).max(axis=1) < 1e-12
-    diagonal = (x_shaped & (np.abs(blocks[:, 1, 2]) < 1e-12)).tolist()
+    # relative to the weight, so that a dilute block keeps its coherence;
+    # <= keeps z = 0 diagonal where 1e-12 p underflows to 0
+    diagonal = (x_shaped & (np.abs(blocks[:, 1, 2]) <= 1e-12 * weights)).tolist()
+    weights = weights.tolist()
     closed = (np.abs(diag[:, 1] - diag[:, 2]) < 1e-12).tolist()
     sigmas = blocks.copy()  # a product or diagonal block is its own sigma
     terms, gaps, frank_wolfe = {}, [], []  # (iterations, counts) per Frank-Wolfe block
@@ -724,8 +728,7 @@ def ree_numeric(rho: DensityMatrix, ssr: str, tol: float = 1e-7,
         value=math.fsum(terms.values()), ssr=ssr_key,
         method="numeric-ree" if frank_wolfe else "x-state",
         iterations=sum(n for n, _ in frank_wolfe), gap=gap, converged=gap <= tol,
-        diagnostics={**counts, "block_sizes": [4] * len(frank_wolfe),
-                     "terms": terms, "sigma": sigma})
+        diagnostics={**counts, "terms": terms, "sigma": sigma})
 
 
 def pssr_entanglement(rho: DensityMatrix) -> EntanglementResult:

@@ -32,7 +32,9 @@ site by site, so
     S(a, b) = (-1)^#{(j, i): a down electron at site j, an up electron at i > j},
 
 and the matrix is conjugated by S and permuted into the sorted sector
-basis, then converted to CSR once.
+basis.  Its entries are distinct, so two stable counting sorts, by column
+and then by row, put them in CSR with each row's columns in order; no
+comparison sort runs over them.
 
 Everything is allocated at the size of the sector or of its strings, never
 of the 4**norb Fock space: the ground state is a
@@ -243,12 +245,16 @@ def _spin_factor(n: int, gens, one_body: np.ndarray, v: np.ndarray):
     m = v.shape[0]
     pairs, row = np.unique(dst * n + src, return_inverse=True)
     to, frm = np.divmod(pairs, n)
+    # the pairs are sorted, so they are already in CSR order: row a' of an
+    # n x n matrix on them starts at starts[a'], and no conversion sorts them
+    starts = np.searchsorted(to, np.arange(n + 1))
     gen = sps.csr_matrix((sign, (row, key)), shape=(pairs.size, m))
-    w = sps.csr_matrix(((gen @ v.T).T.ravel(),
-                        ((np.arange(m)[:, None] * n + to).ravel(), np.tile(frm, m))),
+    w = sps.csr_matrix(((gen @ v.T).T.ravel(), np.tile(frm, m),
+                        np.append(np.add.outer(np.arange(m) * pairs.size, starts[:-1]),
+                                  m * pairs.size)),
                        shape=(m * n, n))
     stacked = sps.csr_matrix((sign, (dst, key * n + src)), shape=(n, m * n))
-    f = (sps.csr_matrix((gen @ one_body, (to, frm)), shape=(n, n))
+    f = (sps.csr_matrix((gen @ one_body, frm, starts), shape=(n, n))
          + 0.5 * (stacked @ w)).tocoo()
 
     diag = np.arange(n)
@@ -276,7 +282,11 @@ def _assemble(rank: np.ndarray, sign: np.ndarray, gens_up, gens_down,
 
     Each ((a'a), (b'b)) entry is the one entry ((a'b'), (ab)) of H, so the
     product holds no duplicates.  ``rank[a, b]`` places (a, b) in the sorted
-    basis and ``sign[a, b]`` is its interleaving sign.
+    basis and ``sign[a, b]`` is its interleaving sign.  With nothing to sum,
+    the entries reach CSR through COO -> CSC -> CSR, two stable counting
+    sorts that leave each row's columns in order, instead of scipy's sort
+    of every row; the product, the index arrays and the COO are freed before
+    the second sort, so the build peak does not grow.
     """
     import scipy.sparse as sps
 
@@ -299,7 +309,14 @@ def _assemble(rank: np.ndarray, sign: np.ndarray, gens_up, gens_down,
     # basis positions in place: two fewer index arrays of length nnz at the CSR conversion
     np.take(rank, to, out=to)
     np.take(rank, frm, out=frm)
-    return sps.csr_matrix((vals, (to, frm)), shape=(rank.size,) * 2)
+    coo = sps.coo_matrix((vals, (to, frm)), shape=(rank.size,) * 2)
+    del vals, to, frm
+    # the entries are distinct, and this COO only feeds tocsc: the flag
+    # skips sum_duplicates and its sort, though the rows are not in order
+    coo.has_canonical_format = True
+    csc = coo.tocsc()
+    del coo
+    return csc.tocsr()
 
 
 @dataclass

@@ -245,11 +245,12 @@ class TestReeNumeric:
                            + 0.2 * np.eye(16) / 16, (4, 4))
         res = ree_numeric(dm, ssr="P")
         assert res.converged and res.method == "numeric-ree"
-        # no total N or 2Sz symmetry inside the block: one 4-state block
-        assert res.diagnostics["block_sizes"] == [4]
+        # no total N or 2Sz symmetry inside the oo block: it alone goes to
+        # Frank-Wolfe, and the three diagonal blocks add 0
         terms = res.diagnostics["terms"]
         assert list(terms) == [(0, 0), (0, 1), (1, 0), (1, 1)]
-        assert terms[(1, 1)] == res.value > 0.0 and terms[(0, 0)] == 0.0
+        assert terms[(1, 1)] == res.value > 0.0
+        assert [terms[key] for key in [(0, 0), (0, 1), (1, 0)]] == [0.0, 0.0, 0.0]
         # one or two local searches per outer iteration, no random starts
         assert res.iterations <= res.diagnostics["oracle_calls"] <= 2 * res.iterations
         assert res.diagnostics["objective_evals"] > res.iterations
@@ -266,7 +267,8 @@ class TestReeNumeric:
         res = ree_numeric(DensityMatrix(x @ x.conj().T / np.trace(x @ x.conj().T).real,
                                         (2, 2)), ssr="P")
         assert (res.value, res.gap, res.iterations, res.converged) == (0.0, 0.0, 0, True)
-        assert res.diagnostics["block_sizes"] == []
+        # no two-qubit block at all, so none for Frank-Wolfe
+        assert (res.method, res.diagnostics["terms"]) == ("x-state", {})
 
     def test_ee_block_of_hubbard_ring(self):
         # the |0>,|updown> x |0>,|updown> parity block of sites 0 and 2 of the
@@ -388,7 +390,12 @@ def _x_blocks(draw):
         z = draw(st.floats(0.0, 1.0)) * rank_one
     total = r00 + r11 + m1 + m2
     mid, delta = 0.5 * (m1 + m2) / total, 0.5 * (m1 - m2) / total
-    return r00 / total, r11 / total, mid + z / total, max(mid - z / total, 0.0), delta
+    p_plus, p_minus = mid + z / total, max(mid - z / total, 0.0)
+    if kind == "rank-one" and delta != 0.0:
+        # P+ P- = delta^2 on the rank-one bound; mid - z cancels there and
+        # can put P+ P- a rounding step below delta^2, outside the states
+        p_minus = delta * delta / p_plus
+    return r00 / total, r11 / total, p_plus, p_minus, delta
 
 
 def _no_subnormal(weights):
@@ -648,7 +655,8 @@ class TestBlockSplit:
 
         res = ree_numeric(dm, ssr)
         assert (res.method == "x-state") is (not needs_fw)
-        assert (res.diagnostics["block_sizes"] != []) is needs_fw
+        assert (res.method == "numeric-ree") is needs_fw
+        assert len(res.diagnostics["terms"]) == len(solved)
         if not needs_fw:
             assert res.gap <= 1e-10
 

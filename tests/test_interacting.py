@@ -372,7 +372,40 @@ def _hubbard_sectors(draw):
     return HubbardParams(n_sites, u), n_elec, sz2
 
 
+@st.composite
+def _canonical_cases(draw):
+    """A Hubbard ring or seeded symmetry-free integrals on 3 to 6 orbitals,
+    with any non-empty (N, 2Sz) sector, and a shuffle seed."""
+    norb = draw(st.integers(3, 6))
+    n_elec = draw(st.integers(0, 2 * norb))
+    top = min(n_elec, 2 * norb - n_elec)
+    sz2 = draw(st.sampled_from(range(-top, top + 1, 2)))
+    if draw(st.booleans()):
+        source = HubbardParams(norb, draw(st.floats(0.0, 8.0, allow_nan=False)))
+    else:
+        source = _dense_integrals(norb, seed=draw(st.integers(0, 2**32 - 1)))
+    return source, n_elec, sz2, draw(st.integers(0, 2**32 - 1))
+
+
 class TestBuildHamiltonian:
+    @settings(max_examples=60, deadline=None)
+    @given(_canonical_cases())
+    def test_matrix_is_canonical_csr(self, case):
+        # the assembly's own counting sorts leave each row's columns strictly
+        # increasing, and scipy's sorting constructor, fed the same entries
+        # in shuffled order, rebuilds the very same arrays bit for bit
+        source, n_elec, sz2, seed = case
+        h = build_hamiltonian(source, n_elec, sz2).matrix
+        rows = np.repeat(np.arange(h.shape[0]), np.diff(h.indptr))
+        assert np.all(np.diff(rows * h.shape[1] + h.indices) > 0)
+        shuffle = np.random.default_rng(seed).permutation(h.nnz)
+        rebuilt = sps.csr_matrix((h.data[shuffle], (rows[shuffle], h.indices[shuffle])),
+                                 shape=h.shape)
+        for mine, ref in ((h.indptr, rebuilt.indptr), (h.indices, rebuilt.indices),
+                          (h.data, rebuilt.data)):
+            assert mine.dtype == ref.dtype
+            assert mine.tobytes() == ref.tobytes()
+
     @settings(max_examples=40, deadline=None)
     @given(_integrals())
     def test_matches_operator_strings(self, case):

@@ -263,7 +263,7 @@ class TestPssrPoint:
     # a kernel one float step past eta: a negative pair or empty weight
     @example(TbQuery(eta=0.16666666666666666, d=1, n_sites=6))
     @example(TbQuery(eta=0.9666666666666667, d=5, n_sites=30))
-    # W^2 below the density-matrix route's 1e-12 coherence threshold
+    # W^2 below 1e-12: a dilute block's coherence, small but not negligible
     @example(TbQuery(eta=1e-6, d=10))
     # weights that cancel near the band edge put E_P about 3e-15 below E_N
     @example(TbQuery(eta=0.9999572713178061, d=1))
@@ -272,10 +272,21 @@ class TestPssrPoint:
         assert (res.method, res.ssr, res.iterations, res.converged) == ("x-state", "P", 0, True)
         closed = tb_entanglement(query)
         assert res.value >= closed.e_nssr - 1e-14
-        if closed.w * closed.w >= 2e-12:
-            ref = pssr_entanglement(two_orbital_state_from_block(query.eta, query.eta, closed.w))
-            assert abs(res.value - ref.value) <= 1e-15
-            assert abs(res.gap - ref.gap) <= 1e-15
+        ref = pssr_entanglement(two_orbital_state_from_block(query.eta, query.eta, closed.w))
+        assert abs(res.value - ref.value) <= 1e-15
+        assert abs(res.gap - ref.gap) <= 1e-15
+
+    def test_dilute_density_matrix_route(self):
+        # both parity blocks carry the middle coherence W^2, just under
+        # 1e-12, and the oo block weighs only about 2e-12: measured against
+        # each block's own weight, neither coherence counts as 0, so the
+        # density-matrix route solves both blocks instead of returning 0, and
+        # agrees with the weights route to the last bit
+        eta = 1e-6
+        ref = pssr_entanglement(two_orbital_state_from_block(eta, eta, w_kernel(10, eta)))
+        assert (ref.value, ref.gap, ref.method) == (1.386294339440916e-12, 0.0, "x-state")
+        assert ref.value == pssr_point(TbQuery(eta=eta, d=10)).value
+        assert ref.value >= tb_entanglement(TbQuery(eta=eta, d=10)).e_nssr
 
     def test_scan_column(self):
         rows = scan_entanglement([1, 5], eta_min=0.1, eta_max=0.9, points=5, pssr=True)
