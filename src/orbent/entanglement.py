@@ -646,9 +646,10 @@ def _solved_blocks(dims, kind):
 
 def _x_block(block, p, closed):
     """``_x_state_ree`` on one unnormalized 2 x 2 X block of weight p: p E, p
-    gap and p sigma.  A ``closed`` block takes its middle diagonals as equal,
-    at their mean.  Diagonals are clamped at 0, as P- is: a state that
-    passed validation may still carry weights a rounding step below it."""
+    gap and p sigma.  A ``closed`` block, whose middle diagonals
+    ``ree_numeric`` counts as equal, takes both at their mean.  Diagonals are
+    clamped at 0, as P- is: a state that passed validation may still carry
+    weights a rounding step below it."""
     d0, d1, d2, d3 = (max(x, 0.0) for x in np.diagonal(block).real.tolist())
     z = complex(block[1, 2])
     mid = 0.5 * (d1 + d2)
@@ -661,27 +662,31 @@ def _x_block(block, p, closed):
     return p * val, p * gap, sigma
 
 
-def ree_numeric(rho: DensityMatrix, ssr: str, tol: float = 1e-7,
-                max_iters: int = 5000) -> EntanglementResult:
+# a result is ``converged`` when its summed gap is at most GAP_TOL; Frank-Wolfe
+# stops each block there or after _FW_ITERS iterations
+GAP_TOL = 1e-7
+_FW_ITERS = 5000
+
+
+def ree_numeric(rho: DensityMatrix, ssr: str) -> EntanglementResult:
     """Relative entropy of entanglement of rho pinched by ``ssr`` ('P' or
     'N'), split once into ``_solved_blocks``.
 
-    A 2 x 2 block whose off-diagonal entries above 1e-12 all join its two
-    middle states, as every block of a state that commutes with the pair's
-    N and 2Sz does, is exact: diagonal (it adds 0) where that middle
-    coherence is at most 1e-12 times the block's weight p, or an X state
-    (``_x_state_ree``, closed-form where the middle diagonals are equal to
-    1e-12).  Every other block goes to ``_ree_frank_wolfe``, whose gap is
-    heuristic, for at most ``max_iters`` >= 1 iterations.  Value and gap are
+    Each 2 x 2 block of weight p is routed by rules relative to p, so that
+    a dilute block is solved as its normalized state is.  It is X-shaped
+    where every off-diagonal entry but its middle coherence z is at most
+    1e-12 p, as every block of a state that commutes with the pair's N and
+    2Sz is, and then exact: diagonal (it adds 0) where |z| <= 1e-12 p,
+    otherwise an X state (``_x_state_ree``, closed-form where its middle
+    diagonals differ by at most 1e-12 p).  Every other block goes to
+    ``_ree_frank_wolfe``, whose gap is heuristic.  Value and gap are
     p-weighted sums, ``iterations`` and the other Frank-Wolfe counts plain
     sums; exact blocks take none.  ``method`` is "x-state", and the gap
     proven, when no block needed Frank-Wolfe.  ``converged`` flags, without
-    raising, whether the summed gap is at most ``tol`` (a warning is logged
-    when not).  ``diagnostics`` also carries ``terms``, each block's p E
-    keyed by its local label pair, and ``sigma``, the blocks' direct sum.
+    raising, whether the summed gap is at most ``GAP_TOL`` (a warning is
+    logged when not).  ``diagnostics`` also carries ``terms``, each block's
+    p E keyed by its local label pair, and ``sigma``, the blocks' direct sum.
     """
-    if max_iters < 1:
-        raise ValueError(f"max_iters must be at least 1, got {max_iters}")
     ssr_key = str(ssr).upper()
     if ssr_key not in ("P", "N"):
         raise ValueError(f"unknown superselection kind {ssr!r}")
@@ -695,12 +700,12 @@ def ree_numeric(rho: DensityMatrix, ssr: str, tol: float = 1e-7,
     # weights summed left to right; np.trace pairs the terms, which moves
     # the last bit of X-state values
     weights = np.cumsum(diag, axis=1)[:, -1]
-    x_shaped = np.abs(blocks[:, _NOT_X]).max(axis=1) < 1e-12
-    # relative to the weight, so that a dilute block keeps its coherence;
-    # <= keeps z = 0 diagonal where 1e-12 p underflows to 0
-    diagonal = (x_shaped & (np.abs(blocks[:, 1, 2]) <= 1e-12 * weights)).tolist()
+    # <= keeps exact zeros in place where 1e-12 p underflows to 0
+    small = 1e-12 * weights
+    x_shaped = np.abs(blocks[:, _NOT_X]).max(axis=1) <= small
+    diagonal = (x_shaped & (np.abs(blocks[:, 1, 2]) <= small)).tolist()
+    closed = (np.abs(diag[:, 1] - diag[:, 2]) <= small).tolist()
     weights = weights.tolist()
-    closed = (np.abs(diag[:, 1] - diag[:, 2]) < 1e-12).tolist()
     sigmas = blocks.copy()  # a product or diagonal block is its own sigma
     terms, gaps, frank_wolfe = {}, [], []  # (iterations, counts) per Frank-Wolfe block
     for g, key in enumerate(keys):
@@ -712,7 +717,7 @@ def ree_numeric(rho: DensityMatrix, ssr: str, tol: float = 1e-7,
             terms[key], gap, sigmas[g] = _x_block(blocks[g], p, closed[g])
         else:
             value, gap, iterations, sigma_g, block_counts = _ree_frank_wolfe(
-                blocks[g] / p, tol, max_iters)
+                blocks[g] / p, GAP_TOL, _FW_ITERS)
             terms[key], gap, sigmas[g] = p * value, p * gap, p * sigma_g
             frank_wolfe.append((iterations, block_counts))
         gaps.append(gap)
@@ -720,14 +725,14 @@ def ree_numeric(rho: DensityMatrix, ssr: str, tol: float = 1e-7,
     sigma[flat[:, :, None], flat[:, None, :]] = sigmas
 
     gap = math.fsum(gaps)
-    if gap > tol:
+    if gap > GAP_TOL:
         logger.warning("REE solver hit the iteration cap with gap %.3e", gap)
     counts = {name: sum(c[name] for _, c in frank_wolfe)
               for name in ("atoms", "objective_evals", "oracle_calls")}
     return EntanglementResult(
         value=math.fsum(terms.values()), ssr=ssr_key,
         method="numeric-ree" if frank_wolfe else "x-state",
-        iterations=sum(n for n, _ in frank_wolfe), gap=gap, converged=gap <= tol,
+        iterations=sum(n for n, _ in frank_wolfe), gap=gap, converged=gap <= GAP_TOL,
         diagnostics={**counts, "terms": terms, "sigma": sigma})
 
 

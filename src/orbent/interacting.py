@@ -381,20 +381,16 @@ def ground_state(op: ManyBodyOperator) -> GroundStateResult:
 def orbital_pair_entanglement(state: SectorState, l: int, lp: int,
                               ssr: str = "N") -> ent.EntanglementResult:
     """Accessible entanglement between two orbitals of a many-body state,
-    such as the ground state of :func:`ground_state`.
+    such as the ground state of :func:`ground_state`:
+    :func:`~orbent.entanglement.ree_numeric` of the pair state under ``ssr``
+    ("N" or "P"), which rejects any other rule.
 
-    Both rules ("N" and "P") give the relative entropy of entanglement of
-    the pinched pair state by one route, block by block
-    (:func:`~orbent.entanglement.ree_numeric`).  The pair state of an (N,
-    Sz) eigenstate commutes with the pair's N and 2Sz, so every two-qubit
-    block is diagonal or an X state and the value is exact, with a proven
-    gap (method "x-state"); only a state without that symmetry leaves
-    blocks to Frank-Wolfe, whose gap is heuristic.
+    The pair state of an (N, Sz) eigenstate commutes with the pair's N and
+    2Sz, so every two-qubit block is diagonal or an X state and the value
+    is exact, with a proven gap (method "x-state"); only a state without
+    that symmetry leaves blocks to Frank-Wolfe, whose gap is heuristic.
     """
-    route = {"N": ent.nssr_entanglement_dm, "P": ent.pssr_entanglement}.get(str(ssr).upper())
-    if route is None:
-        raise ValueError(f"unknown superselection kind {ssr!r}")
-    return route(two_orbital_rdm(state, l, lp))
+    return ent.ree_numeric(two_orbital_rdm(state, l, lp), ssr)
 
 
 # ---------------------------------------------------------------------------

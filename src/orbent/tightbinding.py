@@ -24,7 +24,7 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .entanglement import EntanglementResult, _x_state_ree, nssr_entanglement
+from .entanglement import GAP_TOL, EntanglementResult, _x_state_ree, nssr_entanglement
 
 SQRT2 = math.sqrt(2.0)
 # nearest-neighbor hopping of the ring, the unit of the dispersion -cos k
@@ -250,10 +250,9 @@ def pssr_point(query: TbQuery) -> EntanglementResult:
     negative.  The weights are rounded as
     :func:`~orbent.freefermion.two_orbital_state_from_block` rounds them, so
     value and gap are those of :func:`~orbent.entanglement.pssr_entanglement`
-    on that state to round-off, except where W^2 < 1e-12: that route counts
-    such a coherence as 0 and returns 0, below the N-SSR value.  The result
-    has method "x-state", a proven gap and no iterations, and is
-    ``converged`` when the gap is at most 1e-7.
+    on that state to round-off, at dilute fillings too.  The result has
+    method "x-state", a proven gap and no iterations, and is ``converged``
+    when the gap is at most :data:`~orbent.entanglement.GAP_TOL`.
     """
     w, _ = _query_kernel(query)
     eta = query.eta
@@ -269,7 +268,7 @@ def pssr_point(query: TbQuery) -> EntanglementResult:
                                              max(single - coh, 0.0) / p)
             value, gap = value + p * val, gap + p * block_gap
     return EntanglementResult(value=value, ssr="P", method="x-state", gap=gap,
-                              converged=gap <= 1e-7)
+                              converged=gap <= GAP_TOL)
 
 
 def scan_dmin(eta_min: float = 1e-3, eta_max: float = 0.5, points: int = 60,

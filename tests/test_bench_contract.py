@@ -54,7 +54,8 @@ def _requests(tmp_path):
     block split.  The ``ed --ssr p`` pair has unequal middle diagonals in
     its ee block, which the exact X-state route solves: no command reaches
     the Frank-Wolfe objective, oracle or polish, whose spans stay wrapped
-    but record no calls."""
+    but record no calls.  ``ed`` calls ``ree_numeric`` itself, not the
+    N-SSR wrapper that the ``entanglement.nssr_closed`` span times."""
     rng = np.random.default_rng(0)
     n = 4
     h = rng.normal(size=(n, n))
@@ -76,10 +77,11 @@ def _requests(tmp_path):
           "entanglement.ree_numeric"]),
         (["ed", "--hubbard", "6,4", "--nelec", "3", "--orbitals", "0,1", "--ssr", "p"],
          ["entanglement.ree_numeric", "interacting.build_hamiltonian",
-          "interacting.ground_state", "fock.two_orbital_rdm", "channels.pinch"], []),
+          "interacting.ground_state", "fock.two_orbital_rdm", "channels.pinch"],
+         ["entanglement.nssr_closed"]),
         (["ed", "--fcidump", str(fcidump), "--nelec", "2", "--all-pairs"],
          ["fcidump.read_fcidump", "interacting.build_hamiltonian", "fock.two_orbital_rdm",
-          "channels.pinch"], []),
+          "channels.pinch"], ["entanglement.nssr_closed"]),
         (["swap-demo", "--state", str(state)],
          ["channels.run_swap_protocol", "channels.pinch", "fock.DensityMatrix"], []),
     ]

@@ -286,28 +286,76 @@ class TestReeNumeric:
         assert res.method == "x-state" and res.gap <= 1e-12
         assert res.value <= 1.7450e-4
 
-    def test_nonconvergence_flagged(self):
+    def test_nonconvergence_flagged(self, monkeypatch):
         # the corner coherence sends the one-electron-each block to Frank-Wolfe
+        monkeypatch.setattr(entanglement, "GAP_TOL", 1e-13)
+        monkeypatch.setattr(entanglement, "_FW_ITERS", 1)
         dm = pure_state_dm(_UPUP_DOWNDOWN, (4, 4))
-        res = ree_numeric(dm, ssr="N", tol=1e-13, max_iters=1)
+        res = ree_numeric(dm, ssr="N")
         assert res.method == "numeric-ree" and not res.converged
         assert res.gap > 0
 
-    def test_converged_reads_the_summed_gap(self):
+    def test_converged_reads_the_summed_gap(self, monkeypatch):
         # (1 - eps)|0,0> + eps |upup + downdown>: only the one-electron-each
         # block is solved, by Frank-Wolfe, and one iteration leaves a gap
+        monkeypatch.setattr(entanglement, "_FW_ITERS", 1)
         for eps, converged in ((1e-9, True), (0.5, False)):
             m = eps * np.outer(_UPUP_DOWNDOWN, _UPUP_DOWNDOWN)
             m[0, 0] += 1.0 - eps
-            res = ree_numeric(DensityMatrix(m, (4, 4)), ssr="N", max_iters=1)
+            res = ree_numeric(DensityMatrix(m, (4, 4)), ssr="N")
             assert res.method == "numeric-ree" and res.iterations == 1 and res.gap > 0
             assert res.converged is converged is (res.gap <= 1e-7)
 
-    def test_iteration_cap_below_one_rejected(self):
-        # zero iterations once returned value and gap inf
-        dm = two_orbital_state_from_block(0.5, 0.5, ETA_HALF_D1["W"])
-        with pytest.raises(ValueError, match="max_iters"):
-            ree_numeric(dm, ssr="P", max_iters=0)
+    def test_dilute_unequal_diagonals_stay_unequal(self):
+        # an X block on |up,down>, |down,up> of weight 1e-12 or 1e-13: its
+        # middle diagonals differ by less than 1e-12 in absolute terms, and
+        # taking them as equal once gave a value 12.7% low with gap 0
+        tau = np.zeros((16, 16))
+        tau[6, 6], tau[9, 9], tau[6, 9], tau[9, 6] = 0.7, 0.3, 0.45, 0.45
+        for ssr in ("P", "N"):
+            ref = ree_numeric(DensityMatrix(tau, (4, 4)), ssr)
+            assert ref.method == "x-state" and ref.value > 0.0
+            for eps in (1e-12, 1e-13):
+                res = ree_numeric(_dilute(tau, eps), ssr)
+                assert res.method == "x-state" and res.gap <= 1e-12 * eps
+                assert abs(res.value - eps * ref.value) <= 1e-14 * eps * ref.value
+
+    def test_dilute_corner_coherence_takes_frank_wolfe(self):
+        # 0.8 (|up,up> + |down,down>)/sqrt2 plus 0.1 on each middle state, at
+        # weight 1e-13: its corner coherence of 4e-14 was once dropped as
+        # below 1e-12, which made the block an X state with value 0 and gap 0
+        tau = np.zeros((16, 16))
+        tau[np.ix_([5, 10], [5, 10])] = 0.4
+        tau[6, 6] = tau[9, 9] = 0.1
+        for ssr in ("P", "N"):
+            ref = ree_numeric(DensityMatrix(tau, (4, 4)), ssr)
+            assert ref.method == "numeric-ree" and ref.converged and ref.value > 0.19
+            eps = 1e-13
+            res = ree_numeric(_dilute(tau, eps), ssr)
+            assert res.method == "numeric-ree" and res.converged
+            assert abs(res.value - eps * ref.value) <= res.gap + eps * ref.gap + 1e-12 * eps
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.floats(-14.0, 0.0), st.sampled_from(["P", "N"]))
+    @example(201419, -2.0, "N")
+    def test_weight_scaling(self, seed, log_eps, ssr):
+        # E((1 - eps)|0,up><0,up| + eps rho) = eps E(rho): the added state
+        # sits in a diagonal or product block, and every routing rule is
+        # relative to the block's weight.  A value is a sum of terms of the
+        # order of its block's weight, so near the PPT boundary it is only
+        # good to about 1e-16 of that weight: seed 201419 under N gives
+        # E(rho) = 1.3487e-9 and errors of 3.3e-17 eps to 9.9e-17 eps, and
+        # 50-digit relative entropies of the returned sigmas spread as much
+        rng = np.random.default_rng(seed)
+        rho = _sector_state(rng)
+        eps = 10.0 ** log_eps
+        ref = ree_numeric(rho, ssr)
+        res = ree_numeric(_dilute(rho.mat, eps), ssr)
+        assert res.method == ref.method == "x-state"
+        if ref.value == 0.0:
+            assert res.value == 0.0
+        else:
+            assert abs(res.value - eps * ref.value) <= (1e-9 * ref.value + 1e-15) * eps
 
 
 class TestPvsN:
@@ -328,6 +376,29 @@ TB_ANCHORS = ((0.2, 1), (0.1, 2), (0.45, 1), (0.5, 1), (0.05, 5), (0.03, 8), (0.
 
 def _partial_transpose(mat):
     return mat.reshape(4, 4, 4, 4).transpose(0, 3, 2, 1).reshape(16, 16)
+
+
+def _dilute(tau, eps):
+    """(1 - eps)|0,up><0,up| + eps tau."""
+    mat = eps * np.asarray(tau, dtype=complex)
+    mat[1, 1] += 1.0 - eps
+    return DensityMatrix(mat, (4, 4))
+
+
+def _sector_state(rng):
+    """A state block diagonal in the pair's (N, 2Sz), without exchange
+    symmetry: one to three pure states inside sectors, plus a random weight
+    of a full-rank one."""
+    keys = sorted(set(zip(_N_TOT.tolist(), _SZ2_TOT.tolist())))
+    sectors = np.equal.outer(_N_TOT, _N_TOT) & np.equal.outer(_SZ2_TOT, _SZ2_TOT)
+    mat = rng.random() * _random_state(rng, sectors)
+    for _ in range(rng.integers(1, 4)):
+        n, sz = keys[rng.integers(len(keys))]
+        inside = (_N_TOT == n) & (_SZ2_TOT == sz)
+        v = np.zeros(16, dtype=complex)
+        v[inside] = rng.normal(size=inside.sum()) + 1j * rng.normal(size=inside.sum())
+        mat += rng.random() * np.outer(v, v.conj()) / np.vdot(v, v).real
+    return DensityMatrix(mat / np.trace(mat).real, (4, 4))
 
 
 def _symmetric_state(rng, noise):
@@ -513,11 +584,12 @@ class TestPssrExact:
             # the solve short on rank-deficient draws, where it can take minutes
             assert res.value <= frank_wolfe_pinched(dm, ssr, max_iters=5).value + 1e-12
 
-    def test_iteration_cap_leaves_the_exact_route_alone(self):
+    def test_iteration_cap_leaves_the_exact_route_alone(self, monkeypatch):
         # exact blocks take no iterations, so the cap applies to Frank-Wolfe only
         dm = two_orbital_state_from_block(0.2, 0.2, w_kernel(1, 0.2))
         exact = pssr_entanglement(dm)
-        capped = ree_numeric(dm, "P", max_iters=1)
+        monkeypatch.setattr(entanglement, "_FW_ITERS", 1)
+        capped = ree_numeric(dm, "P")
         assert capped.method == exact.method == "x-state" and capped.converged
         assert capped.iterations == exact.iterations == 0
         assert (capped.value, capped.gap) == (exact.value, exact.gap)
@@ -593,7 +665,7 @@ class TestPssrExact:
         assert fw.value - fw.gap - 1e-12 <= res.value <= fw.value + 1e-12
 
     def test_sz_coherence_takes_frank_wolfe(self):
-        res = ree_numeric(pure_state_dm(_UPUP_DOWNDOWN, (4, 4)), "P", max_iters=1)
+        res = ree_numeric(pure_state_dm(_UPUP_DOWNDOWN, (4, 4)), "P")
         assert res.method == "numeric-ree"
 
 
