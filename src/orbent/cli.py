@@ -125,6 +125,8 @@ def cmd_tb_scan(args) -> int:
         d_list = [int(tok) for tok in args.d_list.split(",") if tok]
     except ValueError:
         return _error("--d-list must be comma-separated integers")
+    if not d_list:
+        return _error("--d-list must name at least one separation")
     points = args.points if args.points is not None else \
         (2001 if args.scale == "linear" else 200)
     try:

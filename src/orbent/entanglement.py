@@ -515,7 +515,13 @@ def _x_state_ree(r00, r11, p_plus, p_minus, delta=0.0):
         a, d, u, v, s = [x / total for x in (*kkt, s)]
         sigma_w = (a, d, u, _x_separable(u, v, s))
     grad = [r / s if r > 0.0 else 0.0 for r, s in zip(rho_w, sigma_w)]
-    value = sum([r * math.log(g) for r, g in zip(rho_w, grad) if r > 0.0])
+    # sum r ln(r/s) - r + s: for normalized weights the added terms sum to
+    # 0, and they cancel the first order of the rounding of r and s; each
+    # term is >= 0 with an error of about eps |r - s|, so a barely entangled
+    # heavy block is not noise
+    value = sum([s if r <= 0.0 else s - r + r * (
+        math.log(g) if r < 0.5 * s else math.log1p((r - s) / s))
+        for r, s, g in zip(rho_w, sigma_w, grad)])
     gap = _x_dual_bound(*grad) - sum(g * s for g, s in zip(grad, sigma_w))
     return value, (*sigma_w, 0.0), max(gap, 0.0)
 

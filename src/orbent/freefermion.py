@@ -10,6 +10,8 @@ gamma[j, i] = <f_i^dag f_j> and trace N per channel.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .fock import DensityMatrix, check_orbital_pair
@@ -78,19 +80,35 @@ def peschel_block_entropy(gamma, orbitals) -> float:
     return float(_SPIN_CHANNELS * np.sum(terms))
 
 
+def _two_mode_weights(occ_l: float, occ_lp: float, coh: complex):
+    """Per-spin weights (empty, l only, lp only, both) of a two-mode Gaussian.
+
+    By Wick's theorem they are (1 - n)(1 - n') - |c|^2, n(1 - n') + |c|^2,
+    n'(1 - n) + |c|^2 and n n' - |c|^2, for occupations n, n' and coherence
+    c.  The empty and pair weights are formed as (h - |c|)(h + |c|) and
+    (g - |c|)(g + |c|), with h = sqrt((1 - n)(1 - n')) and g = sqrt(n n'),
+    so that nothing cancels as a filling nears 0 or 1; for n = n', g and h
+    are exact.  The weights are not clamped: a coherence rounded past the
+    occupations makes the empty or pair weight slightly negative.
+    """
+    if not (0.0 <= occ_l <= 1.0 and 0.0 <= occ_lp <= 1.0):
+        name, occ = ("occ_l", occ_l) if not 0.0 <= occ_l <= 1.0 else ("occ_lp", occ_lp)
+        raise ValueError(f"occupation {name}={occ!r} outside [0, 1]")
+    c = abs(coh)
+    h, g = math.sqrt((1.0 - occ_l) * (1.0 - occ_lp)), math.sqrt(occ_l * occ_lp)
+    return ((h - c) * (h + c), occ_l * (1.0 - occ_lp) + c * c,
+            occ_lp * (1.0 - occ_l) + c * c, (g - c) * (g + c))
+
+
 def _two_mode_gaussian(occ_l: float, occ_lp: float, coh: complex) -> np.ndarray:
     """Single-spin two-mode Gaussian state in the basis |00>, |10>, |01>, |11>.
 
-    Determined by Wick's theorem from the 2 x 2 correlation block: the double
-    occupancy is occ_l * occ_lp - |coh|^2 and the one-particle coherence is
-    the off-diagonal 1RDM element itself.
+    Determined by Wick's theorem from the 2 x 2 correlation block: the
+    diagonal holds the weights of :func:`_two_mode_weights` and the
+    one-particle coherence is the off-diagonal 1RDM element itself.
     """
-    pair = occ_l * occ_lp - abs(coh) ** 2
     rho = np.zeros((4, 4), dtype=complex)
-    rho[0, 0] = 1.0 - occ_l - occ_lp + pair
-    rho[1, 1] = occ_l - pair
-    rho[2, 2] = occ_lp - pair
-    rho[3, 3] = pair
+    rho[np.diag_indices(4)] = _two_mode_weights(occ_l, occ_lp, coh)
     rho[1, 2] = np.conj(coh)  # <|10><01|> = <f_lp^dag f_l>
     rho[2, 1] = coh
     return rho
@@ -140,11 +158,11 @@ def two_orbital_state_from_block(occ_l: float, occ_lp: float, coh: complex) -> D
 
 def wick_two_orbital_rdm(gamma, l: int, lp: int) -> DensityMatrix:
     """Two-orbital reduced state of the spin-symmetric Slater state whose
-    spin channels both have the 1RDM gamma."""
+    spin channels both have the 1RDM gamma.  Occupations are clipped to [0,
+    1], which a numerical 1RDM's diagonal may pass by rounding."""
     gamma = np.asarray(gamma, dtype=complex)
     check_orbital_pair(gamma.shape[0], l, lp)
-    occ_l = float(gamma[l, l].real)
-    occ_lp = float(gamma[lp, lp].real)
+    occ_l, occ_lp = (min(max(float(gamma[i, i].real), 0.0), 1.0) for i in (l, lp))
     # gamma[j, i] = <f_i^dag f_j>, so <f_l^dag f_lp> sits at [lp, l]
     coh = complex(gamma[lp, l])
     return two_orbital_state_from_block(occ_l, occ_lp, coh)

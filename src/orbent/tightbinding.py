@@ -4,15 +4,16 @@ Everything here is analytic: the cosine dispersion, the thermodynamic-limit
 1RDM kernel W(d, eta) = sin(pi d eta)/(pi d) and its finite-ring variant, the
 number-superselected entanglement through the sector parameters
 
-    A = (eta^2 - eta - W^2)^2,   B = W^2,   r = 3A - 3B,   t = A + B,
+    A = single^2,   B = W^2,   r = 3A - 3B,   t = A + B
 
+(single = eta (1 - eta) + W^2, the per-spin weight of one orbital occupied),
 the small-filling asymptote, the separability inequality, and the minimal
 disentangling separation with its large-d estimate.
 
 The parity-superselected value is exact too, with no density matrix: the
 pair state is the graded product of two identical two-mode Gaussian states,
 one per spin, so its two parity blocks are two-qubit X states whose weights
-are polynomials in eta and W (``pssr_point``).
+are products of the per-spin weights of ``_two_mode_weights`` (``pssr_point``).
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from .entanglement import GAP_TOL, EntanglementResult, _x_state_ree, nssr_entanglement
+from .freefermion import _two_mode_weights
 
 SQRT2 = math.sqrt(2.0)
 # nearest-neighbor hopping of the ring, the unit of the dispersion -cos k
@@ -133,15 +135,21 @@ def _query_kernel(query: TbQuery) -> tuple[float, str]:
     return w_kernel_finite(query.d, query.n_elec, query.n_sites), "finite-L"
 
 
+def _entangled(single: float, w: float) -> bool:
+    """The single-occupancy weight eta (1 - eta) + W^2 below sqrt(2)|W|."""
+    return single < SQRT2 * abs(w)
+
+
 def tb_entanglement(query: TbQuery) -> TbResult:
-    """Closed-form number-superselected entanglement between two orbitals."""
+    """Closed-form number-superselected entanglement between two orbitals;
+    A is the squared per-spin single-occupancy weight, B = W^2."""
     w, provenance = _query_kernel(query)
-    a = (query.eta**2 - query.eta - w * w) ** 2
-    b = w * w
+    single = _two_mode_weights(query.eta, query.eta, w)[1]
+    a, b = single * single, w * w
     r, t = 3.0 * (a - b), a + b
     e = nssr_entanglement(max(r, 0.0), t)
     return TbResult(eta=query.eta, d=query.d, w=w, a=a, b=b, r=max(r, 0.0), t=t,
-                    e_nssr=e, entangled=bool(a < 2.0 * b), provenance=provenance)
+                    e_nssr=e, entangled=_entangled(single, w), provenance=provenance)
 
 
 def asymptotic_small_eta(eta: float, d: int) -> float:
@@ -154,9 +162,10 @@ def asymptotic_small_eta(eta: float, d: int) -> float:
 
 
 def separable(eta: float, d: int) -> bool:
-    """Exact separability inequality eta^2 - eta <= W^2 - sqrt(2)|W|."""
+    """Exact separability inequality eta^2 - eta <= W^2 - sqrt(2)|W|, that
+    is single >= sqrt(2)|W| for the single-occupancy weight of A."""
     w = w_kernel(d, eta)
-    return eta * eta - eta <= w * w - SQRT2 * abs(w)
+    return not _entangled(_two_mode_weights(eta, eta, w)[1], w)
 
 
 class DminExact(NamedTuple):
@@ -207,10 +216,16 @@ def dmin_asymptotic(eta: float) -> float:
 
 
 def _eta_grid(eta_min: float, eta_max: float, points: int, scale: str) -> np.ndarray:
-    """Filling grid of a scan, evenly spaced on a "linear" or "log" scale."""
+    """Filling grid of a scan, evenly spaced on a "linear" or "log" scale;
+    errors name the command-line flag of the bad argument."""
+    if points < 1:
+        raise ValueError(f"--points must be at least 1, got {points}")
     if scale == "linear":
         return np.linspace(eta_min, eta_max, points)
     if scale == "log":
+        for flag, eta in (("--eta-min", eta_min), ("--eta-max", eta_max)):
+            if not eta > 0.0:
+                raise ValueError(f"{flag} must be positive on a log scale, got {eta!r}")
         return np.logspace(math.log10(eta_min), math.log10(eta_max), points)
     raise ValueError(f"unknown scale {scale!r}")
 
@@ -238,34 +253,33 @@ def pssr_point(query: TbQuery) -> EntanglementResult:
     on the kernel of :func:`tb_entanglement`, from the weights of its
     parity blocks.
 
-    Per spin, the pair is empty with weight e0 = 1 - 2 eta + pair, singly
-    occupied on either orbital with e1 = eta - pair, and doubly occupied
-    with pair = eta^2 - W^2, with coherence W between the two singles.  The
-    even-even block then has corners e0^2 and pair^2, the odd-odd block
-    corners pair e0 and pair e0, and both the middle weights e1^2 +- W^2:
-    two X states with equal middle diagonals, each solved by
-    :func:`~orbent.entanglement._x_state_ree` and weighted by its trace.
-    The mixed-parity blocks are diagonal and add 0.  pair and e0 are
-    clamped at 0, where a kernel rounded one float step past eta makes them
-    negative.  The weights are rounded as
-    :func:`~orbent.freefermion.two_orbital_state_from_block` rounds them, so
-    value and gap are those of :func:`~orbent.entanglement.pssr_entanglement`
-    on that state to round-off, at dilute fillings too.  The result has
-    method "x-state", a proven gap and no iterations, and is ``converged``
-    when the gap is at most :data:`~orbent.entanglement.GAP_TOL`.
+    Per spin, the pair is empty with weight e0, singly occupied on either
+    orbital with e1 and doubly occupied with pair, all from
+    :func:`~orbent.freefermion._two_mode_weights`, with coherence W between
+    the two singles.  The even-even block then has corners e0^2 and pair^2,
+    the odd-odd block corners pair e0 and pair e0, and both the middle
+    weights e1^2 +- W^2: two X states with equal middle diagonals, each
+    solved by :func:`~orbent.entanglement._x_state_ree` and weighted by its
+    trace.  The mixed-parity blocks are diagonal and add 0.  Where a kernel
+    rounded one float step past eta makes pair or e0 negative, they are
+    clamped at 0, and W^2 at e1^2.  Since
+    :func:`~orbent.freefermion.two_orbital_state_from_block` takes the same
+    weights, :func:`~orbent.entanglement.pssr_entanglement` on that state
+    agrees to round-off.  The result has method "x-state", a proven gap and
+    no iterations, and is ``converged`` when the gap is at most
+    :data:`~orbent.entanglement.GAP_TOL`.
     """
     w, _ = _query_kernel(query)
-    eta = query.eta
-    pair = max(eta * eta - abs(w) ** 2, 0.0)
-    e0 = max(1.0 - eta - eta + pair, 0.0)
-    e1, coh = eta - pair, w * w
+    e0, e1, _, pair = _two_mode_weights(query.eta, query.eta, w)
+    e0, pair = max(e0, 0.0), max(pair, 0.0)
     single = e1 * e1
+    coh = min(w * w, single)
     value = gap = 0.0
     for corner0, corner1 in ((e0 * e0, pair * pair), (pair * e0, e0 * pair)):
         p = corner0 + single + single + corner1
         if p > 0.0:
             val, _, block_gap = _x_state_ree(corner0 / p, corner1 / p, (single + coh) / p,
-                                             max(single - coh, 0.0) / p)
+                                             (single - coh) / p)
             value, gap = value + p * val, gap + p * block_gap
     return EntanglementResult(value=value, ssr="P", method="x-state", gap=gap,
                               converged=gap <= GAP_TOL)

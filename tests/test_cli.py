@@ -207,6 +207,23 @@ class TestDminScan:
         assert err.startswith("error:")
 
 
+@pytest.mark.parametrize("argv, flag", [
+    (["tb-scan", "--d-list", "1", "--points", "0"], "--points"),
+    (["tb-scan", "--d-list", "1", "--points", "-3"], "--points"),
+    (["dmin-scan", "--points", "0"], "--points"),
+    (["tb-scan", "--d-list", ""], "--d-list"),
+    (["tb-scan", "--d-list", "1", "--scale", "log", "--eta-min", "0"], "--eta-min"),
+    (["dmin-scan", "--eta-max", "-0.5"], "--eta-max"),
+])
+def test_scan_arguments_exit_2(tmp_path, capsys, argv, flag):
+    # refused before any row is written: no CSV with a header and no rows
+    out = tmp_path / "scan.csv"
+    code, _, err = run_cli(capsys, *argv, "--out", str(out))
+    assert code == 2
+    assert err.startswith("error:") and flag in err
+    assert not out.exists()
+
+
 class TestSwapDemo:
     def test_default_demo_reaches_maximally_mixed(self, capsys):
         code, out, _ = run_cli(capsys, "swap-demo")

@@ -153,6 +153,20 @@ class TestWickTwoOrbital:
             with pytest.raises(ValueError, match="out of range for d=6"):
                 wick_two_orbital_rdm(g, l, lp)
 
+    def test_full_band_rounding_past_one(self):
+        # the filled 4-ring's 1RDM diagonal reads 1.0000000000000002 at
+        # orbital 0; the state is still the doubly occupied product state
+        gamma = slater_1rdm(ring_one_body(4), 4)
+        assert gamma[0, 0].real > 1.0
+        dm = wick_two_orbital_rdm(gamma, 0, 1)
+        assert dm.mat[15, 15].real == pytest.approx(1.0, abs=1e-14)
+        assert nssr_entanglement_dm(dm).value == pytest.approx(0.0, abs=1e-14)
+
+    def test_occupation_outside_unit_interval_rejected(self):
+        for args, name in (((1.5, 0.5, 0.0), "occ_l=1.5"), ((0.5, -0.25, 0.0), "occ_lp=-0.25")):
+            with pytest.raises(ValueError, match=name):
+                two_orbital_state_from_block(*args)
+
     @pytest.mark.parametrize("n_sites,n_per_spin", [(4, 1), (4, 3), (8, 1), (8, 3)])
     def test_matches_brute_force_partial_trace(self, n_sites, n_per_spin):
         h = ring_one_body(n_sites)

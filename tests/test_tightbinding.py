@@ -265,7 +265,8 @@ class TestPssrPoint:
     @example(TbQuery(eta=0.9666666666666667, d=5, n_sites=30))
     # W^2 below 1e-12: a dilute block's coherence, small but not negligible
     @example(TbQuery(eta=1e-6, d=10))
-    # weights that cancel near the band edge put E_P about 3e-15 below E_N
+    # near the band edge, where weights formed by subtraction once put E_P
+    # about 3e-15 below E_N
     @example(TbQuery(eta=0.9999572713178061, d=1))
     def test_matches_density_matrix_route(self, query):
         res = pssr_point(query)
@@ -281,10 +282,11 @@ class TestPssrPoint:
         # 1e-12, and the oo block weighs only about 2e-12: measured against
         # each block's own weight, neither coherence counts as 0, so the
         # density-matrix route solves both blocks instead of returning 0, and
-        # agrees with the weights route to the last bit
+        # agrees with the weights route to the last bit; the 80-digit value
+        # of the same float eta and W is 1.3862943394399139e-12
         eta = 1e-6
         ref = pssr_entanglement(two_orbital_state_from_block(eta, eta, w_kernel(10, eta)))
-        assert (ref.value, ref.gap, ref.method) == (1.386294339440916e-12, 0.0, "x-state")
+        assert (ref.value, ref.gap, ref.method) == (1.3862943394399193e-12, 0.0, "x-state")
         assert ref.value == pssr_point(TbQuery(eta=eta, d=10)).value
         assert ref.value >= tb_entanglement(TbQuery(eta=eta, d=10)).e_nssr
 

@@ -60,7 +60,8 @@ def closed_form(r00, r11, p_plus, p_minus):
     stood before blocks with unequal ones left Frank-Wolfe: value, sigma
     weights (a, d, u, v) and gap, with the same floating-point operations.
     It pins that the closed case of ``_x_state_ree`` keeps its bits; at a
-    subnormal weight it returns the loose gap that case has since shed."""
+    subnormal weight it returns the loose gap that case has since shed.  Its
+    value sums r ln(r/s) - r + s term by term, as that case does."""
     rho_w = (r00, r11, p_plus, p_minus)
     if 0.25 * (p_plus - p_minus) ** 2 <= r00 * r11:
         return 0.0, rho_w, 0.0
@@ -87,7 +88,9 @@ def closed_form(r00, r11, p_plus, p_minus):
         elif 0.5 * (v - u) > s:
             v = u
         sigma_w = (a, d, u, v)
-    value = sum(r * math.log(r / s) for r, s in zip(rho_w, sigma_w) if r > 0.0)
+    value = sum([s if r <= 0.0 else s - r + r * (
+        math.log(r / s) if r < 0.5 * s else math.log1p((r - s) / s))
+        for r, s in zip(rho_w, sigma_w)])
     g_a, g_d, g_plus, g_minus = (r / s if r > 0.0 else 0.0 for r, s in zip(rho_w, sigma_w))
     h, g = 0.5 * (g_plus + g_minus), 0.5 * abs(g_plus - g_minus)
     mean, half = 0.5 * (g_a + g_d), 0.5 * abs(g_a - g_d)
