@@ -43,10 +43,12 @@ resource cap bounds the nonzeros from the strings before anything of the
 sector's size is allocated.
 
 scipy is imported inside the functions that use it: ``scipy.sparse`` in
-:func:`build_hamiltonian` and its helpers, ``scipy.linalg`` and
-``scipy.sparse.linalg`` in :func:`ground_state`.  Importing this module,
-and so ``orbent`` and ``orbent.cli``, loads no scipy; only the ``ed`` path
-pays for it, on its first call.
+:func:`build_hamiltonian` and its helpers, ``scipy.linalg`` (dense
+``eigh`` and the LAPACK tridiagonal routines of the Lanczos runs) in
+:func:`ground_state`.  The Lanczos recurrence is this module's own, so
+``scipy.sparse.linalg`` is never loaded.  Importing this module, and so
+``orbent`` and ``orbent.cli``, loads no scipy; only the ``ed`` path pays
+for it, on its first call.
 """
 
 from __future__ import annotations
@@ -54,6 +56,7 @@ from __future__ import annotations
 import csv
 import importlib.resources
 import itertools
+import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Union
 
@@ -72,6 +75,12 @@ NNZ_CAP = 4_000_000
 _RESIDUAL_TOL = 1e-9
 # largest sector diagonalized densely (see ground_state)
 _DENSE_CUTOFF = 300
+# relative residuals at which the two Lanczos runs of ground_state stop
+_GROUND_TOL = 1e-12
+_GAP_TOL = 1e-8
+# Lanczos steps per run before RuntimeError, and the fewest between checks
+_MAX_STEPS = 10_000
+_CHECK_MIN = 4
 
 
 @dataclass(frozen=True)
@@ -214,20 +223,21 @@ def build_hamiltonian(source: Union[FcidumpData, HubbardParams], n_elec: int,
     order = np.argsort(configs)
     rank = np.empty(dim, dtype=np.int32)
     rank[order] = np.arange(dim, dtype=np.int32)
-    ham = _assemble(rank.reshape(n_up, n_down), _interleave_sign(up, down, norb),
-                    gens_up, gens_down, one_body[keys], eri2[np.ix_(keys, keys)], data.core)
+    packed = (rank.reshape(n_up, n_down) << 1) | _interleave_parity(up, down, norb)
+    ham = _assemble(packed, gens_up, gens_down, one_body[keys], eri2[np.ix_(keys, keys)],
+                    data.core)
     ham.eliminate_zeros()
     return ManyBodyOperator(ham, configs[order], space)
 
 
-def _interleave_sign(up: np.ndarray, down: np.ndarray, norb: int) -> np.ndarray:
-    """S(a, b) with |interleave(a, b)> = S(a, b) |a>|b>, as an (n_up, n_down)
-    array: (-1)^(pairs of a down electron at site j and an up electron at
-    site i > j)."""
+def _interleave_parity(up: np.ndarray, down: np.ndarray, norb: int) -> np.ndarray:
+    """0 or 1 as S(a, b) = +1 or -1, where |interleave(a, b)> = S(a, b) |a>|b>,
+    as an (n_up, n_down) array: the parity of the pairs of a down electron
+    at site j and an up electron at site i > j."""
     above = np.zeros_like(up)  # bit j set if an odd number of up electrons sit above j
     for site in range(norb):
         above |= (popcount(up >> (site + 1)) & 1) << site
-    return 1.0 - 2.0 * (popcount(above[:, None] & down[None, :]) & 1)
+    return (popcount(above[:, None] & down[None, :]) & 1).astype(np.int32)
 
 
 def _spin_factor(n: int, gens, one_body: np.ndarray, v: np.ndarray):
@@ -268,8 +278,8 @@ def _spin_factor(n: int, gens, one_body: np.ndarray, v: np.ndarray):
     return factor, *(x.astype(np.int32) for x in np.divmod(union, n))
 
 
-def _assemble(rank: np.ndarray, sign: np.ndarray, gens_up, gens_down,
-              one_body: np.ndarray, v: np.ndarray, core: float):
+def _assemble(packed: np.ndarray, gens_up, gens_down, one_body: np.ndarray, v: np.ndarray,
+              core: float):
     """H in CSR over the sorted sector basis, from the string generators.
 
     With F_s the spin factors of :func:`_spin_factor`, H = F_up M F_down^T
@@ -281,35 +291,39 @@ def _assemble(rank: np.ndarray, sign: np.ndarray, gens_up, gens_down,
             + sum_kl u_kl e^up_k (x) e^down_l.
 
     Each ((a'a), (b'b)) entry is the one entry ((a'b'), (ab)) of H, so the
-    product holds no duplicates.  ``rank[a, b]`` places (a, b) in the sorted
-    basis and ``sign[a, b]`` is its interleaving sign.  With nothing to sum,
-    the entries reach CSR through COO -> CSC -> CSR, two stable counting
-    sorts that leave each row's columns in order, instead of scipy's sort
-    of every row; the product, the index arrays and the COO are freed before
+    product holds no duplicates.  ``packed[a, b]`` is 2 r + p, where r places
+    (a, b) in the sorted basis and (-1)^p is its interleaving sign, so one
+    gather per end of an entry gives both.  With nothing to sum, the
+    entries reach CSR through COO -> CSC -> CSR, two stable counting sorts
+    that leave each row's columns in order, instead of scipy's sort of
+    every row; the product, the index arrays and the COO are freed before
     the second sort, so the build peak does not grow.
     """
     import scipy.sparse as sps
 
-    n_up, n_down = rank.shape
+    n_up, n_down = packed.shape
     (f_up, to_up, from_up), (f_down, to_down, from_down) = (
         _spin_factor(n, gens, one_body, v) for n, gens in ((n_up, gens_up), (n_down, gens_down)))
     middle = sps.block_diag((0.5 * (v + v.T), [[0.0, 1.0], [1.0, core]]), format="csr")
     pairs = f_up @ middle @ f_down.T
 
-    # up-major Kronecker indices a' n_down + b' (to) and a n_down + b (frm)
+    # up-major Kronecker indices a' n_down + b' (to) and a n_down + b (frm),
+    # then their packed entries, in place.  Every index is in range, so
+    # "clip" checks nothing; it only spares take the buffered copy of out
+    # that the default "raise" makes
     per_row = np.diff(pairs.indptr)
     to = np.repeat(to_up * n_down, per_row)
-    to += np.take(to_down, pairs.indices)
+    to += np.take(to_down, pairs.indices, mode="clip")
     frm = np.repeat(from_up * n_down, per_row)
-    frm += np.take(from_down, pairs.indices)
+    frm += np.take(from_down, pairs.indices, mode="clip")
     vals = pairs.data
     del pairs  # its index arrays are as long as vals
-    vals *= np.take(sign, to)
-    vals *= np.take(sign, frm)
-    # basis positions in place: two fewer index arrays of length nnz at the CSR conversion
-    np.take(rank, to, out=to)
-    np.take(rank, frm, out=frm)
-    coo = sps.coo_matrix((vals, (to, frm)), shape=(rank.size,) * 2)
+    np.take(packed, to, out=to, mode="clip")
+    np.take(packed, frm, out=frm, mode="clip")
+    vals *= 1 - 2 * ((to ^ frm) & 1)
+    to >>= 1
+    frm >>= 1
+    coo = sps.coo_matrix((vals, (to, frm)), shape=(packed.size,) * 2)
     del vals, to, frm
     # the entries are distinct, and this COO only feeds tocsc: the flag
     # skips sum_duplicates and its sort, though the rows are not in order
@@ -329,32 +343,46 @@ class GroundStateResult:
 
 
 def ground_state(op: ManyBodyOperator) -> GroundStateResult:
-    """Lowest eigenpair of a sector Hamiltonian.
+    """Lowest eigenpair of a sector Hamiltonian, and the gap above it.
 
-    Dense diagonalization up to ``_DENSE_CUTOFF``, implicitly restarted
-    Lanczos from a fixed-seed start vector above it.  A residual over 1e-9,
-    or NaN, raises ``RuntimeError``.  A spectral gap under 1e-9 flags a
-    degenerate ground level; the returned state is then just one ground
-    vector, the sector vector over ``op.basis``.
+    Dense diagonalization up to ``_DENSE_CUTOFF``, two plain Lanczos runs
+    (:func:`_lanczos`) above it.  A residual over 1e-9, or NaN, raises
+    ``RuntimeError``, as do more than ``_MAX_STEPS`` Lanczos steps.  A
+    spectral gap under 1e-9 flags a degenerate ground level; the returned
+    state is then just one ground vector, the sector vector over
+    ``op.basis``.
+
+    Run 1, from the seeded vector ``default_rng(0)``, stops when the lowest
+    Ritz pair's residual estimate is at most 1e-12 max(1, |theta|), ARPACK's
+    relative tolerance.  The ground vector psi is its Ritz vector, and the
+    energy psi's Rayleigh quotient.  The Krylov basis is kept while it takes
+    no more bytes than H's CSR arrays; past that, psi is rebuilt by a second
+    pass of the same recurrence, which gives the same bits.  So the solver
+    never holds more memory than the matrix.
+
+    Run 2, from ``default_rng(1)``, finds the gap.  It runs on
+    H + s psi psi^T, with s the width of run 1's Ritz values, which lifts
+    psi's level to about the top of the spectrum and leaves every other
+    eigenvector in place.  Its lowest Ritz value, to a relative residual of
+    1e-8, is then the next level: its error, about r^2 over the spacing,
+    stays far below the 1e-9 decision.  A degenerate level shows by
+    construction.  A single-vector Krylov space holds one vector of a level,
+    so run 1 never sees a second copy, but the second start vector has its
+    own component along the copies that psi lacks.  Projecting psi out
+    instead would leave psi at eigenvalue 0, below the level whenever
+    E0 > 0.
 
     The cutoff is the measured crossover on Hubbard rings with one BLAS
-    thread: dense ``eigh`` costs O(dim**3) and is as fast as Lanczos at
-    dimension 225-300 (2-5 ms), but at 400 it takes 8-9 ms against 5-7 ms,
-    at 784 about 45 ms against 4-8 ms and at 1225 about 180 ms against
-    8-43 ms.  The two ground energies agree to 1e-14 there.  The crossover
-    was measured on the sparse Hubbard matrices only.  A Lanczos matvec
-    costs O(nnz), so denser Hamiltonians gain less: on the 784-dim N = 4
-    sector of an 8-orbital dense-ERI FCIDUMP, about a quarter of whose
-    entries are nonzero, Lanczos still halves the time dense ``eigh`` takes.
-
-    On the Lanczos path, ``k=4`` Ritz values and ``tol=1e-12`` are what
-    make the second copy of a degenerate ground level show.  On the 8-site
-    Hubbard sectors U=4, N=5, 2Sz=1 and U=3, N=6, 2Sz=2, both two-fold,
-    ``k=2`` reports gaps of 0.129 and 0.021 instead, and ``tol=1e-10``
-    misses the copy on the second.
+    thread.  Dense ``eigh`` costs O(dim**3) and Lanczos O(steps nnz): at
+    dimension 225 they take 1.5 and 3.4 ms, at 300 both about 3.2 ms, at
+    400 6.3 against 3.6 ms, at 784 about 34 against 4.7 ms and at 1225
+    about 146 against 7.3 ms.  The two ground energies agree to 2e-15
+    there.  A matvec costs O(nnz), so denser Hamiltonians gain less: on the
+    784-dim N = 4 sectors of 8-orbital dense-ERI FCIDUMPs, with a quarter
+    of their entries nonzero, Lanczos takes 22-28 ms against dense eigh's
+    34 ms.
     """
     import scipy.linalg as sla
-    import scipy.sparse.linalg as spsl
 
     h = op.matrix
     if op.dim == 1:
@@ -364,18 +392,116 @@ def ground_state(op: ManyBodyOperator) -> GroundStateResult:
         energy, vec = float(evals[0]), evecs[:, 0]
         gap = float(evals[1] - evals[0])
     else:
-        # a seeded start vector makes the result repeatable; a constant one
+        # seeded start vectors make the result repeatable; a constant one
         # could be orthogonal to a symmetric ground state
-        v0 = np.random.default_rng(0).standard_normal(op.dim)
-        evals, evecs = spsl.eigsh(h, k=4, which="SA", tol=1e-12, maxiter=20000, v0=v0)
-        order = np.argsort(evals)
-        energy, vec = float(evals[order[0]]), evecs[:, order[0]]
-        gap = float(evals[order[1]] - evals[order[0]])
+        start = np.random.default_rng(0).standard_normal(op.dim)
+        alpha, beta, theta, y, basis = _lanczos(h.dot, start, _GROUND_TOL, _basis_budget(h))
+        vec = _ritz_vector(h.dot, start, alpha, beta, y, basis)
+        energy = _dot(vec, h @ vec)
+        s = _ritz_pair(alpha, beta, alpha.size)[0] - theta
+
+        def lifted(x):
+            out = h @ x
+            out += (s * _dot(vec, x)) * vec
+            return out
+
+        start = np.random.default_rng(1).standard_normal(op.dim)
+        gap = _lanczos(lifted, start, _GAP_TOL)[2] - energy
     residual = float(np.linalg.norm(h @ vec - energy * vec))
     if not residual <= _RESIDUAL_TOL:
         raise RuntimeError(f"eigensolver residual {residual:.2e} above {_RESIDUAL_TOL}")
     return GroundStateResult(energy, SectorState(op.space, op.basis, vec),
                              bool(gap < 1e-9), gap, residual)
+
+
+def _basis_budget(matrix: sps.csr_matrix) -> int:
+    """Bytes the Lanczos basis may take: those of the matrix's CSR arrays."""
+    return matrix.data.nbytes + matrix.indices.nbytes + matrix.indptr.nbytes
+
+
+def _dot(x: np.ndarray, y: np.ndarray) -> float:
+    # einsum sums in one fixed order; BLAS ddot splits long vectors over
+    # threads, and its last bits then follow the thread count
+    return float(np.einsum("i,i", x, y))
+
+
+def _ritz_pair(alpha: np.ndarray, beta: np.ndarray, index: int) -> tuple[float, np.ndarray]:
+    """The index-th lowest eigenvalue (from 1) and unit eigenvector of the
+    Lanczos tridiagonal matrix with diagonal alpha and off-diagonal
+    beta[:-1]: LAPACK's bisection and inverse iteration, O(m) each."""
+    from scipy.linalg import lapack
+
+    if alpha.size == 1:
+        return float(alpha[0]), np.ones(1)
+    _, w, block, split, _ = lapack.dstebz(alpha, beta[:-1], 2, 0.0, 0.0, index, index, 0.0, "B")
+    return float(w[0]), lapack.dstein(alpha, beta[:-1], w[:1], block, split)[0][:, 0]
+
+
+def _lanczos(matvec, start: np.ndarray, tol: float, budget: int = 0):
+    """Plain Lanczos recurrence from ``start``, without reorthogonalization,
+    until the lowest Ritz pair (theta, y) has a residual estimate
+    beta_m |y_m| of at most tol max(1, |theta|) (Paige, J. Inst. Math.
+    Appl. 18, 341 (1976): the lowest pair still converges).
+
+    Returns (alpha, beta, theta, y, basis).  ``basis`` lists the Lanczos
+    vectors while they take at most ``budget`` bytes, and is None past it.
+    The residual is checked on a schedule, not at every step: each check
+    extrapolates the fall of the residual since the previous one and waits
+    half the predicted number of steps, at least ``_CHECK_MIN``.  More than
+    ``_MAX_STEPS`` steps raise ``RuntimeError``.
+    """
+    v = start / math.sqrt(_dot(start, start))
+    v_prev = np.zeros_like(v)
+    alpha, beta = [], []
+    basis = []
+    b = 0.0
+    check, last = _CHECK_MIN, None
+    for step in range(1, _MAX_STEPS + 1):
+        if basis is not None:
+            basis.append(v)
+            if len(basis) * v.nbytes > budget:
+                basis = None
+        w = matvec(v)
+        a = _dot(v, w)
+        w -= a * v
+        w -= b * v_prev
+        b = math.sqrt(_dot(w, w))
+        alpha.append(a)
+        beta.append(b)
+        if step == check or b == 0.0:
+            coeffs = np.array(alpha), np.array(beta)
+            theta, y = _ritz_pair(*coeffs, 1)
+            res = b * abs(y[-1]) / max(1.0, abs(theta))
+            if res <= tol:
+                return *coeffs, theta, y, basis
+            ahead = _CHECK_MIN
+            if last is not None and res < last[1]:
+                rate = math.log(last[1] / res) / (step - last[0])
+                ahead = max(ahead, int(0.5 * math.log(res / tol) / rate))
+            last, check = (step, res), step + min(ahead, step)
+        v_prev, v = v, w / b
+    raise RuntimeError(f"Lanczos did not converge in {_MAX_STEPS} steps")
+
+
+def _ritz_vector(matvec, start: np.ndarray, alpha: np.ndarray, beta: np.ndarray,
+                 y: np.ndarray, basis) -> np.ndarray:
+    """The normalized Ritz vector sum_j y_j v_j, from the kept basis or by
+    rerunning the recurrence with the stored coefficients.  Both give the
+    same Lanczos vectors bit for bit, and sum them in the same order."""
+    psi = np.zeros_like(start)
+    v = start / math.sqrt(_dot(start, start))
+    v_prev, b = np.zeros_like(v), 0.0
+    for j, c in enumerate(y):
+        if j and basis is None:
+            w = matvec(v)
+            w -= alpha[j - 1] * v
+            w -= b * v_prev
+            b = beta[j - 1]
+            v_prev, v = v, w / b
+        elif j:
+            v = basis[j]
+        psi += c * v
+    return psi / math.sqrt(_dot(psi, psi))
 
 
 def orbital_pair_entanglement(state: SectorState, l: int, lp: int,

@@ -76,6 +76,9 @@ def w_kernel_finite(d: int, n_elec: int, n_sites: int) -> float:
         raise ValueError("finite-ring fillings need N = 4 k_max + 2 for a unique ground state")
     if d % n_sites == 0:
         return n_elec / (2.0 * n_sites)
+    if d * n_elec % (2 * n_sites) == 0:
+        # sin(pi d N / (2L)) is exactly 0; math.sin(pi k) leaves ~1e-16
+        return 0.0
     omega = 2.0 * math.pi * d / n_sites
     return math.sin(omega * n_elec / 4.0) / (n_sites * math.sin(omega / 2.0))
 

@@ -470,18 +470,13 @@ class TestEd:
         assert abs(record["value"] - value) <= 1e-12
 
     def test_nssr_nonconvergence_exit_3(self, capsys, monkeypatch):
-        # the 784-dim sector takes the Lanczos path; an ARPACK failure is
-        # a numerical error, with nothing on stdout
-        import scipy.sparse.linalg as spsl
-
-        def stalled(*args, **kwargs):
-            raise spsl.ArpackNoConvergence("No convergence", [], [])
-
-        monkeypatch.setattr(spsl, "eigsh", stalled)
+        # the 784-dim sector takes the Lanczos path; running past its step
+        # cap is a numerical error, with nothing on stdout
+        monkeypatch.setattr(interacting, "_MAX_STEPS", 5)
         code, out, err = run_cli(capsys, "ed", "--hubbard", "8,4", "--nelec", "4",
                                  "--orbitals", "0,1", "--ssr", "n")
         assert code == 3
-        assert out == "" and err == "error: ARPACK error -1: No convergence\n"
+        assert out == "" and err == "error: Lanczos did not converge in 5 steps\n"
 
     @pytest.mark.parametrize("flag,value", [
         ("--ree-max-iters", "0"), ("--ree-max-iters", "-2"), ("--ree-tol", "-0.5"),
@@ -578,6 +573,19 @@ def test_ed_commands_load_no_scipy_optimize():
     run = _python("-c", probe)
     assert run.returncode == 0, run.stderr
     assert run.stdout.strip() == "[0, 0] False True"
+
+
+def test_lanczos_path_loads_no_sparse_linalg():
+    """The Lanczos recurrence is orbent's own: an ``ed`` request on a
+    4900-dim sector loads no ``scipy.sparse.linalg`` (and so no ARPACK)."""
+    probe = ("import io, sys, contextlib, orbent.cli\n"
+             "with contextlib.redirect_stdout(io.StringIO()):\n"
+             "    code = orbent.cli.main(['ed', '--hubbard', '8,4', '--nelec', '8',\n"
+             "                            '--orbitals', '0,1'])\n"
+             "print(code, 'scipy.sparse.linalg' in sys.modules, 'scipy.sparse' in sys.modules)")
+    run = _python("-c", probe)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.strip() == "0 False True"
 
 
 def test_parser_reuse_keeps_output(capsys):

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -6,6 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from orbent import tightbinding
+from orbent.cli import main
 
 from orbent.entanglement import nssr_entanglement, pssr_entanglement
 from orbent.freefermion import slater_1rdm, two_orbital_state_from_block
@@ -90,6 +92,20 @@ class TestWKernel:
         with pytest.raises(ValueError):
             w_kernel_finite(1, 4, 8)
 
+    def test_finite_zeros_are_exact(self):
+        # sin(pi d N / (2L)) vanishes wherever d N / (2L) is an integer;
+        # math.sin(pi) alone leaves 1.2e-16
+        for n in range(2, 41):
+            for n_elec in range(2, 2 * n + 1, 4):
+                for d in range(1, n // 2 + 1):
+                    w = w_kernel_finite(d, n_elec, n)
+                    if d * n_elec % (2 * n) == 0:
+                        assert w == 0.0
+                    else:
+                        assert w != 0.0
+        gamma = slater_1rdm(ring_one_body(6), 3)  # half filling, N = 6
+        assert abs(gamma[0, 2]) < 1e-15 and w_kernel_finite(2, 6, 6) == 0.0
+
     def test_finite_converges_to_thermodynamic(self):
         n, n_elec = 10_000, 6202
         eta = n_elec / (2 * n)
@@ -157,6 +173,19 @@ class TestTbEntanglement:
             TbQuery(eta=0.5, d=1, n_sites=4)  # N = 4 not of closed-shell form
         with pytest.raises(ValueError):
             TbQuery(eta=0.25, d=3, n_sites=4)  # d beyond L/2
+
+    def test_full_odd_ring_is_a_product_state(self, capsys):
+        # N = 6 on 3 sites fills every orbital: W is exactly 0, and both
+        # rules give 0 for the product state
+        query = TbQuery(eta=1.0, d=1, n_sites=3)
+        res = tb_entanglement(query)
+        assert res.w == 0.0 and res.e_nssr == 0.0 and not res.entangled
+        assert pssr_point(query).value == 0.0
+        for ssr in ("n", "p"):
+            assert main(["tb", "--eta", "1", "--finite-L", "3", "--d", "1", "--ssr", ssr]) == 0
+            record = json.loads(capsys.readouterr().out)
+            assert record["value"] == 0.0 and record["w"] == 0.0
+            assert record.get("entangled", False) is False
 
     def test_finite_matches_thermodynamic_at_large_l(self):
         n, n_elec = 10_000, 6202
