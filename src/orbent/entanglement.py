@@ -415,6 +415,18 @@ def _log_mean(x, y):
     return (x - y) / (math.log1p(ratio) if abs(ratio) < 0.5 else math.log(x) - math.log(y))
 
 
+def _divergence_term(r, s):
+    """r ln(r/s) - r + s >= 0, with an error of about eps |r - s|.
+
+    Summed over the eigenvalue pairs of commuting rho and sigma, these terms
+    give D(rho||sigma) - Tr rho + Tr sigma: for normalized weights the added
+    terms sum to 0, and they cancel the first order of the rounding of r and
+    s, so a barely entangled heavy block is not noise."""
+    if r <= 0.0:
+        return s
+    return s - r + r * (math.log(r / s) if r < 0.5 * s else math.log1p((r - s) / s))
+
+
 def _rounded_sum(*terms):
     """The sum of the terms, or 0 below 1e-15 of the largest: a root up to rounding."""
     total = math.fsum(terms)
@@ -515,13 +527,7 @@ def _x_state_ree(r00, r11, p_plus, p_minus, delta=0.0):
         a, d, u, v, s = [x / total for x in (*kkt, s)]
         sigma_w = (a, d, u, _x_separable(u, v, s))
     grad = [r / s if r > 0.0 else 0.0 for r, s in zip(rho_w, sigma_w)]
-    # sum r ln(r/s) - r + s: for normalized weights the added terms sum to
-    # 0, and they cancel the first order of the rounding of r and s; each
-    # term is >= 0 with an error of about eps |r - s|, so a barely entangled
-    # heavy block is not noise
-    value = sum([s if r <= 0.0 else s - r + r * (
-        math.log(g) if r < 0.5 * s else math.log1p((r - s) / s))
-        for r, s, g in zip(rho_w, sigma_w, grad)])
+    value = sum([_divergence_term(r, s) for r, s in zip(rho_w, sigma_w)])
     gap = _x_dual_bound(*grad) - sum(g * s for g, s in zip(grad, sigma_w))
     return value, (*sigma_w, 0.0), max(gap, 0.0)
 
@@ -590,6 +596,7 @@ def _x_unequal(r00, r11, p_plus, p_minus, delta):
         # M diagonal in |01>, -|10> (psi = pi/4), where R~ is R's middle block
         a = d = s = 0.0
         cp = sp = math.sqrt(0.5)
+        shift = 0.25 * math.pi - psi_r
         lam1, lam2 = (math.fsum((mean_r, x)) for x in (delta, -delta))
         u, v, w, r1, r2, r12 = mean_r, mean_r, delta, lam1, lam2, -half_d
     else:
@@ -608,9 +615,13 @@ def _x_unequal(r00, r11, p_plus, p_minus, delta):
             cp, sp = math.cos(psi_r + shift), math.sin(psi_r + shift)
         v = _x_separable(u, v, s)
         r1, r2, r12 = rotated(shift)
-    value = (sum(r * math.log(r / x) for r, x in ((r00, a), (r11, d)) if r > 0.0)
-             + sum(x * math.log(x) for x in (mu1, mu2) if x > 0.0)
-             - sum(r * math.log(x) for r, x in ((r1, lam1), (r2, lam2)) if r > 0.0))
+    # R = sum_i mu_i e_i e_i^T and M = sum_j lam_j f_j f_j^T, their bases
+    # at angle shift: D(R||M) - Tr R + Tr M is the sum over (i, j) of
+    # (e_i . f_j)^2 times the term of (mu_i, lam_j), each >= 0
+    cs2, sn2 = math.cos(shift) ** 2, math.sin(shift) ** 2
+    value = sum(weight * _divergence_term(r, x) for r, x, weight in (
+        (r00, a, 1.0), (r11, d, 1.0), (mu1, lam1, cs2), (mu2, lam2, cs2),
+        (mu1, lam2, sn2), (mu2, lam1, sn2)))
     # the gradient at sigma in M's eigenbasis, then on the middle pair
     g_a, g_d, g1, g2 = (r / x if r > 0.0 else 0.0
                         for r, x in ((r00, a), (r11, d), (r1, lam1), (r2, lam2)))

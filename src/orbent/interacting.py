@@ -44,16 +44,17 @@ sector's size is allocated.
 
 scipy is imported inside the functions that use it: ``scipy.sparse`` in
 :func:`build_hamiltonian` and its helpers, ``scipy.linalg`` (dense
-``eigh`` and the LAPACK tridiagonal routines of the Lanczos runs) in
-:func:`ground_state`.  The Lanczos recurrence is this module's own, so
-``scipy.sparse.linalg`` is never loaded.  Importing this module, and so
-``orbent`` and ``orbent.cli``, loads no scipy; only the ``ed`` path pays
-for it, on its first call.
+``eigh``, and the BLAS level-1 and LAPACK tridiagonal routines of the
+Lanczos runs) in :func:`ground_state` and its helpers.  The Lanczos
+recurrence is this module's own, so ``scipy.sparse.linalg`` is never
+loaded.  Importing this module, and so ``orbent`` and ``orbent.cli``,
+loads no scipy; only the ``ed`` path pays for it, on its first call.
 """
 
 from __future__ import annotations
 
 import csv
+import functools
 import importlib.resources
 import itertools
 import math
@@ -71,6 +72,13 @@ if TYPE_CHECKING:
     import scipy.sparse as sps
 
 NNZ_CAP = 4_000_000
+# bytes of run 1's kept Lanczos vectors: those of a CSR matrix at the cap
+# (an 8-byte value and a 4-byte column index per nonzero)
+_BASIS_BYTES = 12 * NNZ_CAP
+# entries per BLAS level-1 call: OpenBLAS splits ddot and daxpy over
+# threads only above 10 000 entries, so a call on a chunk runs in one
+# thread and sums in one fixed order whatever the thread count
+_CHUNK = 8192
 # largest accepted |H v - E v| of a returned ground state
 _RESIDUAL_TOL = 1e-9
 # largest sector diagonalized densely (see ground_state)
@@ -355,10 +363,16 @@ def ground_state(op: ManyBodyOperator) -> GroundStateResult:
     Run 1, from the seeded vector ``default_rng(0)``, stops when the lowest
     Ritz pair's residual estimate is at most 1e-12 max(1, |theta|), ARPACK's
     relative tolerance.  The ground vector psi is its Ritz vector, and the
-    energy psi's Rayleigh quotient.  The Krylov basis is kept while it takes
-    no more bytes than H's CSR arrays; past that, psi is rebuilt by a second
-    pass of the same recurrence, which gives the same bits.  So the solver
-    never holds more memory than the matrix.
+    energy psi's Rayleigh quotient.  Run 1 keeps its Lanczos vectors while
+    they take at most ``_BASIS_BYTES``, the bytes of a CSR matrix at
+    ``NNZ_CAP`` (at least two are kept), so the solver never holds much
+    more than a matrix at the cap.  That is 1224 vectors at dimension 4900,
+    against runs of about 130 steps.  Past the budget, psi's later vectors
+    are rebuilt by replaying the recurrence from the last two kept ones
+    with the stored coefficients, which gives the same bits.  Every vector
+    operation of both runs is a BLAS level-1 call in place on chunks of at
+    most ``_CHUNK`` entries, each in one thread, so the Lanczos path gives
+    the same bits at every BLAS thread count.
 
     Run 2, from ``default_rng(1)``, finds the gap.  It runs on
     H + s psi psi^T, with s the width of run 1's Ritz values, which lifts
@@ -372,15 +386,16 @@ def ground_state(op: ManyBodyOperator) -> GroundStateResult:
     instead would leave psi at eigenvalue 0, below the level whenever
     E0 > 0.
 
-    The cutoff is the measured crossover on Hubbard rings with one BLAS
-    thread.  Dense ``eigh`` costs O(dim**3) and Lanczos O(steps nnz): at
-    dimension 225 they take 1.5 and 3.4 ms, at 300 both about 3.2 ms, at
-    400 6.3 against 3.6 ms, at 784 about 34 against 4.7 ms and at 1225
-    about 146 against 7.3 ms.  The two ground energies agree to 2e-15
-    there.  A matvec costs O(nnz), so denser Hamiltonians gain less: on the
-    784-dim N = 4 sectors of 8-orbital dense-ERI FCIDUMPs, with a quarter
-    of their entries nonzero, Lanczos takes 22-28 ms against dense eigh's
-    34 ms.
+    The cutoff lies between the measured crossovers of two kinds of
+    sector, with one BLAS thread.  Dense ``eigh`` costs O(dim**3) and
+    Lanczos O(steps nnz).  On Hubbard rings they take 0.56 against 0.64 ms
+    at dimension 196, 0.86 against 0.64 ms at 224, 1.45 against 0.94 ms at
+    300, 2.9 against 1.05 ms at 400 and 15 against 1.5 ms at 784: a
+    crossover near 220.  A matvec costs O(nnz), so denser Hamiltonians gain
+    less: on symmetry-free dense-ERI sectors, with a third of their entries
+    nonzero, dense ``eigh`` takes 1.29 against 1.50 ms at 300 and 2.96
+    against 2.15 ms at 400, a crossover near 330.  The two ground energies
+    agree to 2e-14.
     """
     import scipy.linalg as sla
 
@@ -395,34 +410,62 @@ def ground_state(op: ManyBodyOperator) -> GroundStateResult:
         # seeded start vectors make the result repeatable; a constant one
         # could be orthogonal to a symmetric ground state
         start = np.random.default_rng(0).standard_normal(op.dim)
-        alpha, beta, theta, y, basis = _lanczos(h.dot, start, _GROUND_TOL, _basis_budget(h))
-        vec = _ritz_vector(h.dot, start, alpha, beta, y, basis)
+        keep = max(2, _BASIS_BYTES // start.nbytes)
+        alpha, beta, theta, y, basis = _lanczos(h.dot, start, _GROUND_TOL, keep)
+        vec = _ritz_vector(h.dot, alpha, beta, y, basis)
         energy = _dot(vec, h @ vec)
         s = _ritz_pair(alpha, beta, alpha.size)[0] - theta
 
         def lifted(x):
             out = h @ x
-            out += (s * _dot(vec, x)) * vec
+            _axpy(s * _dot(vec, x), vec, out)
             return out
 
         start = np.random.default_rng(1).standard_normal(op.dim)
         gap = _lanczos(lifted, start, _GAP_TOL)[2] - energy
-    residual = float(np.linalg.norm(h @ vec - energy * vec))
+    r = h @ vec
+    _axpy(-energy, vec, r)
+    residual = math.sqrt(_dot(r, r))
     if not residual <= _RESIDUAL_TOL:
         raise RuntimeError(f"eigensolver residual {residual:.2e} above {_RESIDUAL_TOL}")
     return GroundStateResult(energy, SectorState(op.space, op.basis, vec),
                              bool(gap < 1e-9), gap, residual)
 
 
-def _basis_budget(matrix: sps.csr_matrix) -> int:
-    """Bytes the Lanczos basis may take: those of the matrix's CSR arrays."""
-    return matrix.data.nbytes + matrix.indices.nbytes + matrix.indptr.nbytes
+@functools.cache
+def _blas():
+    """scipy's BLAS, imported once: an import statement in the step
+    routines would cost as much as a level-1 call at these lengths."""
+    from scipy.linalg import blas
+
+    return blas
+
+
+def _chunks(n: int) -> list[slice]:
+    return [slice(i, i + _CHUNK) for i in range(0, n, _CHUNK)]
 
 
 def _dot(x: np.ndarray, y: np.ndarray) -> float:
-    # einsum sums in one fixed order; BLAS ddot splits long vectors over
-    # threads, and its last bits then follow the thread count
-    return float(np.einsum("i,i", x, y))
+    """x . y by BLAS ddot on chunks of at most ``_CHUNK`` entries, summed in
+    order: the same bits at every BLAS thread count."""
+    ddot = _blas().ddot
+    if x.size <= _CHUNK:
+        return ddot(x, y)
+    total = 0.0
+    for part in _chunks(x.size):
+        total += ddot(x[part], y[part])
+    return total
+
+
+def _axpy(a: float, x: np.ndarray, y: np.ndarray) -> None:
+    """y += a x in place, by BLAS daxpy on chunks of at most ``_CHUNK``
+    entries, each in one thread."""
+    daxpy = _blas().daxpy
+    if x.size <= _CHUNK:
+        daxpy(x, y, a=a)
+        return
+    for part in _chunks(x.size):
+        daxpy(x[part], y[part], a=a)
 
 
 def _ritz_pair(alpha: np.ndarray, beta: np.ndarray, index: int) -> tuple[float, np.ndarray]:
@@ -437,19 +480,23 @@ def _ritz_pair(alpha: np.ndarray, beta: np.ndarray, index: int) -> tuple[float, 
     return float(w[0]), lapack.dstein(alpha, beta[:-1], w[:1], block, split)[0][:, 0]
 
 
-def _lanczos(matvec, start: np.ndarray, tol: float, budget: int = 0):
+def _lanczos(matvec, start: np.ndarray, tol: float, keep: int = 0):
     """Plain Lanczos recurrence from ``start``, without reorthogonalization,
     until the lowest Ritz pair (theta, y) has a residual estimate
     beta_m |y_m| of at most tol max(1, |theta|) (Paige, J. Inst. Math.
     Appl. 18, 341 (1976): the lowest pair still converges).
 
-    Returns (alpha, beta, theta, y, basis).  ``basis`` lists the Lanczos
-    vectors while they take at most ``budget`` bytes, and is None past it.
-    The residual is checked on a schedule, not at every step: each check
-    extrapolates the fall of the residual since the previous one and waits
-    half the predicted number of steps, at least ``_CHECK_MIN``.  More than
+    Each step is one matvec, two dot products, two axpy updates and one
+    scale (:func:`_dot`, :func:`_axpy`, BLAS dscal), in place on the
+    matvec's output, which becomes the next Lanczos vector.  Returns
+    (alpha, beta, theta, y, basis): ``basis`` lists the first ``keep``
+    Lanczos vectors, or all of them when the run is shorter.  The residual
+    is checked on a schedule, not at every step: each check extrapolates
+    the fall of the residual since the previous one and waits half the
+    predicted number of steps, at least ``_CHECK_MIN``.  More than
     ``_MAX_STEPS`` steps raise ``RuntimeError``.
     """
+    dscal = _blas().dscal
     v = start / math.sqrt(_dot(start, start))
     v_prev = np.zeros_like(v)
     alpha, beta = [], []
@@ -457,14 +504,12 @@ def _lanczos(matvec, start: np.ndarray, tol: float, budget: int = 0):
     b = 0.0
     check, last = _CHECK_MIN, None
     for step in range(1, _MAX_STEPS + 1):
-        if basis is not None:
+        if step <= keep:
             basis.append(v)
-            if len(basis) * v.nbytes > budget:
-                basis = None
         w = matvec(v)
         a = _dot(v, w)
-        w -= a * v
-        w -= b * v_prev
+        _axpy(-a, v, w)
+        _axpy(-b, v_prev, w)
         b = math.sqrt(_dot(w, w))
         alpha.append(a)
         beta.append(b)
@@ -479,28 +524,31 @@ def _lanczos(matvec, start: np.ndarray, tol: float, budget: int = 0):
                 rate = math.log(last[1] / res) / (step - last[0])
                 ahead = max(ahead, int(0.5 * math.log(res / tol) / rate))
             last, check = (step, res), step + min(ahead, step)
-        v_prev, v = v, w / b
+        dscal(1.0 / b, w)
+        v_prev, v = v, w
     raise RuntimeError(f"Lanczos did not converge in {_MAX_STEPS} steps")
 
 
-def _ritz_vector(matvec, start: np.ndarray, alpha: np.ndarray, beta: np.ndarray,
-                 y: np.ndarray, basis) -> np.ndarray:
-    """The normalized Ritz vector sum_j y_j v_j, from the kept basis or by
-    rerunning the recurrence with the stored coefficients.  Both give the
-    same Lanczos vectors bit for bit, and sum them in the same order."""
-    psi = np.zeros_like(start)
-    v = start / math.sqrt(_dot(start, start))
-    v_prev, b = np.zeros_like(v), 0.0
-    for j, c in enumerate(y):
-        if j and basis is None:
+def _ritz_vector(matvec, alpha: np.ndarray, beta: np.ndarray, y: np.ndarray,
+                 basis: list) -> np.ndarray:
+    """The normalized Ritz vector sum_j y_j v_j, summed in order by
+    :func:`_axpy`.  The vectors past the kept ``basis``, which then holds
+    at least two, are rebuilt by replaying :func:`_lanczos`'s steps from the last two kept ones with the
+    stored coefficients: the same operations on the same inputs, so the
+    same bits, at one matvec per rebuilt vector."""
+    psi = np.zeros_like(basis[0])
+    for c, v in zip(y, basis):
+        _axpy(c, v, psi)
+    if y.size > len(basis):
+        dscal = _blas().dscal
+        v_prev, v = basis[-2:]
+        for j in range(len(basis), y.size):
             w = matvec(v)
-            w -= alpha[j - 1] * v
-            w -= b * v_prev
-            b = beta[j - 1]
-            v_prev, v = v, w / b
-        elif j:
-            v = basis[j]
-        psi += c * v
+            _axpy(-alpha[j - 1], v, w)
+            _axpy(-beta[j - 2], v_prev, w)
+            dscal(1.0 / beta[j - 1], w)
+            _axpy(y[j], w, psi)
+            v_prev, v = v, w
     return psi / math.sqrt(_dot(psi, psi))
 
 

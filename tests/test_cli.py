@@ -533,10 +533,11 @@ def test_unwritable_out_exit_2(tmp_path, capsys, argv):
     assert not out.parent.exists()
 
 
-def _python(*args):
-    """Run a fresh interpreter on this checkout's package; stdout and stderr as text."""
+def _python(*args, **variables):
+    """Run a fresh interpreter on this checkout's package, with the given
+    environment variables set; stdout and stderr as text."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(orbent.__file__)))
-    env = dict(os.environ)
+    env = dict(os.environ, **variables)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     return subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True)
 
@@ -586,6 +587,20 @@ def test_lanczos_path_loads_no_sparse_linalg():
     run = _python("-c", probe)
     assert run.returncode == 0, run.stderr
     assert run.stdout.strip() == "0 False True"
+
+
+def test_lanczos_output_does_not_follow_the_thread_count():
+    """OpenBLAS splits ddot and daxpy over threads above 10 000 entries; on
+    a 14 400-dim sector, ``ed`` still prints the same bytes at 1 and 2
+    threads."""
+    argv = ["-m", "orbent", "ed", "--hubbard", "10,4", "--nelec", "6", "--all-pairs"]
+    runs = [_python(*argv, OPENBLAS_NUM_THREADS=threads) for threads in ("1", "2")]
+    for run in runs:
+        assert run.returncode == 0, run.stderr
+    records = [json.loads(line) for line in runs[0].stdout.splitlines()]
+    assert len(records) == 9 and {r["sector_dim"] for r in records} == {14400}
+    assert all(r["residual"] <= 1e-9 for r in records)
+    assert runs[1].stdout == runs[0].stdout
 
 
 def test_parser_reuse_keeps_output(capsys):

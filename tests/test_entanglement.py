@@ -518,6 +518,28 @@ class TestXState:
         best = top.max()
         assert bound >= best - 1e-12 * max(1.0, abs(bound))
 
+    @pytest.mark.parametrize("corner,split,delta", [(1e-6, 1.000001e-6, 1e-7),
+                                                    (1e-3, 1.0001e-3, 1e-4)])
+    def test_unequal_value_against_50_digits(self, corner, split, delta):
+        # barely entangled heavy blocks with unequal middle diagonals, whose
+        # value (about 2e-24 and 2e-14) is far below its terms (about 0.35):
+        # it must be the generalized D(rho||sigma) = Tr rho (ln rho -
+        # ln sigma) - Tr rho + Tr sigma of the sigma returned, in 50 digits
+        mpmath = pytest.importorskip("mpmath")
+        weights = (corner, corner, 0.5 - corner + split, 0.5 - corner - split, delta)
+        value, (a, d, u, v, w), _ = _x_state_ree(*weights)
+        with mpmath.workdps(50):
+            r00, r11, p_plus, p_minus, delta = map(mpmath.mpf, weights)
+            rho = mpmath.matrix([[p_plus, delta], [delta, p_minus]])
+            sigma = mpmath.matrix([[u, w], [w, v]])
+            ref = sum(r * mpmath.log(r / s) - r + s for r, s in ((r00, a), (r11, d)))
+            ref += sum((rho * (mpmath.logm(rho) - mpmath.logm(sigma)) - rho + sigma)[i, i]
+                       for i in range(2))
+            ref = float(ref)
+        assert ref > 0.0
+        assert value >= 0.0
+        assert abs(value - ref) <= max(1e-6 * ref, 1e-22)
+
     @settings(max_examples=6, deadline=None)
     @given(_x_blocks())
     def test_below_frank_wolfe(self, weights):

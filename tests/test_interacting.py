@@ -556,6 +556,38 @@ class TestBuildHamiltonian:
                 assert np.array_equal(basis, expected)
 
 
+# more Lanczos vectors than any run in these tests takes steps
+_MAX_KEPT = 1 << 20
+
+
+class _CountedMatrix:
+    """A sector matrix that counts its products with vectors, through both
+    ``dot`` and ``@``."""
+
+    def __init__(self, matrix):
+        self.matrix, self.products = matrix, 0
+
+    def dot(self, x):
+        self.products += 1
+        return self.matrix @ x
+
+    __matmul__ = dot
+
+
+def _spy_lanczos_steps(monkeypatch) -> list:
+    """Record the step count of every Lanczos run from now on."""
+    steps = []
+    lanczos = interacting._lanczos
+
+    def spy(*args):
+        result = lanczos(*args)
+        steps.append(result[0].size)
+        return result
+
+    monkeypatch.setattr(interacting, "_lanczos", spy)
+    return steps
+
+
 class TestGroundState:
     def test_diagonal_matrix(self):
         basis = sector_basis(2, 1, 1)
@@ -656,26 +688,48 @@ class TestGroundState:
         assert gs.degenerate
         assert gs.energy == pytest.approx(dense[0], abs=1e-12)
 
+    def test_default_budget_keeps_the_whole_basis(self, monkeypatch):
+        # the 4900-dim sector keeps every Lanczos vector of run 1: one H
+        # product per step of each run, plus the energy and the residual
+        op = build_hamiltonian(HubbardParams(8, 4.0), 8, 0)
+        steps = _spy_lanczos_steps(monkeypatch)
+        counted = _CountedMatrix(op.matrix)
+        ground_state(ManyBodyOperator(counted, op.basis, op.space))
+        assert len(steps) == 2
+        assert counted.products == steps[0] + steps[1] + 2
+
     @pytest.mark.parametrize("n_elec", [4, 6])
     def test_kept_and_regenerated_basis_agree_bit_for_bit(self, n_elec, monkeypatch):
+        # a budget of k < steps vectors keeps the first k and replays the
+        # rest from the last two of them: steps - k extra H products, and
+        # the same bits as the fully kept run
         op = build_hamiltonian(HubbardParams(8, 4.0), n_elec, 0)
-        paths = []
+        kept_sizes = []
         ritz_vector = interacting._ritz_vector
 
         def spy(*args):
-            paths.append(args[-1] is None)
+            kept_sizes.append(len(args[-1]))
             return ritz_vector(*args)
 
         monkeypatch.setattr(interacting, "_ritz_vector", spy)
-        results = []
-        for budget in (1 << 62, 0):
-            monkeypatch.setattr(interacting, "_basis_budget", lambda matrix, b=budget: b)
-            results.append(ground_state(op))
-        assert paths == [False, True]
-        kept, regenerated = results
-        assert np.array_equal(kept.state.amps, regenerated.state.amps)
-        assert (kept.energy, kept.gap, kept.residual) == (
-            regenerated.energy, regenerated.gap, regenerated.residual)
+        steps = _spy_lanczos_steps(monkeypatch)
+
+        def run(kept):
+            monkeypatch.setattr(interacting, "_BASIS_BYTES", kept * op.dim * 8)
+            counted = _CountedMatrix(op.matrix)
+            result = ground_state(ManyBodyOperator(counted, op.basis, op.space))
+            return result, counted.products
+
+        reference, products = run(_MAX_KEPT)
+        run_1 = steps[0]
+        assert kept_sizes == [run_1] and products == sum(steps) + 2
+        for kept in (2, run_1 // 2, run_1 - 1):
+            result, replayed = run(kept)
+            assert kept_sizes[-1] == kept and steps[-2:] == steps[:2]
+            assert replayed - products == run_1 - kept
+            assert np.array_equal(result.state.amps, reference.state.amps)
+            assert (result.energy, result.gap, result.residual) == (
+                reference.energy, reference.gap, reference.residual)
 
     def test_lanczos_path_on_a_multiple_of_the_identity(self):
         # every vector is an eigenvector: the Krylov space is exhausted,
