@@ -619,9 +619,10 @@ def _x_unequal(r00, r11, p_plus, p_minus, delta):
     # at angle shift: D(R||M) - Tr R + Tr M is the sum over (i, j) of
     # (e_i . f_j)^2 times the term of (mu_i, lam_j), each >= 0
     cs2, sn2 = math.cos(shift) ** 2, math.sin(shift) ** 2
+    # a pair with zero overlap adds nothing, even where its term is infinite
     value = sum(weight * _divergence_term(r, x) for r, x, weight in (
         (r00, a, 1.0), (r11, d, 1.0), (mu1, lam1, cs2), (mu2, lam2, cs2),
-        (mu1, lam2, sn2), (mu2, lam1, sn2)))
+        (mu1, lam2, sn2), (mu2, lam1, sn2)) if weight)
     # the gradient at sigma in M's eigenbasis, then on the middle pair
     g_a, g_d, g1, g2 = (r / x if r > 0.0 else 0.0
                         for r, x in ((r00, a), (r11, d), (r1, lam1), (r2, lam2)))

@@ -43,12 +43,12 @@ resource cap bounds the nonzeros from the strings before anything of the
 sector's size is allocated.
 
 scipy is imported inside the functions that use it: ``scipy.sparse`` in
-:func:`build_hamiltonian` and its helpers, ``scipy.linalg`` (dense
-``eigh``, and the BLAS level-1 and LAPACK tridiagonal routines of the
-Lanczos runs) in :func:`ground_state` and its helpers.  The Lanczos
-recurrence is this module's own, so ``scipy.sparse.linalg`` is never
-loaded.  Importing this module, and so ``orbent`` and ``orbent.cli``,
-loads no scipy; only the ``ed`` path pays for it, on its first call.
+:func:`build_hamiltonian` and its helpers, ``scipy.linalg`` (BLAS level-1
+and LAPACK tridiagonal routines; no dense eigensolver) in the Lanczos
+helpers of :func:`ground_state`.  The Lanczos recurrence is this module's
+own, so ``scipy.sparse.linalg`` is never loaded.  Importing this module,
+and so ``orbent`` and ``orbent.cli``, loads no scipy; only the ``ed`` path
+pays for it, on its first call.
 """
 
 from __future__ import annotations
@@ -81,9 +81,7 @@ _BASIS_BYTES = 12 * NNZ_CAP
 _CHUNK = 8192
 # largest accepted |H v - E v| of a returned ground state
 _RESIDUAL_TOL = 1e-9
-# largest sector diagonalized densely (see ground_state)
-_DENSE_CUTOFF = 300
-# relative residuals at which the two Lanczos runs of ground_state stop
+# relative residuals at which the Lanczos runs of ground_state stop
 _GROUND_TOL = 1e-12
 _GAP_TOL = 1e-8
 # Lanczos steps per run before RuntimeError, and the fewest between checks
@@ -353,26 +351,38 @@ class GroundStateResult:
 def ground_state(op: ManyBodyOperator) -> GroundStateResult:
     """Lowest eigenpair of a sector Hamiltonian, and the gap above it.
 
-    Dense diagonalization up to ``_DENSE_CUTOFF``, two plain Lanczos runs
-    (:func:`_lanczos`) above it.  A residual over 1e-9, or NaN, raises
-    ``RuntimeError``, as do more than ``_MAX_STEPS`` Lanczos steps.  A
-    spectral gap under 1e-9 flags a degenerate ground level; the returned
-    state is then just one ground vector, the sector vector over
-    ``op.basis``.
+    A one-configuration sector is its own eigenvector; every larger one
+    takes the same three plain Lanczos runs (:func:`_lanczos`).  A residual
+    over 1e-9, or NaN, raises ``RuntimeError``, as do more than
+    ``_MAX_STEPS`` Lanczos steps.  A spectral gap under 1e-9 flags a
+    degenerate ground level.
 
-    Run 1, from the seeded vector ``default_rng(0)``, stops when the lowest
-    Ritz pair's residual estimate is at most 1e-12 max(1, |theta|), ARPACK's
-    relative tolerance.  The ground vector psi is its Ritz vector, and the
-    energy psi's Rayleigh quotient.  Run 1 keeps its Lanczos vectors while
-    they take at most ``_BASIS_BYTES``, the bytes of a CSR matrix at
-    ``NNZ_CAP`` (at least two are kept), so the solver never holds much
-    more than a matrix at the cap.  That is 1224 vectors at dimension 4900,
-    against runs of about 130 steps.  Past the budget, psi's later vectors
-    are rebuilt by replaying the recurrence from the last two kept ones
-    with the stored coefficients, which gives the same bits.  Every vector
-    operation of both runs is a BLAS level-1 call in place on chunks of at
-    most ``_CHUNK`` entries, each in one thread, so the Lanczos path gives
-    the same bits at every BLAS thread count.
+    Run 1, from the seeded vector v0 = ``default_rng(0).standard_normal(dim)``,
+    stops when the lowest Ritz pair's residual estimate is at most
+    1e-12 max(1, |theta|), ARPACK's relative tolerance.  It keeps its
+    Lanczos vectors while they take at most ``_BASIS_BYTES``, the bytes of
+    a CSR matrix at ``NNZ_CAP`` (at least two are kept), so the solver
+    never holds much more than a matrix at the cap.  That is 1224 vectors
+    at dimension 4900, against runs of about 130 steps.  Past the budget,
+    the Ritz vector's later terms are rebuilt by replaying the recurrence
+    from the last two kept vectors with the stored coefficients, which
+    gives the same bits.  Every vector operation of the runs is a BLAS
+    level-1 call in place on chunks of at most ``_CHUNK`` entries, each in
+    one thread, so the result has the same bits at every BLAS thread count.
+
+    The polish, the same run from run 1's Ritz vector, takes about four
+    steps.  Run 1's vector errs by up to its residual over the gap, more so
+    where the Krylov space runs out; the polish's Ritz vector psi is
+    accurate to rounding, so sectors that a symmetry maps onto each other
+    give the same pair values to 1e-12.  One product H psi gives both the
+    energy, psi's Rayleigh quotient, and the residual.
+
+    On a degenerate level psi = P v0 / |P v0|, with P the projector onto
+    the level: the part of K(H, v0) in the level is spanned by P v0
+    (Paige, J. Inst. Math. Appl. 18, 341 (1976)), and the polish's Krylov
+    space lies inside K(H, v0).  So the vector, the sector vector over
+    ``op.basis``, is a function of the level and the seed, not of the
+    solver.
 
     Run 2, from ``default_rng(1)``, finds the gap.  It runs on
     H + s psi psi^T, with s the width of run 1's Ritz values, which lifts
@@ -380,54 +390,40 @@ def ground_state(op: ManyBodyOperator) -> GroundStateResult:
     eigenvector in place.  Its lowest Ritz value, to a relative residual of
     1e-8, is then the next level: its error, about r^2 over the spacing,
     stays far below the 1e-9 decision.  A degenerate level shows by
-    construction.  A single-vector Krylov space holds one vector of a level,
-    so run 1 never sees a second copy, but the second start vector has its
-    own component along the copies that psi lacks.  Projecting psi out
-    instead would leave psi at eigenvalue 0, below the level whenever
-    E0 > 0.
-
-    The cutoff lies between the measured crossovers of two kinds of
-    sector, with one BLAS thread.  Dense ``eigh`` costs O(dim**3) and
-    Lanczos O(steps nnz).  On Hubbard rings they take 0.56 against 0.64 ms
-    at dimension 196, 0.86 against 0.64 ms at 224, 1.45 against 0.94 ms at
-    300, 2.9 against 1.05 ms at 400 and 15 against 1.5 ms at 784: a
-    crossover near 220.  A matvec costs O(nnz), so denser Hamiltonians gain
-    less: on symmetry-free dense-ERI sectors, with a third of their entries
-    nonzero, dense ``eigh`` takes 1.29 against 1.50 ms at 300 and 2.96
-    against 2.15 ms at 400, a crossover near 330.  The two ground energies
-    agree to 2e-14.
+    construction.  Run 1 sees only psi of the level, but the second start
+    vector has its own component along the copies that psi lacks.
+    Projecting psi out instead would leave psi at eigenvalue 0, below the
+    level whenever E0 > 0.
     """
-    import scipy.linalg as sla
-
     h = op.matrix
     if op.dim == 1:
-        energy, vec, gap = float(h[0, 0].real), np.ones(1), np.inf
-    elif op.dim <= _DENSE_CUTOFF:
-        evals, evecs = sla.eigh(h.toarray(), subset_by_index=[0, 1])
-        energy, vec = float(evals[0]), evecs[:, 0]
-        gap = float(evals[1] - evals[0])
-    else:
-        # seeded start vectors make the result repeatable; a constant one
-        # could be orthogonal to a symmetric ground state
-        start = np.random.default_rng(0).standard_normal(op.dim)
-        keep = max(2, _BASIS_BYTES // start.nbytes)
-        alpha, beta, theta, y, basis = _lanczos(h.dot, start, _GROUND_TOL, keep)
-        vec = _ritz_vector(h.dot, alpha, beta, y, basis)
-        energy = _dot(vec, h @ vec)
-        s = _ritz_pair(alpha, beta, alpha.size)[0] - theta
-
-        def lifted(x):
-            out = h @ x
-            _axpy(s * _dot(vec, x), vec, out)
-            return out
-
-        start = np.random.default_rng(1).standard_normal(op.dim)
-        gap = _lanczos(lifted, start, _GAP_TOL)[2] - energy
+        return GroundStateResult(float(h[0, 0].real), SectorState(op.space, op.basis, np.ones(1)),
+                                 False, np.inf, 0.0)
+    # seeded start vectors make the result repeatable; a constant one could
+    # be orthogonal to a symmetric ground state
+    start = np.random.default_rng(0).standard_normal(op.dim)
+    keep = max(2, _BASIS_BYTES // start.nbytes)
+    alpha, beta, theta, y, basis = _lanczos(h.dot, start, _GROUND_TOL, keep)
+    s = _ritz_pair(alpha, beta, alpha.size)[0] - theta
+    vec = _ritz_vector(h.dot, alpha, beta, y, basis)
+    # the polish.  Run 1's basis stays referenced until return: freed here, it
+    # made each later two_orbital_rdm fault in 280 fresh pages (+70% at 4900)
+    polish = _lanczos(h.dot, vec, _GROUND_TOL, keep)
+    vec = _ritz_vector(h.dot, *polish[:2], *polish[3:])
     r = h @ vec
+    energy = _dot(vec, r)
     _axpy(-energy, vec, r)
     residual = math.sqrt(_dot(r, r))
     if not residual <= _RESIDUAL_TOL:
         raise RuntimeError(f"eigensolver residual {residual:.2e} above {_RESIDUAL_TOL}")
+
+    def lifted(x):
+        out = h @ x
+        _axpy(s * _dot(vec, x), vec, out)
+        return out
+
+    start = np.random.default_rng(1).standard_normal(op.dim)
+    gap = _lanczos(lifted, start, _GAP_TOL)[2] - energy
     return GroundStateResult(energy, SectorState(op.space, op.basis, vec),
                              bool(gap < 1e-9), gap, residual)
 

@@ -97,6 +97,8 @@ class TbQuery:
         if self.d < 1:
             raise ValueError("separation must be a positive integer")
         if self.n_sites is not None:
+            if self.n_sites < 2:
+                raise ValueError(f"a finite ring needs at least 2 sites, got {self.n_sites}")
             n = self.n_elec
             if abs(n - 2 * self.n_sites * self.eta) > 1e-9:
                 raise ValueError(

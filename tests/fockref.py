@@ -162,6 +162,25 @@ def slater_fock_state(h, n_per_spin: int) -> SectorState:
     return SectorState(space, state.basis, state.amps / norm)
 
 
+def sector_ground_level(matrix):
+    """Dense reference for a sector Hamiltonian's ground level.
+
+    Returns (eigenvalues, psi): every eigenvalue of ``np.linalg.eigh`` on
+    the dense matrix, and psi = P v0 / |P v0|, with v0 the start vector
+    ``default_rng(0).standard_normal(dim)`` of ``ground_state`` and P the
+    projector onto the eigenvectors within 1e-9 of the lowest eigenvalue,
+    the degeneracy rule of ``ground_state``.
+    On a degenerate level psi is the vector that the level and v0 define;
+    on a simple one it is the ground vector with the sign of its overlap
+    with v0.
+    """
+    evals, evecs = np.linalg.eigh(matrix.toarray())
+    level = evecs[:, evals - evals[0] < 1e-9]
+    v0 = np.random.default_rng(0).standard_normal(evals.size)
+    psi = level @ (level.T @ v0)
+    return evals, psi / np.linalg.norm(psi)
+
+
 def reflection_operator() -> np.ndarray:
     """Fermionic exchange of the two orbitals of a (4, 4) pair state,
     |a,b> -> (-1)^(N_a N_b) |b,a>."""

@@ -415,8 +415,10 @@ class TestEd:
         assert record["iterations"] == 0
 
     def test_pssr_gap_follows_log_base(self, capsys):
-        # the exact route's gaps are round-off sized, and some are exactly 0
-        argv = ("ed", "--hubbard", "6,4", "--nelec", "4", "--all-pairs", "--ssr", "p")
+        # the exact route's gaps are round-off sized, and some are exactly
+        # 0; at N = 4 every gap of the polished ground vector is 0, at N = 2
+        # four of five are not
+        argv = ("ed", "--hubbard", "6,4", "--nelec", "2", "--all-pairs", "--ssr", "p")
         _, out_e, _ = run_cli(capsys, *argv)
         _, out_2, _ = run_cli(capsys, *argv, "--log-base", "2")
         nats = [json.loads(line) for line in out_e.splitlines()]
@@ -427,13 +429,13 @@ class TestEd:
             assert b_rec["value"] == n_rec["value"] / np.log(2)
 
     @pytest.mark.parametrize("n_elec,ms2,d,value", [
-        (3, 1, 3, 0.021988), (4, 2, 1, 0.035995), (4, 2, 3, 0.016666), (4, 0, 1, 0.0016192)])
+        (3, 1, 3, 0.0015518), (4, 2, 1, 0.035995), (4, 2, 3, 0.016666), (4, 0, 1, 0.0016192)])
     def test_nssr_matches_frank_wolfe_in_every_sz_sector(self, capsys, n_elec, ms2, d, value):
         # the exact route against Frank-Wolfe on the same pinched block;
         # 2Sz != 0 ground states carry unequal |up,up> and |down,down>
         # weights.  The N = 3 level is twofold degenerate (the record flags
-        # it), so its value belongs to the ground vector the dense solver
-        # returns
+        # it), so its value is that of the level's vector P v0 / |P v0|
+        # (fockref.sector_ground_level)
         from fwref import frank_wolfe_pinched
         from orbent.fock import two_orbital_rdm
         from orbent.interacting import HubbardParams, build_hamiltonian, ground_state
@@ -452,13 +454,14 @@ class TestEd:
         assert fw.value - fw.gap - 1e-9 <= record["value"] <= fw.value + 1e-9
 
     # the twofold degenerate ground level of the L=6, N=3, 2Sz=1 ring: the
-    # values belong to the vector that eigh returns.  Without exchange
-    # symmetry in the pair, the ee block under P and the oo block under N
-    # have unequal middle diagonals; Frank-Wolfe once took them and sat up
-    # to 1.5e-8 above these values
+    # values are those of the level's vector P v0 / |P v0|, from a dense
+    # eigh (fockref.sector_ground_level).  Without exchange symmetry in
+    # the pair, the ee block under P and the oo block under N have unequal
+    # middle diagonals; Frank-Wolfe once took them and sat up to 1.5e-8
+    # above the values of another vector of the level
     @pytest.mark.parametrize("d,ssr,value", [
-        (1, "n", 0.04411422545815983), (1, "p", 0.04433018067571709),
-        (2, "n", 0.11785213821824166), (2, "p", 0.11789997352644761)])
+        (1, "n", 0.00603404464790906), (1, "p", 0.006087746251199489),
+        (2, "n", 0.003554990354652707), (2, "p", 0.0035593860921872985)])
     def test_unequal_diagonals_are_exact(self, capsys, d, ssr, value):
         code, out, _ = run_cli(capsys, "ed", "--hubbard", "6,4", "--nelec", "3",
                                "--orbitals", f"0,{d}", "--ssr", ssr)
@@ -589,18 +592,34 @@ def test_lanczos_path_loads_no_sparse_linalg():
     assert run.stdout.strip() == "0 False True"
 
 
-def test_lanczos_output_does_not_follow_the_thread_count():
+def test_lanczos_output_does_not_follow_the_thread_count(tmp_path):
     """OpenBLAS splits ddot and daxpy over threads above 10 000 entries; on
     a 14 400-dim sector, ``ed`` still prints the same bytes at 1 and 2
+    threads.  So it does under both rules on a 300-dim symmetry-free
+    sector, where a dense ``eigh`` once printed other last bits at 2
     threads."""
-    argv = ["-m", "orbent", "ed", "--hubbard", "10,4", "--nelec", "6", "--all-pairs"]
-    runs = [_python(*argv, OPENBLAS_NUM_THREADS=threads) for threads in ("1", "2")]
-    for run in runs:
-        assert run.returncode == 0, run.stderr
-    records = [json.loads(line) for line in runs[0].stdout.splitlines()]
-    assert len(records) == 9 and {r["sector_dim"] for r in records} == {14400}
-    assert all(r["residual"] <= 1e-9 for r in records)
-    assert runs[1].stdout == runs[0].stdout
+    from orbent.fcidump import FcidumpData, serialize_fcidump
+
+    # seeded integrals without orbital-exchange symmetry, built as
+    # test_interacting._random_integrals builds them
+    rng = np.random.default_rng(7)
+    h, eri = rng.normal(size=(6, 6)), rng.normal(size=(6,) * 4)
+    for perm in ((1, 0, 2, 3), (0, 1, 3, 2), (2, 3, 0, 1)):
+        eri = eri + eri.transpose(perm)
+    path = tmp_path / "asym.fcidump"
+    path.write_text(serialize_fcidump(FcidumpData(norb=6, nelec=5, ms2=1, h=h + h.T,
+                                                  eri=eri / 8)))
+    cases = [(["--hubbard", "10,4", "--nelec", "6"], 9, 14400)]
+    cases += [(["--fcidump", str(path), "--nelec", "5", "--ssr", ssr], 5, 300) for ssr in "np"]
+    for source, n_records, dim in cases:
+        argv = ["-m", "orbent", "ed", *source, "--all-pairs"]
+        runs = [_python(*argv, OPENBLAS_NUM_THREADS=threads) for threads in ("1", "2")]
+        for run in runs:
+            assert run.returncode == 0, run.stderr
+        records = [json.loads(line) for line in runs[0].stdout.splitlines()]
+        assert len(records) == n_records and {r["sector_dim"] for r in records} == {dim}
+        assert all(r["residual"] <= 1e-9 for r in records)
+        assert runs[1].stdout == runs[0].stdout, source
 
 
 def test_parser_reuse_keeps_output(capsys):

@@ -495,6 +495,11 @@ class TestXState:
     @settings(max_examples=300, deadline=None)
     @given(_x_blocks())
     @example((0.08036526457842039, 0.2793896830964973, 0.6402450523250823, 5e-324, 0.0))
+    # a rank-one middle block at the PPT edge: the root lands at shift 0,
+    # where sigma's second eigenvalue is 0 and its overlap with R's first
+    # eigenvector is 0, a term once evaluated as r ln(r/0)
+    @example((0.499999950000005, 4.9999995000000496e-08, 0.25015811386719705,
+              0.24984188613280298, 0.24999995000000502))
     def test_minimum_with_proven_gap(self, weights):
         value, sigma_w, gap = _x_state_ree(*weights)
         a, d, u, v, w = sigma_w

@@ -16,7 +16,7 @@ import fockref
 from fockref import amplitudes, apply_operator_string, basis_state
 from orbent import interacting
 from orbent.fcidump import FcidumpData, FcidumpError, parse_fcidump, serialize_fcidump
-from orbent.fock import FockSpace, popcount
+from orbent.fock import FockSpace, SectorState, popcount
 from orbent.freefermion import diagonalize_one_body
 from orbent.interacting import (
     NNZ_CAP,
@@ -606,28 +606,27 @@ class TestGroundState:
         op = ManyBodyOperator(sps.csr_matrix(np.eye(2)), basis, FockSpace(2))
         assert ground_state(op).degenerate
 
-    def test_iterative_path_agrees_with_dense(self, monkeypatch):
+    def test_iterative_path_agrees_with_dense(self):
         op = build_hamiltonian(HubbardParams(6, 4.0), 6, 0)
-        monkeypatch.setattr(interacting, "_DENSE_CUTOFF", 4000)
-        dense = ground_state(op)
-        monkeypatch.setattr(interacting, "_DENSE_CUTOFF", 10)
+        evals, _ = fockref.sector_ground_level(op.matrix)
         sparse = ground_state(op)
         assert isinstance(sparse, GroundStateResult)
-        assert sparse.energy == pytest.approx(dense.energy, abs=1e-8)
+        assert sparse.energy == pytest.approx(evals[0], abs=1e-12)
         assert sparse.residual < 1e-9
 
     @pytest.mark.parametrize("n_sites,n_elec", [(6, 4), (6, 6), (8, 4)])
-    def test_default_cutoff_agrees_with_dense(self, n_sites, n_elec, monkeypatch):
-        # sector dimensions 225 (dense by default), 400 and 784 (Lanczos)
+    def test_default_cutoff_agrees_with_dense(self, n_sites, n_elec):
+        # sector dimensions 225, 400 and 784, on both sides of the dimension
+        # 300 up to which a dense eigh once solved the sectors
         op = build_hamiltonian(HubbardParams(n_sites, 4.0), n_elec, 0)
-        default = ground_state(op)
-        monkeypatch.setattr(interacting, "_DENSE_CUTOFF", 10**6)
-        dense = ground_state(op)
-        assert not dense.degenerate
-        assert default.energy == pytest.approx(dense.energy, abs=1e-12)
+        gs = ground_state(op)
+        evals, psi = fockref.sector_ground_level(op.matrix)
+        assert evals[1] - evals[0] >= 1e-9
+        assert gs.energy == pytest.approx(evals[0], abs=1e-12)
+        dense = SectorState(op.space, op.basis, psi)
         for lp in range(1, n_sites):
-            got = orbital_pair_entanglement(default.state, 0, lp, ssr="N").value
-            ref = orbital_pair_entanglement(dense.state, 0, lp, ssr="N").value
+            got = orbital_pair_entanglement(gs.state, 0, lp, ssr="N").value
+            ref = orbital_pair_entanglement(dense, 0, lp, ssr="N").value
             assert got == pytest.approx(ref, abs=1e-12)
 
     @pytest.mark.parametrize("u,n_elec,sz2,dim", [(4.0, 5, 1, 1568), (3.0, 6, 2, 1960)])
@@ -636,7 +635,7 @@ class TestGroundState:
         # reported gaps of 0.129 and 0.021 here, and with tol = 1e-10 it
         # missed the second copy on the second sector
         op = build_hamiltonian(HubbardParams(8, u), n_elec, sz2)
-        assert op.dim == dim  # above the dense cutoff
+        assert op.dim == dim
         gs = ground_state(op)
         dense = np.linalg.eigvalsh(op.matrix.toarray())
         assert dense[1] - dense[0] < 1e-9
@@ -645,7 +644,7 @@ class TestGroundState:
 
     def test_lanczos_path_repeats_bit_for_bit(self):
         op = build_hamiltonian(HubbardParams(8, 4.0), 8, 0)
-        assert op.dim == 4900  # above the dense cutoff
+        assert op.dim == 4900
         first, second = ground_state(op), ground_state(op)
         assert first.energy == second.energy
         assert np.array_equal(first.state.amps, second.state.amps)
@@ -666,7 +665,7 @@ class TestGroundState:
             source = parse_fcidump(serialize_fcidump(
                 FcidumpData(norb=8, nelec=n_elec, ms2=sz2, h=h, eri=eri, core=40.0)))
         op = build_hamiltonian(source, n_elec, sz2)
-        assert op.dim == dim  # above the dense cutoff
+        assert op.dim == dim
         gs = ground_state(op)
         dense = np.linalg.eigvalsh(op.matrix.toarray())
         if isinstance(source, FcidumpData):
@@ -681,7 +680,7 @@ class TestGroundState:
         # electron of each spin at 2Sz = 0: a fourfold ground level, while
         # the single-vector Krylov space of run 1 holds one vector of it
         op = build_hamiltonian(HubbardParams(8, 0.0), 4, 0)
-        assert op.dim == 784  # above the dense cutoff
+        assert op.dim == 784
         dense = np.linalg.eigvalsh(op.matrix.toarray())
         assert dense[3] - dense[0] < 1e-9 < dense[4] - dense[0]
         gs = ground_state(op)
@@ -689,20 +688,22 @@ class TestGroundState:
         assert gs.energy == pytest.approx(dense[0], abs=1e-12)
 
     def test_default_budget_keeps_the_whole_basis(self, monkeypatch):
-        # the 4900-dim sector keeps every Lanczos vector of run 1: one H
-        # product per step of each run, plus the energy and the residual
+        # the 4900-dim sector keeps every Lanczos vector of run 1 and of its
+        # polish: one H product per step of each run, plus the one that
+        # gives both the energy and the residual
         op = build_hamiltonian(HubbardParams(8, 4.0), 8, 0)
         steps = _spy_lanczos_steps(monkeypatch)
         counted = _CountedMatrix(op.matrix)
         ground_state(ManyBodyOperator(counted, op.basis, op.space))
-        assert len(steps) == 2
-        assert counted.products == steps[0] + steps[1] + 2
+        assert len(steps) == 3
+        assert counted.products == sum(steps) + 1
 
     @pytest.mark.parametrize("n_elec", [4, 6])
     def test_kept_and_regenerated_basis_agree_bit_for_bit(self, n_elec, monkeypatch):
         # a budget of k < steps vectors keeps the first k and replays the
-        # rest from the last two of them: steps - k extra H products, and
-        # the same bits as the fully kept run
+        # rest from the last two of them: steps - k extra H products in run
+        # 1, and in its polish when that is longer than k, and the same
+        # bits as the fully kept run
         op = build_hamiltonian(HubbardParams(8, 4.0), n_elec, 0)
         kept_sizes = []
         ritz_vector = interacting._ritz_vector
@@ -721,12 +722,12 @@ class TestGroundState:
             return result, counted.products
 
         reference, products = run(_MAX_KEPT)
-        run_1 = steps[0]
-        assert kept_sizes == [run_1] and products == sum(steps) + 2
+        run_1, polish = steps[:2]
+        assert kept_sizes == [run_1, polish] and products == sum(steps) + 1
         for kept in (2, run_1 // 2, run_1 - 1):
             result, replayed = run(kept)
-            assert kept_sizes[-1] == kept and steps[-2:] == steps[:2]
-            assert replayed - products == run_1 - kept
+            assert kept_sizes[-2:] == [kept, min(kept, polish)] and steps[-3:] == steps[:3]
+            assert replayed - products == run_1 - kept + polish - min(kept, polish)
             assert np.array_equal(result.state.amps, reference.state.amps)
             assert (result.energy, result.gap, result.residual) == (
                 reference.energy, reference.gap, reference.residual)
@@ -741,6 +742,41 @@ class TestGroundState:
         gs = ground_state(op)
         assert gs.energy == pytest.approx(2.0, abs=1e-12)
         assert gs.degenerate and gs.residual <= 1e-9
+
+    @pytest.mark.parametrize("norb", range(2, 7))
+    def test_every_small_sector_matches_dense(self, norb):
+        # every (N, 2Sz) sector of three kinds of integrals, dimensions 1 to
+        # 400: symmetry-free ones, the Hubbard ring and the free ring, whose
+        # levels are often degenerate; many Krylov spaces run out before a
+        # run's first check at step 4
+        h, eri = _random_integrals(np.random.default_rng(norb), norb)
+        sources = [FcidumpData(norb=norb, nelec=norb, ms2=0, h=h, eri=eri),
+                   HubbardParams(norb, 4.0), HubbardParams(norb, 0.0)]
+        for source, n_up, n_down in itertools.product(sources, range(norb + 1), range(norb + 1)):
+            op = build_hamiltonian(source, n_up + n_down, n_up - n_down)
+            gs = ground_state(op)
+            dense = np.linalg.eigvalsh(op.matrix.toarray())
+            gap = dense[1] - dense[0] if op.dim > 1 else np.inf
+            assert abs(gs.energy - dense[0]) <= 1e-12 * max(1.0, abs(dense[0]))
+            assert gs.gap == gap if op.dim == 1 else abs(gs.gap - gap) <= 1e-9
+            assert gs.degenerate == (gap < 1e-9)
+            assert gs.residual <= 1e-9
+
+    @pytest.mark.parametrize("u,n_sites,n_elec,sz2,size", [
+        (4.0, 6, 3, 1, 2), (4.0, 8, 5, 1, 2), (0.0, 8, 4, 0, 4)])
+    def test_degenerate_level_returns_the_projected_start_vector(
+            self, u, n_sites, n_elec, sz2, size):
+        # on a degenerate level, the vector returned is P v0 / |P v0|: a
+        # function of the level and the seed, whatever the solver
+        op = build_hamiltonian(HubbardParams(n_sites, u), n_elec, sz2)
+        evals, psi = fockref.sector_ground_level(op.matrix)
+        assert np.sum(evals - evals[0] < 1e-9) == size
+        gs = ground_state(op)
+        assert gs.degenerate
+        level = SectorState(op.space, op.basis, psi)
+        for lp, ssr in itertools.product((1, 2), ("N", "P")):
+            got = orbital_pair_entanglement(gs.state, 0, lp, ssr).value
+            assert abs(got - orbital_pair_entanglement(level, 0, lp, ssr).value) <= 1e-10
 
     def test_step_cap_raises(self, monkeypatch):
         monkeypatch.setattr(interacting, "_MAX_STEPS", 5)
@@ -809,16 +845,18 @@ class TestPairEntanglement:
         assert res_p.converged
         assert res_p.value >= res_n.value - 1e-7
 
-    # Frank-Wolfe values of the solver that searched every pair of local
-    # sectors in one 4 x 4 problem (one BLAS thread): (value, gap).  Each
-    # pair has a block with unequal middle diagonals, which the exact route
-    # now solves.  L = 8, N = 5 has a twofold ground level, and its values
-    # belong to the vector ground_state returns: there they are
-    # tests/fwref.py's frank_wolfe_pinched on that vector (one BLAS thread)
+    # Frank-Wolfe values, (value, gap), of tests/fwref.py's
+    # frank_wolfe_pinched (one BLAS thread).  Each pair has a block with
+    # unequal middle diagonals, which the exact route solves.  Both rings
+    # have a twofold ground level, and the values belong to the level's
+    # vector P v0 / |P v0| that ground_state returns: from a dense eigh
+    # (fockref.sector_ground_level) at L = 6, N = 3, and from ground_state
+    # at L = 8, N = 5, whose pair values agree with the dense vector's to
+    # 1e-16
     @pytest.mark.parametrize("n_sites,n_elec,pair,ssr,ref", [
-        (6, 3, (0, 1), "P", (0.04433018835894709, 9.1e-8)),
-        (6, 3, (0, 1), "N", (0.04411422768702744, 2.6e-8)),
-        (6, 3, (0, 2), "P", (0.11789997879370562, 3.7e-8)),
+        (6, 3, (0, 1), "P", (0.006087751546338393, 3.2e-8)),
+        (6, 3, (0, 1), "N", (0.006034046943950632, 9.7e-9)),
+        (6, 3, (0, 2), "P", (0.0035593933794392783, 3.5e-8)),
         (8, 5, (0, 1), "P", (0.00026511426393508635, 2.6e-8)),
         (8, 5, (0, 2), "P", (4.788037401473388e-16, 1.1e-8)),
     ])

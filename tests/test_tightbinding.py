@@ -166,13 +166,22 @@ class TestTbEntanglement:
                 assert res.entangled == (res.a < 2 * res.b)
                 assert (res.e_nssr > 0) == res.entangled
 
-    def test_finite_ring_provenance_and_validation(self):
+    def test_finite_ring_provenance_and_validation(self, capsys):
         res = tb_entanglement(TbQuery(eta=0.25, d=2, n_sites=4))
         assert res.provenance == "finite-L"
         with pytest.raises(ValueError):
             TbQuery(eta=0.5, d=1, n_sites=4)  # N = 4 not of closed-shell form
         with pytest.raises(ValueError):
             TbQuery(eta=0.25, d=3, n_sites=4)  # d beyond L/2
+        # a ring of fewer than 2 sites is refused as such, before its
+        # electron count or separation range is read
+        for n_sites in (-6, 0, 1):
+            with pytest.raises(ValueError, match=f"at least 2 sites, got {n_sites}$"):
+                TbQuery(eta=0.5, d=1, n_sites=n_sites)
+            argv = ["tb", "--eta", "0.5", "--d", "1", "--finite-L", str(n_sites)]
+            assert main(argv) == 2
+            assert capsys.readouterr().err == (
+                f"error: a finite ring needs at least 2 sites, got {n_sites}\n")
 
     def test_full_odd_ring_is_a_product_state(self, capsys):
         # N = 6 on 3 sites fills every orbital: W is exactly 0, and both
